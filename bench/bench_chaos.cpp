@@ -11,16 +11,7 @@
 //
 // Knobs: SEL_FAULT overrides the default chaos mix (drop=0.05,dup=0.01,
 // spike=0.02,stall=0.01,crash=0.001); SEL_RETRY* tune the recovery ladder
-// for the reliable row. `--runtime=superstep|async` (or SEL_RUNTIME)
-// selects the execution mode; the superstep run writes its own
-// chaos_superstep.csv/report so cross-mode artifacts sit side by side.
-//
-// `--runtime=socket` (or SEL_TRANSPORT=socket) hosts the peers on
-// SEL_SHARDS forked shard-server processes behind the wire codec; the
-// driver pulls every child's MetricsSnapshot at the end and merges it into
-// the single report, so pubsub.*/fault.*/mem.* totals match the inproc run
-// for the same seed (receiver-side draws are pure functions of the shared
-// plan parameters, not of which process hosts the peer).
+// for the reliable row.
 //
 // `--adversarial` (ISSUE 9) escalates to the durability tier: the fault mix
 // gains byzantine mailbox acceptors and correlated crash bursts
@@ -41,7 +32,6 @@
 #include "pubsub/engine.hpp"
 #include "pubsub/mailbox.hpp"
 #include "pubsub/multipath.hpp"
-#include "runtime/socket_transport.hpp"
 #include "select/protocol.hpp"
 #include "sim/churn.hpp"
 
@@ -71,9 +61,7 @@ struct SoakRow {
 SoakRow run_soak(const sel::graph::SocialGraph& g,
                  sel::core::SelectSystem& sys, sel::net::NetworkModel& net,
                  const sel::fault::FaultSpec& spec, std::uint64_t seed,
-                 bool reliable, bool use_mailbox, bool adversarial,
-                 const sel::runtime::Options& runtime_opts,
-                 const sel::runtime::SpawnedShards* shards) {
+                 bool reliable, bool use_mailbox, bool adversarial) {
   using namespace sel;
   for (overlay::PeerId p = 0; p < g.num_nodes(); ++p) {
     sys.set_peer_online(p, true);
@@ -81,7 +69,6 @@ SoakRow run_soak(const sel::graph::SocialGraph& g,
   fault::FaultPlan plan(spec, seed, g.num_nodes());
   const overlay::PubSubSystem ps(sys);
   pubsub::NotificationEngine engine(ps, net);
-  engine.set_runtime_options(runtime_opts);
   engine.set_fault_plan(&plan);
   // Durability tier: replicate every store-and-forward miss to k mailbox
   // peers, placed by the recovery layer's CMA (paper Sec. III-F).
@@ -93,19 +80,6 @@ SoakRow run_soak(const sel::graph::SocialGraph& g,
     mailbox->set_availability_fn(
         [&sys](overlay::PeerId p) { return sys.cma_of(p); });
     engine.set_mailbox(&*mailbox);
-  }
-  // Socket backend: hop arrivals to remote-shard peers do their
-  // receiver-side draw in the child process over the wire. Both soak rows
-  // reuse the same shard servers, so each row starts by resetting the
-  // shards' plan state (stall windows, crash set, draw sequence) to match
-  // the fresh driver-side plan above — without it, row 2's draws diverge
-  // from an in-process run.
-  std::optional<runtime::SocketTransport> socket_transport;
-  if (shards != nullptr) {
-    shards->reset_plans();
-    socket_transport.emplace(engine.event_engine(), net, *shards,
-                             runtime_opts, &plan);
-    engine.set_transport(&*socket_transport);
   }
   pubsub::RetryPolicy policy = pubsub::RetryPolicy::from_env();
   policy.enabled = reliable;
@@ -193,7 +167,6 @@ SoakRow run_soak(const sel::graph::SocialGraph& g,
 
 int main(int argc, char** argv) {
   using namespace sel;
-  const runtime::Options runtime_opts = bench::parse_runtime_flag(argc, argv);
   const bool adversarial = parse_adversarial_flag(argc, argv);
   const bool use_mailbox =
       adversarial || env::get_bool("SEL_MAILBOX", false);
@@ -218,31 +191,16 @@ int main(int argc, char** argv) {
       "SEL_FAULT", adversarial ? kAdversarialMix : kDefaultMix));
   std::printf("fault mix: %s\n", spec.to_string().c_str());
   std::printf("mailbox: %s\n", use_mailbox ? "armed" : "off");
-  std::printf("runtime: %s\n",
-              std::string(runtime::to_string(runtime_opts.mode)).c_str());
 
   const auto g =
       graph::make_dataset_graph(graph::profile_by_name("facebook"), n, seed);
-
-  // Fork the shard servers BEFORE anything that might create threads
-  // (SelectSystem::build uses the executor pool); children only run the
-  // serve loop. SEL_SHARDS sizes the fleet (driver included).
-  std::optional<runtime::SpawnedShards> shards;
-  if (runtime_opts.transport == runtime::TransportKind::kSocket) {
-    const auto num_shards = static_cast<std::uint32_t>(
-        env::get_int("SEL_SHARDS", 2, 1, 64));
-    shards.emplace(runtime::SpawnedShards::spawn_loopback(
-        num_shards, spec, seed, g.num_nodes()));
-    std::printf("transport: socket (%u shards)\n", num_shards);
-  }
 
   net::NetworkModel net(g.num_nodes(), seed);
   core::SelectSystem sys(g, core::SelectParams{}, seed, &net);
   sys.build();
 
   const char* base_name = adversarial ? "chaos_adversarial" : "chaos";
-  CsvWriter csv(bench::output_path(
-                    bench::runtime_csv_name(runtime_opts, base_name)),
+  CsvWriter csv(bench::output_path(std::string(base_name) + ".csv"),
                 {"config", "published", "wanted", "delivered",
                  "delivery_rate", "retries", "failovers", "replays",
                  "mailbox_replays", "missed", "dup_suppressed",
@@ -255,8 +213,7 @@ int main(int argc, char** argv) {
   SoakRow reliable_row;
   for (const bool reliable : {true, false}) {
     const auto row = run_soak(g, sys, net, spec, seed, reliable,
-                              use_mailbox, adversarial, runtime_opts,
-                              shards ? &*shards : nullptr);
+                              use_mailbox, adversarial);
     if (reliable) reliable_row = row;
     const char* name = reliable ? "reliable" : "control";
     table.add_row({name, fmt(row.stats.delivery_rate(), 4),
@@ -290,28 +247,12 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry::global().gauge("pubsub.delivery_rate")
       .set(reliable_row.stats.delivery_rate());
 
-  // Socket backend: pull every child's full metrics snapshot and merge it
-  // into the driver registry (ascending shard id) so the report below is
-  // the single source of truth for the whole process fleet — child-side
-  // fault.* draws included, per-shard mem.* republished as mem.shard<k>.*.
-  // NOTE the CSV's injected_* columns count only driver-side plan draws;
-  // the merged fault.* counters in the report are the fleet totals.
-  if (shards) {
-    const std::size_t merged =
-        shards->collect_snapshots(obs::MetricsRegistry::global());
-    std::printf("merged %zu shard snapshot(s)\n", merged);
-    shards->shutdown();
-  }
-
   std::printf("wrote %s\n", csv.path().c_str());
   bench::write_run_report(
       base_name, csv.path(),
       {{"seed", std::to_string(seed)},
        {"fault_mix", spec.to_string()},
        {"n", std::to_string(n)},
-       {"mailbox", use_mailbox ? "1" : "0"},
-       {"runtime", std::string(runtime::to_string(runtime_opts.mode))},
-       {"transport",
-        std::string(runtime::to_string(runtime_opts.transport))}});
+       {"mailbox", use_mailbox ? "1" : "0"}});
   return 0;
 }

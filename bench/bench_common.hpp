@@ -11,7 +11,6 @@
 #include <filesystem>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "check/memory_checks.hpp"
@@ -25,7 +24,6 @@
 #include "obs/report.hpp"
 #include "obs/sampler.hpp"
 #include "overlay/system.hpp"
-#include "runtime/runtime.hpp"
 #include "sim/workload.hpp"
 
 namespace sel::bench {
@@ -63,46 +61,6 @@ inline std::vector<overlay::PeerId> workload_publishers(
   sim::PublicationWorkload workload(g, sim::WorkloadParams{}, seed);
   const auto nodes = workload.sample_publishers(count, derive_seed(seed, 1));
   return {nodes.begin(), nodes.end()};
-}
-
-/// Runtime options for a harness: SEL_RUNTIME/SEL_TRANSPORT from the
-/// environment, overridden by a `--runtime=superstep|async|socket|inproc`
-/// CLI flag (mode and transport share the flag — the values are disjoint).
-/// Other arguments are ignored here; `--mem-profile` is picked up
-/// process-wide by obs::mem_profile_enabled() without per-harness parsing.
-inline runtime::Options parse_runtime_flag(int argc, char** argv) {
-  runtime::Options opts = runtime::Options::from_env();
-  constexpr std::string_view kPrefix = "--runtime=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg.substr(0, kPrefix.size()) == kPrefix) {
-      const std::string_view value = arg.substr(kPrefix.size());
-      if (value == "socket") {
-        opts.transport = runtime::TransportKind::kSocket;
-      } else if (value == "inproc") {
-        opts.transport = runtime::TransportKind::kInProc;
-      } else {
-        opts.mode = runtime::parse_mode(value, opts.mode);
-      }
-    }
-  }
-  return opts;
-}
-
-/// Per-mode artifact name: `<stem>.csv` for the default async/inproc
-/// runtime, `<stem>_superstep.csv` / `<stem>_socket.csv` for the
-/// barrier-quantized mode and the multi-process transport — so cross-mode
-/// report JSONs land side by side instead of clobbering each other.
-inline std::string runtime_csv_name(const runtime::Options& opts,
-                                    const std::string& stem) {
-  std::string name = stem;
-  if (opts.mode != runtime::Mode::kAsync) {
-    name += "_" + std::string(runtime::to_string(opts.mode));
-  }
-  if (opts.transport != runtime::TransportKind::kInProc) {
-    name += "_" + std::string(runtime::to_string(opts.transport));
-  }
-  return name + ".csv";
 }
 
 inline void print_banner(const char* experiment, const char* paper_ref,

@@ -4,67 +4,27 @@
 // Compares SELECT against the random overlay ("without selection
 // algorithm") and the full baseline set.
 //
-// The default (async) run keeps the closed-form tree walk of
-// pubsub::measure_latency. `--runtime=superstep` (or SEL_RUNTIME) instead
-// drives each dissemination through the NotificationEngine under the
-// barrier-quantized runtime and writes fig7_latency_superstep.csv, so the
-// two execution modes produce side-by-side latency artifacts.
+// Latencies come from the closed-form tree walk of
+// pubsub::measure_latency.
 #include "bench/bench_common.hpp"
 #include "baselines/factory.hpp"
-#include "pubsub/engine.hpp"
 #include "pubsub/metrics.hpp"
 #include "sim/trial.hpp"
 
-namespace {
-
-/// Engine-backed replacement for the closed-form walk: one publish per
-/// publisher (trees are independent; the engine splits uplink across a
-/// node's own children only, matching measure_latency's contention model),
-/// latencies read back from the per-message records.
-sel::sim::MetricMap measure_engine_latency(
-    const sel::overlay::PubSubSystem& sys, sel::net::NetworkModel& net,
-    const std::vector<sel::overlay::PeerId>& publishers,
-    const sel::runtime::Options& opts) {
+int main() {
   using namespace sel;
-  pubsub::NotificationEngine engine(sys, net);
-  engine.set_runtime_options(opts);
-  std::vector<pubsub::MessageId> ids;
-  for (const auto p : publishers) {
-    ids.push_back(engine.publish(p, 0.0));
-  }
-  engine.run_all();
-  RunningStats tree_s;
-  RunningStats sub_s;
-  for (const auto id : ids) {
-    const auto& rec = engine.record(id);
-    sub_s.merge(rec.delivery_latency_s);
-    if (rec.completed_at_s.has_value()) {
-      tree_s.add(*rec.completed_at_s - rec.publish_time_s);
-    }
-  }
-  return sim::MetricMap{{"tree_s", tree_s.mean()}, {"sub_s", sub_s.mean()}};
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace sel;
-  const runtime::Options runtime_opts = bench::parse_runtime_flag(argc, argv);
   bench::print_banner(
       "Figure 7 — dissemination latency (realistic experiments)",
       "Fig. 7(a-d): avg latency of 1.2MB payload dissemination vs network "
       "size, random overlay vs SELECT (plus the other baselines)",
       "random overlay latency grows steeply with size; SELECT grows slowly "
       "(~linear), staying latency-aware");
-  std::printf("runtime: %s\n",
-              std::string(runtime::to_string(runtime_opts.mode)).c_str());
 
   const auto sizes = bench::default_sizes();
   const std::size_t trials = trial_count(2);
   const char* systems[] = {"random", "select", "symphony", "bayeux", "vitis",
                            "omen"};
-  CsvWriter csv(bench::output_path(
-                    bench::runtime_csv_name(runtime_opts, "fig7_latency")),
+  CsvWriter csv(bench::output_path("fig7_latency.csv"),
                 {"dataset", "n", "system", "tree_latency_s",
                  "subscriber_latency_s"});
 
@@ -85,10 +45,6 @@ int main(int argc, char** argv) {
               sys->build();
               const auto publishers =
                   bench::workload_publishers(g, 15, seed);
-              if (runtime_opts.mode != runtime::Mode::kAsync) {
-                return measure_engine_latency(*sys, net, publishers,
-                                              runtime_opts);
-              }
               const auto latency =
                   pubsub::measure_latency(*sys, net, publishers);
               return sim::MetricMap{
@@ -107,8 +63,6 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   std::printf("wrote %s\n", csv.path().c_str());
-  bench::write_run_report(
-      "fig7_latency", csv.path(),
-      {{"runtime", std::string(runtime::to_string(runtime_opts.mode))}});
+  bench::write_run_report("fig7_latency", csv.path());
   return 0;
 }

@@ -143,10 +143,6 @@ const std::vector<EnvKnob>& env_knobs() {
       {"SEL_MAILBOX",
        "replicated-mailbox durability tier master switch (chaos drivers)"},
       {"SEL_MAILBOX_K", "mailbox replicas per queued message (default 3)"},
-      {"SEL_RUNTIME", "execution mode: async | superstep (default async)"},
-      {"SEL_TRANSPORT", "transport backend: inproc | socket (default inproc)"},
-      {"SEL_RUNTIME_ROUND_S", "superstep barrier length, seconds (default 1)"},
-      {"SEL_SHARDS", "socket runtime: shard process count (default 2)"},
       {"SEL_MEM_BUDGET",
        "soft memory budget for tracked bytes, e.g. 512m (k/m/g suffixes)"},
       {"SEL_MEM_PROFILE",

@@ -29,7 +29,7 @@
 // (seed, message, from, to, attempt), so a run with the same seed draws the
 // same faults regardless of how the event queue interleaves messages.
 // Receiver state (stall windows, crash set) is updated at arrival events,
-// which the EventQueue orders deterministically — two runs with the same
+// which the EventEngine orders deterministically — two runs with the same
 // seed are bit-identical end to end.
 //
 // Every injected fault is counted both locally (Stats) and in the global
@@ -170,9 +170,8 @@ class FaultPlan {
 
   /// Clears the accumulated receiver state (stall windows, crash set,
   /// per-peer draw sequence) and the local stats, restoring the plan to its
-  /// just-constructed draws. Long-lived plan holders (shard servers that
-  /// outlive one engine run) call this between runs so their draws line up
-  /// with a driver that constructed a fresh plan; global fault.* counters
+  /// just-constructed draws, so a plan reused across engine runs draws
+  /// exactly as a freshly constructed one would; global fault.* counters
   /// are untouched and keep accumulating across runs.
   void reset();
 

@@ -87,15 +87,6 @@ std::int64_t MemTracker::total_peak_bytes() const noexcept {
   return total_.peak.load(std::memory_order_relaxed);
 }
 
-void MemTracker::reset() noexcept {
-  for (auto& cell : cells_) {
-    cell.live.store(0, std::memory_order_relaxed);
-    cell.peak.store(0, std::memory_order_relaxed);
-  }
-  total_.live.store(0, std::memory_order_relaxed);
-  total_.peak.store(0, std::memory_order_relaxed);
-}
-
 void MemTracker::publish_gauges() const {
   if (!enabled()) return;
   auto& reg = MetricsRegistry::global();

@@ -72,11 +72,6 @@ class MemTracker {
   /// High-water mark of the *total* (not the sum of per-subsystem peaks).
   [[nodiscard]] std::int64_t total_peak_bytes() const noexcept;
 
-  /// Zeroes every cell (tests and forked shard children; the driver never
-  /// resets mid-run). Outstanding allocations will discharge below zero —
-  /// callers reset only at quiescent points.
-  void reset() noexcept;
-
   /// Writes the current table into the global registry's mem.* gauges.
   void publish_gauges() const;
 

@@ -90,24 +90,6 @@ std::vector<std::int64_t> Histogram::counts() const {
   return out;
 }
 
-void Histogram::merge(const HistogramSnapshot& remote) noexcept {
-  if (remote.count == 0) return;
-  if (remote.bounds == bounds_ &&
-      remote.counts.size() == buckets_.size()) {
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      buckets_[i].fetch_add(remote.counts[i], std::memory_order_relaxed);
-    }
-  } else {
-    // Bounds disagree (different binaries?) — keep the aggregate stats
-    // exact and fold the observations into the overflow bucket.
-    buckets_.back().fetch_add(remote.count, std::memory_order_relaxed);
-  }
-  count_.fetch_add(remote.count, std::memory_order_relaxed);
-  detail::atomic_add(sum_, remote.sum);
-  detail::atomic_min(min_, remote.min);
-  detail::atomic_max(max_, remote.max);
-}
-
 void Histogram::reset() noexcept {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
@@ -243,38 +225,12 @@ void MetricsRegistry::reset() {
   rounds_.clear();
 }
 
-void MetricsRegistry::merge_snapshot(const Snapshot& remote,
-                                     std::uint32_t shard_id) {
-  for (const auto& c : remote.counters) {
-    counter(c.name).add(c.value);
-  }
-  for (const auto& s : remote.spans) {
-    Span& dst = span(s.name);
-    // Direct shard-0 writes keep counts exact (record_ns adds one count per
-    // call; a merge adds many).
-    dst.shards_[0].ns.fetch_add(s.total_ns, std::memory_order_relaxed);
-    dst.shards_[0].count.fetch_add(s.count, std::memory_order_relaxed);
-  }
-  for (const auto& h : remote.histograms) {
-    histogram(h.name, h.bounds).merge(h);
-  }
-  const std::string prefix =
-      "mem.shard" + std::to_string(shard_id) + ".";
-  for (const auto& g : remote.gauges) {
-    constexpr std::string_view kMem = "mem.";
-    if (g.name.compare(0, kMem.size(), kMem) == 0) {
-      gauge(prefix + g.name.substr(kMem.size())).set(g.value);
-    }
-  }
-  counter("runtime.shard.snapshots_merged").add(1);
-}
-
 namespace {
 
-/// Seed-independent report schema: the resource-observability and shard
-/// families exist (as zeros) in every global-registry report, even when the
-/// run never allocates in a subsystem or spawns a shard. Local registries
-/// (tests) stay empty — obs_metrics_test asserts exact snapshot sizes.
+/// Seed-independent report schema: the resource-observability family
+/// exists (as zeros) in every global-registry report, even when the run
+/// never allocates in a subsystem. Local registries (tests) stay empty —
+/// obs_metrics_test asserts exact snapshot sizes.
 void preregister_builtin_families(MetricsRegistry& reg) {
   for (const char* sub :
        {"graph", "overlay", "pubsub", "runtime", "arena", "other",
@@ -285,8 +241,6 @@ void preregister_builtin_families(MetricsRegistry& reg) {
   reg.gauge("mem.rss_bytes");
   reg.gauge("mem.rss_peak_bytes");
   reg.gauge("mem.bytes_per_peer");
-  reg.counter("runtime.shard.snapshots_merged");
-  reg.gauge("runtime.shard.count");
 }
 
 }  // namespace

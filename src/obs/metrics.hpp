@@ -51,8 +51,6 @@ namespace detail {
 /// bloating snapshot cost.
 inline constexpr std::size_t kCounterShards = 16;
 
-struct HistogramSnapshot;
-
 /// Monotonic named counter. Increments are relaxed atomic adds on a
 /// per-thread shard; value() sums the shards.
 class Counter {
@@ -141,9 +139,6 @@ class Histogram {
   friend class MetricsRegistry;
   Histogram(std::string name, std::vector<double> bounds);
   void reset() noexcept;
-  /// Adds a remote snapshot of the same histogram (see
-  /// MetricsRegistry::merge_snapshot for the bounds-mismatch rule).
-  void merge(const HistogramSnapshot& remote) noexcept;
 
   std::string name_;
   std::vector<double> bounds_;
@@ -277,20 +272,6 @@ class MetricsRegistry {
   /// Counter-only snapshot: what the per-round sampler (obs/sampler.hpp)
   /// needs each round, without copying histograms or round telemetry.
   [[nodiscard]] std::vector<CounterSnapshot> counters_snapshot() const;
-
-  /// Folds a remote registry snapshot (a shard child's end-of-run state,
-  /// shipped over the wire) into this registry:
-  ///   - counters and spans are summed into the same-named instruments;
-  ///   - histograms merge bucket-wise when the bounds match (they do when
-  ///     driver and shard run the same binary); mismatched bounds fold
-  ///     into the overflow bucket, preserving count/sum/min/max exactly;
-  ///   - `mem.*` gauges are republished as `mem.shard<id>.<rest>` so the
-  ///     merged report carries a per-shard memory breakdown; other remote
-  ///     gauges are dropped (the driver owns run-level gauges);
-  ///   - round telemetry is dropped (shard servers run no rounds).
-  /// Callers merge shards in ascending id order for deterministic output;
-  /// each call bumps `runtime.shard.snapshots_merged`.
-  void merge_snapshot(const Snapshot& remote, std::uint32_t shard_id);
 
   /// Zeroes every instrument and clears round telemetry (instrument handles
   /// stay valid). Benches call this between independent runs.

@@ -44,8 +44,7 @@ struct RunReport {
   bool write(const std::string& path) const;
 };
 
-/// Metrics snapshot <-> JSON, shared by RunReport and the socket
-/// transport's cross-process MetricsSnapshot frame (runtime/wire.hpp).
+/// Metrics snapshot <-> JSON: the `metrics` section of a RunReport.
 [[nodiscard]] json::Value snapshot_to_json(const Snapshot& snap);
 [[nodiscard]] Snapshot snapshot_from_json(const json::Value& v);
 

@@ -35,7 +35,7 @@ constexpr PeerId kInvalidPeer = static_cast<PeerId>(-1);
 class LookaheadCache;
 
 struct RouteOptions {
-  /// Abort after this many hops (0 = 2*log2(n) + 16, a generous TTL).
+  /// Abort after this many hops (0 = 4*log2(n) + 32, a generous TTL).
   std::size_t max_hops = 0;
   /// Use neighbour-of-neighbour lookahead (L_p, paper Table I).
   bool lookahead = true;

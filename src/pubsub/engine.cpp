@@ -164,13 +164,10 @@ NotificationEngine::NotificationEngine(const overlay::PubSubSystem& sys,
                                        const net::NetworkModel& net,
                                        double payload_bytes)
     : sys_(&sys),
-      net_(&net),
       payload_bytes_(payload_bytes),
-      runtime_opts_(runtime::Options::from_env()),
-      queue_(runtime_opts_.tie_seed),
-      default_transport_(std::make_unique<runtime::InProcTransport>(
-          queue_, net, runtime_opts_)) {
+      transport_(queue_, net) {
   SEL_EXPECTS(payload_bytes > 0.0);
+  warn_unknown_sel_env_once();
   // Pre-register the replay-lifecycle counters the durability tier reports
   // on, so chaos report schemas don't depend on whether a given seed ever
   // evicted or dropped an entry.
@@ -185,10 +182,7 @@ void NotificationEngine::set_runtime_options(runtime::Options options) {
   // Mid-flight reconfiguration would change pending arrival times under the
   // protocol's feet; the engine must be quiescent and unused.
   SEL_EXPECTS(next_id_ == 1 && queue_.idle());
-  runtime_opts_ = options;
   queue_ = runtime::EventEngine(options.tie_seed);
-  default_transport_ = std::make_unique<runtime::InProcTransport>(
-      queue_, *net_, options, fault_);
 }
 
 MessageId NotificationEngine::publish(PeerId publisher, double time_s) {
@@ -286,9 +280,8 @@ void NotificationEngine::forward(MessageId id, PeerId node, double start_s,
   }
   // Perfect transfer plane: every scheduled hop arrives, delivery is
   // exactly-once by tree structure. This branch is byte-identical to the
-  // pre-reliability engine (on the default async runtime; superstep mode
-  // quantizes arrivals to round boundaries inside the transport).
-  // Simultaneous sends split the uplink across all children.
+  // pre-reliability engine. Simultaneous sends split the uplink across all
+  // children.
   for (const PeerId child : kids) {
     runtime::Message m;
     m.msg = id;
@@ -297,7 +290,7 @@ void NotificationEngine::forward(MessageId id, PeerId node, double start_s,
     m.payload_bytes = payload_bytes_;
     m.send_s = start_s;
     m.uplink_share = static_cast<std::uint32_t>(kids.size());
-    const runtime::SendOutcome outcome = transport().send(
+    const runtime::SendOutcome outcome = transport_.send(
         m, [this, id, child, depth](const runtime::Arrival& a) {
           const double now = a.arrive_s;
           auto& r = records_.at(id);
@@ -366,8 +359,7 @@ void NotificationEngine::forward(MessageId id, PeerId node, double start_s,
 //
 // The wire itself — transfer times, hop fates, receiver-state draws — lives
 // behind runtime::Transport; the engine owns the protocol reaction to each
-// SendOutcome/Arrival. In superstep mode protocol timers (ack deadlines,
-// resends) are quantized to round boundaries via timer_time().
+// SendOutcome/Arrival.
 // ---------------------------------------------------------------------------
 
 void NotificationEngine::record_hop(const MessageRecord& rec, PeerId from,
@@ -418,7 +410,7 @@ void NotificationEngine::send_hop(MessageId id, PeerId from, PeerId to,
   m.payload_bytes = payload_bytes_;
   m.send_s = start_s;
   m.uplink_share = static_cast<std::uint32_t>(share);
-  const runtime::SendOutcome outcome = transport().send(
+  const runtime::SendOutcome outcome = transport_.send(
       m, [this, id, from, to, depth, attempt,
           start_s](const runtime::Arrival& a) {
         deliver_hop(id, from, to, depth, attempt, start_s, a.arrive_s,
@@ -433,7 +425,7 @@ void NotificationEngine::send_hop(MessageId id, PeerId from, PeerId to,
   if (outcome.dropped) {
     // No arrival event; the sender notices the missing ack at the deadline.
     ++flight.pending_events;
-    queue_.schedule(timer_time(start_s + timeout_for(id, to, attempt)),
+    queue_.schedule(start_s + timeout_for(id, to, attempt),
                     [this, id, from, to, depth, attempt,
                      start_s](double now) {
                       handle_hop_failure(id, from, to, depth, attempt,
@@ -513,8 +505,8 @@ void NotificationEngine::handle_hop_failure(MessageId id, PeerId from,
     retries_counter().add(1);
     // The resend fires when the sender's (lazy) timer expires; a failure
     // detected after the deadline resends immediately.
-    const double resend_at = timer_time(
-        std::max(now_s, send_s + timeout_for(id, to, attempt)));
+    const double resend_at =
+        std::max(now_s, send_s + timeout_for(id, to, attempt));
     ++flight.pending_events;
     queue_.schedule(resend_at, [this, id, from, to, depth,
                                 attempt](double now) {
@@ -618,7 +610,7 @@ void NotificationEngine::send_failover_hop(MessageId id, FailoverPath path,
   // source-routed, so a second copy would double every remaining hop;
   // receiver dedup already covers the delivery semantics.
   m.collapse_duplicates = true;
-  const runtime::SendOutcome outcome = transport().send(
+  const runtime::SendOutcome outcome = transport_.send(
       m, [this, id, path, hop, attempt, start_s,
           detour](const runtime::Arrival& a) {
         deliver_failover_hop(id, path, hop, attempt, start_s, a.arrive_s,
@@ -631,13 +623,13 @@ void NotificationEngine::send_failover_hop(MessageId id, FailoverPath path,
              outcome.arrive_s);
   if (outcome.dropped) {
     ++flight.pending_events;
-    queue_.schedule(
-        timer_time(start_s + timeout_for(id, to, attempt)),
-        [this, id, path = std::move(path), hop, attempt, start_s,
-         detour](double now) {
-          failover_hop_failure(id, path, hop, attempt, start_s, now, detour);
-          finish_event(id);
-        });
+    queue_.schedule(start_s + timeout_for(id, to, attempt),
+                    [this, id, path = std::move(path), hop, attempt, start_s,
+                     detour](double now) {
+                      failover_hop_failure(id, path, hop, attempt, start_s,
+                                           now, detour);
+                      finish_event(id);
+                    });
     return;
   }
   flight.pending_events += outcome.copies;
@@ -686,8 +678,8 @@ void NotificationEngine::failover_hop_failure(MessageId id,
     ++rec.retries;
     ++stats_.retries;
     retries_counter().add(1);
-    const double resend_at = timer_time(
-        std::max(now_s, send_s + timeout_for(id, to, attempt)));
+    const double resend_at =
+        std::max(now_s, send_s + timeout_for(id, to, attempt));
     ++flight.pending_events;
     queue_.schedule(resend_at,
                     [this, id, path, hop, attempt, detour](double now) {

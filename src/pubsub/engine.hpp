@@ -11,17 +11,10 @@
 // Trees are cached per publisher and invalidated on churn — rebuilding the
 // tree for every post would hide the cost structure a real deployment has.
 //
-// Execution runtime (src/runtime/): hops travel through a pluggable
-// runtime::Transport — InProcTransport by default (single process,
-// scheduled on the engine's EventEngine), or an external backend such as
-// SocketTransport (peer shards in separate OS processes) via
-// set_transport(). The runtime::Mode seam (set_runtime_options) switches
-// the same protocol code between event-driven continuous time (kAsync,
-// default) and the paper's barrier-quantized semantics (kSuperstep) —
-// arrivals and protocol timers are then rounded up to round boundaries.
-// When an external transport is used, attach the fault plan to both the
-// engine (set_fault_plan arms the ack/retry ladder) and the transport
-// (which draws the hop fates).
+// Execution runtime (src/runtime/): hops travel through the engine's
+// runtime::Transport, which schedules every arrival on the engine's
+// EventEngine at its exact virtual time; protocol timers (ack deadlines,
+// resends) share that clock.
 //
 // Reliability layer (fault injection + recovery): attaching a
 // fault::FaultPlan (set_fault_plan) subjects every hop to drops, duplicate
@@ -65,7 +58,6 @@
 #include "overlay/system.hpp"
 #include "pubsub/multipath.hpp"
 #include "runtime/event_engine.hpp"
-#include "runtime/inproc_transport.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/transport.hpp"
 
@@ -176,11 +168,14 @@ struct EngineStats {
 class NotificationEngine {
  public:
   /// The engine reads (never mutates) the system and network model; both
-  /// must outlive it. Runtime mode and transport kind default to
-  /// runtime::Options::from_env() (SEL_RUNTIME / SEL_TRANSPORT).
+  /// must outlive it.
   NotificationEngine(const overlay::PubSubSystem& sys,
                      const net::NetworkModel& net,
                      double payload_bytes = net::kDefaultPayloadBytes);
+  // Scheduled events capture `this`; the transport and any mailbox hold
+  // queue_ by address.
+  NotificationEngine(const NotificationEngine&) = delete;
+  NotificationEngine& operator=(const NotificationEngine&) = delete;
 
   /// Publishes a message at `time_s` (>= the engine clock). Transfers are
   /// scheduled on the internal event engine; call run_until()/run_all() to
@@ -202,34 +197,20 @@ class NotificationEngine {
   }
 
   // -- execution runtime ------------------------------------------------
-  /// Reconfigures execution semantics (mode, barrier length, tie seed).
-  /// Must be called before the first publish. Note TransportKind is not
-  /// acted on here — socket backends need a process harness, so callers
-  /// construct the SocketTransport themselves and pass it to
-  /// set_transport().
+  /// Reconfigures the runtime (tie seed). Must be called before the first
+  /// publish.
   void set_runtime_options(runtime::Options options);
-  [[nodiscard]] const runtime::Options& runtime_options() const noexcept {
-    return runtime_opts_;
-  }
-  /// Replaces the built-in InProcTransport (not owned; null resets to the
-  /// built-in). The external transport must schedule on this engine's
-  /// event_engine().
-  void set_transport(runtime::Transport* transport) noexcept {
-    external_transport_ = transport;
-  }
-  /// The virtual-time executor external transports must schedule on.
+  /// The virtual-time executor a mailbox tier must schedule on.
   [[nodiscard]] runtime::EventEngine& event_engine() noexcept {
     return queue_;
   }
 
   // -- reliability ------------------------------------------------------
   /// Attaches a fault plan (not owned; may be null to detach). Hop fates
-  /// and receiver states are drawn from it for every transfer. The plan is
-  /// forwarded to the built-in transport; an external transport (socket)
-  /// receives its plan at construction.
+  /// and receiver states are drawn from it for every transfer.
   void set_fault_plan(fault::FaultPlan* plan) {
     fault_ = plan;
-    default_transport_->set_fault_plan(plan);
+    transport_.set_fault_plan(plan);
   }
   void set_retry_policy(RetryPolicy policy) { retry_ = policy; }
   /// Ack/timeout outcomes per receiving peer (true = acked). Feed this to
@@ -304,19 +285,6 @@ class NotificationEngine {
   /// Shared source-routed path for failover resends (immutable once built).
   using FailoverPath = std::shared_ptr<const std::vector<overlay::PeerId>>;
 
-  /// The active transport: the external one when installed, else the
-  /// built-in InProcTransport.
-  [[nodiscard]] runtime::Transport& transport() noexcept {
-    return external_transport_ != nullptr ? *external_transport_
-                                          : *default_transport_;
-  }
-
-  /// Protocol-timer deadline in the active mode: identity in kAsync,
-  /// rounded up to the barrier in kSuperstep.
-  [[nodiscard]] double timer_time(double t_s) const noexcept {
-    return runtime_opts_.quantize(t_s);
-  }
-
   /// Schedules the sends from `node` (at tree depth `depth`) for message
   /// `id` down its cached tree.
   void forward(MessageId id, overlay::PeerId node, double start_s,
@@ -376,14 +344,9 @@ class NotificationEngine {
   void finish_event(MessageId id);
 
   const overlay::PubSubSystem* sys_;
-  const net::NetworkModel* net_;
   double payload_bytes_;
-  runtime::Options runtime_opts_;
   runtime::EventEngine queue_;
-  /// Built-in single-process transport; always constructed so the engine
-  /// works with zero configuration.
-  std::unique_ptr<runtime::InProcTransport> default_transport_;
-  runtime::Transport* external_transport_ = nullptr;  ///< not owned
+  runtime::Transport transport_;
   MessageId next_id_ = 1;
   PubsubMap<MessageId, MessageRecord> records_;
   PubsubMap<MessageId, InFlight> in_flight_;

@@ -1,58 +1,61 @@
-// Deterministic event-driven executor — sim::EventQueue promoted to a
-// first-class execution mode of the stack.
+// Deterministic discrete-event executor: the message plane's virtual clock.
 //
-// The EventEngine owns the virtual clock every transport and protocol timer
-// schedules against. It adds, over the raw queue:
-//   - a bounded run/step/until API (`step`, `run_until`, `run`) with a
-//     runaway backstop, so drivers can interleave virtual time with churn
-//     epochs and external control;
+// Overlay construction runs in protocol rounds; the message plane —
+// transfers with real durations, overlapping disseminations — needs
+// event-driven time. The EventEngine owns the virtual clock every transport
+// and protocol timer schedules against:
+//   - events at equal times fire in scheduling order (a monotone sequence
+//     number breaks ties), so runs are deterministic;
+//   - a non-zero tie seed (Options::tie_seed) replaces the FIFO tie-break
+//     with a seeded permutation of equal-time events — the
+//     determinism-stress knob: two different tie seeds must produce the
+//     same delivered message multiset or the protocol depends on accidental
+//     scheduling order;
+//   - a bounded drain API (`run_until`, `run`) with a runaway backstop, so
+//     drivers can interleave virtual time with churn epochs;
 //   - runtime.* observability: events-fired counter, a queue-depth gauge
 //     refreshed as the queue drains, and a Perfetto-visible span around
-//     every drain (SEL_TRACE_SCOPE "runtime.drain");
-//   - seeded tie-breaking (Options::tie_seed → EventQueue tie permutation),
-//     the determinism-stress knob: two different tie seeds must produce the
-//     same delivered message multiset or the protocol depends on accidental
-//     scheduling order.
+//     every drain (SEL_TRACE_SCOPE "runtime.drain").
 //
-// Single-threaded by design: determinism comes from the queue's total event
-// order, and callbacks are free to schedule/cancel without synchronization.
+// Single-threaded by design: determinism comes from the total event order,
+// and callbacks are free to schedule more events without synchronization.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
 
-#include "sim/event_queue.hpp"
+#include "common/assert.hpp"
+#include "common/rng.hpp"
 
 namespace sel::runtime {
 
 class EventEngine {
  public:
-  using Callback = sim::EventQueue::Callback;
-  using Handle = sim::EventQueue::Handle;
+  using Callback = std::function<void(double now_s)>;
 
+  /// `tie_seed` 0 (default) breaks equal-time ties in schedule order (FIFO);
+  /// non-zero seeds permute equal-time firing deterministically.
   explicit EventEngine(std::uint64_t tie_seed = 0) noexcept
-      : queue_(tie_seed) {}
+      : tie_seed_(tie_seed) {}
 
-  /// Schedules `cb` at absolute virtual time `time_s` (>= now).
-  Handle schedule(double time_s, Callback cb) {
-    return queue_.schedule(time_s, std::move(cb));
+  /// Schedules `cb` at absolute virtual time `time_s` (must not be in the
+  /// past).
+  void schedule(double time_s, Callback cb) {
+    SEL_EXPECTS(time_s >= now_);
+    const std::uint64_t seq = next_seq_++;
+    heap_.push_back(Entry{time_s, tie_for(seq), seq, std::move(cb)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
-  Handle schedule_in(double delay_s, Callback cb) {
-    return queue_.schedule_in(delay_s, std::move(cb));
-  }
-  /// Cancels a pending event; false when already fired/cancelled.
-  bool cancel(Handle h) { return queue_.cancel(h); }
 
-  [[nodiscard]] double now_s() const noexcept { return queue_.now(); }
-  [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
+  [[nodiscard]] double now_s() const noexcept { return now_; }
+  [[nodiscard]] bool idle() const noexcept { return heap_.empty(); }
   /// Scheduled-but-unfired events (the queue-depth gauge's source).
   [[nodiscard]] std::size_t queue_depth() const noexcept {
-    return queue_.size();
+    return heap_.size();
   }
-  /// Time of the next pending event; infinity when idle.
-  [[nodiscard]] double next_event_s() const { return queue_.next_time(); }
-
-  /// Fires the single earliest event. Returns false when idle.
-  bool step();
 
   /// Fires everything due by `t_s`, then advances the clock to `t_s`.
   /// Returns events fired.
@@ -63,10 +66,39 @@ class EventEngine {
   std::size_t run(std::size_t max_events = 100'000'000);
 
  private:
+  struct Entry {
+    double time;
+    std::uint64_t tie;  ///< equal-time ordering key (== seq when unseeded)
+    std::uint64_t seq;
+    Callback callback;
+  };
+
+  /// Max-heap comparator that puts the earliest (time, tie, seq) at the
+  /// front. seq is the final disambiguator so seeded tie keys that collide
+  /// still order deterministically.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
+      if (a.time != b.time) return a.time > b.time;
+      if (a.tie != b.tie) return a.tie > b.tie;
+      return a.seq > b.seq;
+    }
+  };
+
+  [[nodiscard]] std::uint64_t tie_for(std::uint64_t seq) const noexcept {
+    return tie_seed_ == 0 ? seq : splitmix64(seq ^ tie_seed_);
+  }
+
+  /// Pops and fires the earliest event (the heap must be non-empty).
+  void fire_next();
+
   /// Counts fired events and refreshes the runtime.queue_depth gauge.
   void note_drained(std::size_t fired);
 
-  sim::EventQueue queue_;
+  /// Binary heap ordered by Later{} (std::push_heap/std::pop_heap).
+  std::vector<Entry> heap_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t tie_seed_ = 0;
+  double now_ = 0.0;
 };
 
 }  // namespace sel::runtime

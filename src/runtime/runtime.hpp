@@ -1,73 +1,22 @@
-// Execution-mode seam for the message plane.
+// Configuration seam for the message plane.
 //
-// The paper evaluates SELECT on a barrier-synchronous Flink simulation;
-// production notification delivery is event-driven. Rather than two
-// engines, the protocol code (dissemination, ack/retry/failover,
-// store-and-forward replay in pubsub/engine.cpp) runs unchanged on either
-// semantics; the runtime layer decides *when* scheduled work happens:
-//
-//   kAsync      continuous virtual time — every hop arrives exactly when
-//               the network model says (latency + payload/bandwidth),
-//               disseminations overlap freely;
-//   kSuperstep  barrier-quantized time — arrivals and protocol timers are
-//               rounded up to the next multiple of `superstep_round_s`,
-//               reproducing the paper's round-synchronous evaluation.
-//
-// Both modes are deterministic per seed; with time-independent fault
-// classes (drop/duplicate/spike) they deliver the identical message
-// multiset (tests/runtime_mode_equivalence_test.cpp). Stall and crash fates
-// are drawn at arrival *times*, so those may diverge across modes by
-// design.
-//
-// Knobs: SEL_RUNTIME selects the mode, SEL_TRANSPORT the transport backend
-// (transport.hpp), SEL_RUNTIME_ROUND_S the barrier length.
+// The paper evaluates SELECT as a simulation: Flink/Gelly rounds for overlay
+// construction and a network model for dissemination latency. The message
+// plane therefore runs on one deterministic in-process event loop
+// (event_engine.hpp) with one in-process transport (transport.hpp); every
+// hop arrives exactly when the network model says (latency +
+// payload/bandwidth) and disseminations overlap freely.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <string_view>
 
 namespace sel::runtime {
 
-/// Execution semantics of the message plane.
-enum class Mode : std::uint8_t {
-  kAsync,      ///< event-driven continuous virtual time (default)
-  kSuperstep,  ///< arrivals/timers quantized to round barriers
-};
-
-/// Transport backend hosting the hop deliveries (transport.hpp).
-enum class TransportKind : std::uint8_t {
-  kInProc,  ///< single process, event-queue scheduled (default)
-  kSocket,  ///< peer shards in separate OS processes behind a wire codec
-};
-
-[[nodiscard]] std::string_view to_string(Mode mode) noexcept;
-[[nodiscard]] std::string_view to_string(TransportKind kind) noexcept;
-
-/// Parses "async"/"event" or "superstep"/"rounds" (case-insensitive);
-/// returns `fallback` for anything else.
-[[nodiscard]] Mode parse_mode(std::string_view s, Mode fallback) noexcept;
-
-/// Resolved runtime configuration for one engine instance.
+/// Runtime configuration for one engine instance.
 struct Options {
-  Mode mode = Mode::kAsync;
-  TransportKind transport = TransportKind::kInProc;
-  /// Barrier length for kSuperstep, virtual seconds.
-  double superstep_round_s = 1.0;
-  /// Non-zero permutes equal-time event firing (EventQueue tie seed) — the
+  /// Non-zero permutes equal-time event firing (EventEngine tie seed) — the
   /// determinism-stress mode; 0 keeps FIFO order.
   std::uint64_t tie_seed = 0;
-
-  /// SEL_RUNTIME / SEL_TRANSPORT / SEL_RUNTIME_ROUND_S applied over the
-  /// defaults (typed env::get_enum; unknown values keep the default).
-  [[nodiscard]] static Options from_env();
-
-  /// Rounds `t_s` up to the next barrier in kSuperstep mode; identity in
-  /// kAsync. Times already on a barrier stay put.
-  [[nodiscard]] double quantize(double t_s) const noexcept {
-    if (mode != Mode::kSuperstep) return t_s;
-    return std::ceil(t_s / superstep_round_s) * superstep_round_s;
-  }
 };
 
 }  // namespace sel::runtime

@@ -1,16 +1,13 @@
-// Pluggable transport plane: who carries a hop, and when it lands.
+// Transport plane: who carries a hop, and when it lands.
 //
 // The notification engine (pubsub/engine.cpp) speaks one narrow contract —
-// send(message, on_arrival) — and stays ignorant of *how* the hop travels:
-//
-//   InProcTransport    single process; arrivals are events on the shared
-//                      EventEngine at NetworkModel transfer times, with
-//                      FaultPlan fates applied per hop (inproc_transport.hpp);
-//   SocketTransport    peer shards hosted by separate OS processes behind a
-//                      length-prefixed wire codec; virtual time still rules
-//                      *when* a hop lands, the socket round-trip decides
-//                      what the remote receiver answered
-//                      (socket_transport.hpp).
+// send(message, on_arrival) — and stays ignorant of *how* the hop travels.
+// The transport is single-process: arrival time = send + NetworkModel
+// transfer time (latency + payload/bandwidth with uplink sharing), stretched
+// by the fault plan's latency spikes; drops and duplicates come from
+// send-side hop fates; receiver stall/crash states are drawn at the arrival
+// event. Scheduling goes through the shared EventEngine, so runs are
+// bit-identical per seed — including under a seeded tie-break permutation.
 //
 // Contract: every send() produces exactly one synchronous SendOutcome and
 // then `copies` arrival completions, each delivered through the EventEngine
@@ -18,18 +15,17 @@
 // A dropped hop produces no arrivals at all — the sender arms its own loss
 // detection (ack timeout), exactly as a real sender would.
 //
-// Receiver-side fates (stall windows, crashes) are drawn by whichever
-// process hosts the receiving peer, at the arrival event; send-side fates
-// (drop, duplicate, latency spike) are drawn by the sender. Both draws are
-// pure in (seed, message, peers, attempt), which is what keeps socket and
-// in-process runs comparable.
+// Send-side fates (drop, duplicate, latency spike) are pure in (seed,
+// message, peers, attempt); receiver-side fates advance in deterministic
+// event order.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string_view>
 
 #include "fault/fault.hpp"
+#include "net/network_model.hpp"
+#include "runtime/event_engine.hpp"
 
 namespace sel::runtime {
 
@@ -68,7 +64,7 @@ struct SendOutcome {
 /// One arriving copy, reported at its virtual arrival time.
 struct Arrival {
   double arrive_s = 0.0;
-  /// Receiver condition drawn by the hosting process (kOk without faults).
+  /// Receiver condition drawn at the arrival event (kOk without faults).
   fault::ReceiveState receiver = fault::ReceiveState::kOk;
 };
 
@@ -76,14 +72,26 @@ class Transport {
  public:
   using ArrivalFn = std::function<void(const Arrival&)>;
 
-  virtual ~Transport() = default;
+  /// `engine` and `net` must outlive the transport; `plan` may be null
+  /// (perfect wire) and may be swapped at any quiescent point.
+  Transport(EventEngine& engine, const net::NetworkModel& net,
+            fault::FaultPlan* plan = nullptr)
+      : engine_(&engine), net_(&net), fault_(plan) {}
+  // Scheduled arrivals capture `this`.
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
 
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
+  void set_fault_plan(fault::FaultPlan* plan) noexcept { fault_ = plan; }
 
   /// Ships one hop. `on_arrival` runs once per arriving copy (see
   /// SendOutcome::copies), at that copy's virtual arrival time, via the
   /// EventEngine — never synchronously from inside this call.
-  virtual SendOutcome send(const Message& m, ArrivalFn on_arrival) = 0;
+  SendOutcome send(const Message& m, ArrivalFn on_arrival);
+
+ private:
+  EventEngine* engine_;
+  const net::NetworkModel* net_;
+  fault::FaultPlan* fault_;  ///< not owned
 };
 
 }  // namespace sel::runtime

@@ -34,10 +34,16 @@ TEST(EnvKnobs, RegistryCoversTheRuntimeSurface) {
 }
 
 TEST(EnvKnobs, UnknownSelVariableIsReported) {
-  ASSERT_EQ(setenv("SEL_FUALT", "drop=0.5", 1), 0);  // the classic typo
-  EXPECT_TRUE(flagged_unknown("SEL_FUALT"));
-  ASSERT_EQ(unsetenv("SEL_FUALT"), 0);
-  EXPECT_FALSE(flagged_unknown("SEL_FUALT"));
+  // The classic typo, plus the retired runtime knobs (one event-driven
+  // in-process runtime is left): a stale script setting them gets the
+  // unknown-knob warning instead of silence.
+  for (const char* name : {"SEL_FUALT", "SEL_RUNTIME", "SEL_TRANSPORT",
+                           "SEL_RUNTIME_ROUND_S", "SEL_SHARDS"}) {
+    ASSERT_EQ(setenv(name, "1", 1), 0);
+    EXPECT_TRUE(flagged_unknown(name)) << name;
+    ASSERT_EQ(unsetenv(name), 0);
+    EXPECT_FALSE(flagged_unknown(name)) << name;
+  }
 }
 
 TEST(EnvKnobs, RegisteredVariablesAreNotFlagged) {

@@ -1,7 +1,5 @@
 // Resource observability tests: tagged-allocator attribution, MemScope
-// nesting, SEL_MEM_BUDGET soft-fail, and deterministic cross-shard
-// snapshot merging (no processes here — the registry merge is pure data;
-// the forked two-process path is covered by runtime_socket_transport_test).
+// nesting, SEL_MEM_BUDGET soft-fail, and the run report's memory section.
 //
 // This file gets its own test binary (tests_obs_memory): the budget knob is
 // parsed once per process from SEL_MEM_BUDGET, so the static initializer
@@ -16,7 +14,6 @@
 
 #include "check/memory_checks.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 
 namespace sel::obs {
@@ -194,115 +191,6 @@ TEST(MemoryBudget, TripReportsOnceAndRearms) {
   EXPECT_FALSE(check::check_memory_budget());
   EXPECT_EQ(capture.violations().size(), 2u);
   check::reset_memory_budget_trip();
-}
-
-// -- cross-shard snapshot merging -------------------------------------------
-
-TEST(MergeSnapshot, SumsCountersSpansAndHistograms) {
-  MetricsRegistry shard;
-  shard.counter("pubsub.deliveries").add(5);
-  shard.counter("fault.stalls").add(2);
-  shard.span("shard.serve").record_ns(1000);
-  shard.span("shard.serve").record_ns(500);
-  auto& h = shard.histogram("hops", {1.0, 2.0});
-  h.observe(0.5);
-  h.observe(1.5);
-  h.observe(9.0);
-  const Snapshot remote = shard.snapshot();
-
-  MetricsRegistry driver;
-  driver.counter("pubsub.deliveries").add(10);
-  driver.merge_snapshot(remote, 1);
-  driver.merge_snapshot(remote, 2);
-
-  const Snapshot merged = driver.snapshot();
-  EXPECT_EQ(merged.counter("pubsub.deliveries"), 20);
-  EXPECT_EQ(merged.counter("fault.stalls"), 4);
-  EXPECT_EQ(merged.counter("runtime.shard.snapshots_merged"), 2);
-  for (const auto& s : merged.spans) {
-    if (s.name == "shard.serve") {
-      EXPECT_EQ(s.count, 4);
-      EXPECT_EQ(s.total_ns, 3000);
-    }
-  }
-  for (const auto& hs : merged.histograms) {
-    if (hs.name == "hops") {
-      EXPECT_EQ(hs.count, 6);
-      ASSERT_EQ(hs.counts.size(), 3u);
-      EXPECT_EQ(hs.counts[0], 2);  // bucket-wise: bounds match
-      EXPECT_EQ(hs.counts[1], 2);
-      EXPECT_EQ(hs.counts[2], 2);
-      EXPECT_DOUBLE_EQ(hs.sum, 22.0);
-      EXPECT_DOUBLE_EQ(hs.min, 0.5);
-      EXPECT_DOUBLE_EQ(hs.max, 9.0);
-    }
-  }
-}
-
-TEST(MergeSnapshot, MismatchedHistogramBoundsFoldIntoOverflow) {
-  MetricsRegistry shard;
-  auto& h = shard.histogram("lat", {1.0, 2.0});
-  h.observe(0.5);
-  h.observe(1.5);
-
-  MetricsRegistry driver;
-  driver.histogram("lat", {10.0});  // different bounds win (registered first)
-  driver.merge_snapshot(shard.snapshot(), 1);
-
-  for (const auto& hs : driver.snapshot().histograms) {
-    if (hs.name == "lat") {
-      // Aggregates exact, buckets folded into overflow.
-      EXPECT_EQ(hs.count, 2);
-      EXPECT_DOUBLE_EQ(hs.sum, 2.0);
-      ASSERT_EQ(hs.counts.size(), 2u);
-      EXPECT_EQ(hs.counts[0], 0);
-      EXPECT_EQ(hs.counts[1], 2);
-    }
-  }
-}
-
-TEST(MergeSnapshot, MemGaugesGetShardNamespaceOthersDrop) {
-  MetricsRegistry shard;
-  shard.gauge("mem.pubsub.live_bytes").set(123.0);
-  shard.gauge("mem.rss_bytes").set(4096.0);
-  shard.gauge("pubsub.delivery_rate").set(0.5);  // driver owns run gauges
-  const Snapshot remote = shard.snapshot();
-
-  MetricsRegistry driver;
-  driver.merge_snapshot(remote, 3);
-
-  double shard_live = -1.0;
-  double shard_rss = -1.0;
-  bool saw_rate = false;
-  for (const auto& g : driver.snapshot().gauges) {
-    if (g.name == "mem.shard3.pubsub.live_bytes") shard_live = g.value;
-    if (g.name == "mem.shard3.rss_bytes") shard_rss = g.value;
-    if (g.name == "pubsub.delivery_rate") saw_rate = true;
-  }
-  EXPECT_DOUBLE_EQ(shard_live, 123.0);
-  EXPECT_DOUBLE_EQ(shard_rss, 4096.0);
-  EXPECT_FALSE(saw_rate);
-}
-
-TEST(MergeSnapshot, AscendingOrderMergeIsDeterministic) {
-  // Two drivers merging the same shard snapshots in the same (ascending id)
-  // order serialize to byte-identical JSON — the determinism the parent
-  // report's bit-for-bit acceptance rides on.
-  MetricsRegistry s1;
-  s1.counter("fault.drops").add(3);
-  s1.gauge("mem.tracked.live_bytes").set(111.0);
-  MetricsRegistry s2;
-  s2.counter("fault.drops").add(4);
-  s2.gauge("mem.tracked.live_bytes").set(222.0);
-
-  const auto merge_all = [&] {
-    MetricsRegistry driver;
-    driver.counter("pubsub.publishes").add(7);
-    driver.merge_snapshot(s1.snapshot(), 1);
-    driver.merge_snapshot(s2.snapshot(), 2);
-    return snapshot_to_json(driver.snapshot()).dump();
-  };
-  EXPECT_EQ(merge_all(), merge_all());
 }
 
 TEST(RunReport, MemorySectionRoundTripsThroughJson) {

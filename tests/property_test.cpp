@@ -2,6 +2,7 @@
 // protocol invariants that must hold for every configuration.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "baselines/factory.hpp"
@@ -15,7 +16,10 @@ namespace {
 
 using overlay::PeerId;
 
-using Config = std::tuple<const char*, std::size_t, std::uint64_t>;
+// Profile and system names are std::string, not const char*: gtest prints a
+// char pointer's address into the test id, which would change with every
+// build (and every run under ASLR).
+using Config = std::tuple<std::string, std::size_t, std::uint64_t>;
 
 class SelectInvariants : public ::testing::TestWithParam<Config> {
  protected:
@@ -99,7 +103,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Config{"gplus", 250, 5}, Config{"slashdot", 200, 6}));
 
 class BaselineInvariants
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
 };
 
 TEST_P(BaselineInvariants, BuildRouteAndChurnHooks) {

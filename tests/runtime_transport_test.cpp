@@ -1,129 +1,17 @@
-// Transport-plane unit tests: the wire codec (framing, truncation,
-// loopback I/O) and the InProcTransport contract — arrival scheduling at
-// NetworkModel transfer times, fault fates per hop, superstep quantization.
+// Transport-plane unit tests: the in-process transport contract — arrival
+// scheduling at NetworkModel transfer times and fault fates per hop.
 #include "runtime/transport.hpp"
 
 #include <gtest/gtest.h>
-
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <vector>
 
 #include "fault/fault.hpp"
 #include "net/network_model.hpp"
 #include "runtime/event_engine.hpp"
-#include "runtime/inproc_transport.hpp"
-#include "runtime/wire.hpp"
 
 namespace sel::runtime {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Wire codec.
-// ---------------------------------------------------------------------------
-
-TEST(Wire, HelloRoundTrips) {
-  const wire::Hello h{3, 8, 1000};
-  const auto buf = wire::encode(h);
-  wire::FrameType type{};
-  ASSERT_TRUE(wire::frame_type(buf, type));
-  EXPECT_EQ(type, wire::FrameType::kHello);
-  wire::Hello back;
-  ASSERT_TRUE(wire::decode(buf, back));
-  EXPECT_EQ(back.shard, 3u);
-  EXPECT_EQ(back.num_shards, 8u);
-  EXPECT_EQ(back.num_peers, 1000u);
-}
-
-TEST(Wire, DeliverRoundTrips) {
-  wire::Deliver d;
-  d.msg = 0xdeadbeefcafeULL;
-  d.from = 12;
-  d.to = 999;
-  d.arrive_s = 123.456;
-  wire::Deliver back;
-  ASSERT_TRUE(wire::decode(wire::encode(d), back));
-  EXPECT_EQ(back.msg, d.msg);
-  EXPECT_EQ(back.from, d.from);
-  EXPECT_EQ(back.to, d.to);
-  EXPECT_DOUBLE_EQ(back.arrive_s, d.arrive_s);
-}
-
-TEST(Wire, DeliverAckRoundTrips) {
-  wire::DeliverAck a;
-  a.msg = 77;
-  a.to = 5;
-  a.receiver_state = static_cast<std::uint8_t>(fault::ReceiveState::kStalled);
-  wire::DeliverAck back;
-  ASSERT_TRUE(wire::decode(wire::encode(a), back));
-  EXPECT_EQ(back.msg, 77u);
-  EXPECT_EQ(back.to, 5u);
-  EXPECT_EQ(back.receiver_state, a.receiver_state);
-}
-
-TEST(Wire, DecodeRejectsTruncatedMistypedAndOversizedPayloads) {
-  const auto buf = wire::encode(wire::Deliver{1, 2, 3, 4.0});
-  for (std::size_t cut = 0; cut < buf.size(); ++cut) {
-    std::vector<std::uint8_t> truncated(buf.begin(),
-                                        buf.begin() + static_cast<long>(cut));
-    wire::Deliver out;
-    EXPECT_FALSE(wire::decode(truncated, out)) << "cut at " << cut;
-  }
-  // Trailing garbage is a protocol error too (frames are fixed-shape).
-  auto padded = buf;
-  padded.push_back(0);
-  wire::Deliver out;
-  EXPECT_FALSE(wire::decode(padded, out));
-  // A Deliver payload does not decode as a Hello.
-  wire::Hello hello;
-  EXPECT_FALSE(wire::decode(buf, hello));
-  wire::FrameType type{};
-  EXPECT_FALSE(wire::frame_type({}, type));
-  EXPECT_FALSE(wire::frame_type({0xff}, type));
-}
-
-TEST(Wire, FramesRoundTripOverSocketpair) {
-  int pair[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
-  const auto out = wire::encode(wire::Deliver{42, 1, 2, 9.5});
-  ASSERT_EQ(wire::write_frame(pair[0], out), wire::IoStatus::kOk);
-  ASSERT_EQ(wire::write_frame(pair[0], wire::encode_shutdown()),
-            wire::IoStatus::kOk);
-  std::vector<std::uint8_t> in;
-  ASSERT_EQ(wire::read_frame(pair[1], in), wire::IoStatus::kOk);
-  EXPECT_EQ(in, out);
-  ASSERT_EQ(wire::read_frame(pair[1], in), wire::IoStatus::kOk);
-  wire::FrameType type{};
-  ASSERT_TRUE(wire::frame_type(in, type));
-  EXPECT_EQ(type, wire::FrameType::kShutdown);
-  // Peer closes: a clean EOF at a frame boundary reads as kClosed.
-  ::close(pair[0]);
-  EXPECT_EQ(wire::read_frame(pair[1], in), wire::IoStatus::kClosed);
-  ::close(pair[1]);
-}
-
-TEST(Wire, OversizedFrameIsRejectedBeforeAllocation) {
-  int pair[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
-  // A length prefix past kMaxFrameBytes must error out without resizing the
-  // buffer to the bogus length.
-  const std::uint32_t bogus = wire::kMaxFrameBytes + 1;
-  std::uint8_t prefix[4];
-  for (int i = 0; i < 4; ++i) {
-    prefix[i] = static_cast<std::uint8_t>(bogus >> (8 * i));
-  }
-  ASSERT_EQ(::write(pair[0], prefix, sizeof(prefix)),
-            static_cast<ssize_t>(sizeof(prefix)));
-  std::vector<std::uint8_t> in;
-  EXPECT_EQ(wire::read_frame(pair[1], in), wire::IoStatus::kError);
-  ::close(pair[0]);
-  ::close(pair[1]);
-}
-
-// ---------------------------------------------------------------------------
-// InProcTransport.
-// ---------------------------------------------------------------------------
 
 class InProcTransportTest : public ::testing::Test {
  protected:
@@ -143,7 +31,7 @@ class InProcTransportTest : public ::testing::Test {
 
 TEST_F(InProcTransportTest, ArrivalLandsAtTransferTime) {
   EventEngine engine;
-  InProcTransport t(engine, net_);
+  Transport t(engine, net_);
   std::vector<Arrival> arrivals;
   const auto outcome = t.send(
       hop(1, 0, 1, 0.0), [&arrivals](const Arrival& a) {
@@ -166,7 +54,7 @@ TEST_F(InProcTransportTest, DroppedHopProducesNoArrival) {
   fault::FaultSpec spec;
   spec.drop = 1.0;
   fault::FaultPlan plan(spec, 11, 16);
-  InProcTransport t(engine, net_, {}, &plan);
+  Transport t(engine, net_, &plan);
   int arrivals = 0;
   const auto outcome =
       t.send(hop(1, 0, 1, 0.0), [&arrivals](const Arrival&) { ++arrivals; });
@@ -182,7 +70,7 @@ TEST_F(InProcTransportTest, DuplicatedHopArrivesTwiceUnlessCollapsed) {
   fault::FaultSpec spec;
   spec.duplicate = 1.0;
   fault::FaultPlan plan(spec, 11, 16);
-  InProcTransport t(engine, net_, {}, &plan);
+  Transport t(engine, net_, &plan);
   int arrivals = 0;
   const auto outcome =
       t.send(hop(1, 0, 1, 0.0), [&arrivals](const Arrival&) { ++arrivals; });
@@ -206,7 +94,7 @@ TEST_F(InProcTransportTest, ReceiverStateIsDrawnAtArrival) {
   spec.stall = 1.0;
   spec.stall_s = 5.0;
   fault::FaultPlan plan(spec, 11, 16);
-  InProcTransport t(engine, net_, {}, &plan);
+  Transport t(engine, net_, &plan);
   std::vector<Arrival> arrivals;
   t.send(hop(1, 0, 1, 0.0),
          [&arrivals](const Arrival& a) { arrivals.push_back(a); });
@@ -215,26 +103,9 @@ TEST_F(InProcTransportTest, ReceiverStateIsDrawnAtArrival) {
   EXPECT_EQ(arrivals[0].receiver, fault::ReceiveState::kStalled);
 }
 
-TEST_F(InProcTransportTest, SuperstepModeQuantizesArrivalToBarrier) {
-  EventEngine engine;
-  Options opts;
-  opts.mode = Mode::kSuperstep;
-  opts.superstep_round_s = 10.0;
-  InProcTransport t(engine, net_, opts);
-  std::vector<Arrival> arrivals;
-  const auto outcome = t.send(
-      hop(1, 0, 1, 0.0),
-      [&arrivals](const Arrival& a) { arrivals.push_back(a); });
-  // Any realistic transfer of 1000 bytes lands within the first barrier.
-  EXPECT_DOUBLE_EQ(outcome.arrive_s, 10.0);
-  engine.run();
-  ASSERT_EQ(arrivals.size(), 1u);
-  EXPECT_DOUBLE_EQ(arrivals[0].arrive_s, 10.0);
-}
-
 TEST_F(InProcTransportTest, UplinkShareSlowsTransfers) {
   EventEngine engine;
-  InProcTransport t(engine, net_);
+  Transport t(engine, net_);
   auto shared = hop(1, 0, 1, 0.0);
   shared.uplink_share = 4;
   const auto slow = t.send(shared, [](const Arrival&) {});
