@@ -86,8 +86,7 @@ inline void write_run_report(
        {"select.gossip_exchanges", "select.id_reassignments",
         "select.link_reassignments", "select.link_establishments",
         "select.rounds", "pubsub.publishes", "pubsub.deliveries",
-        "pubsub.relay_forwards", "sim.superstep.rounds",
-        "sim.superstep.messages", "sim.trials_run"}) {
+        "pubsub.relay_forwards", "sim.trials_run"}) {
     reg.counter(name);
   }
   obs::RunReport report;

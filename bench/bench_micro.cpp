@@ -1,14 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: LSH indexing,
-// greedy routing, graph generation, common-neighbour counting, superstep
-// message delivery, gossip rounds and tree construction.
+// greedy routing, graph generation, common-neighbour counting, gossip
+// rounds and tree construction.
 //
 // The binary writes a RunReport (results/micro.report.json) on exit; the CI
 // perf-smoke job runs it twice and gates with compare_reports.py, so the
-// counter-ticking benchmarks (BM_Superstep*) pin their iteration counts —
-// `sim.superstep.messages` must be bit-identical between same-flag runs.
+// counter-ticking benchmark (BM_SelectGossipRound) pins its iteration count
+// — the `select.*` protocol counters must be bit-identical between
+// same-flag runs.
 #include <benchmark/benchmark.h>
-
-#include <algorithm>
 
 #include "baselines/symphony.hpp"
 #include "bench/bench_common.hpp"
@@ -23,7 +22,6 @@
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
 #include "select/protocol.hpp"
-#include "sim/superstep.hpp"
 
 namespace {
 
@@ -130,112 +128,6 @@ void BM_CommonNeighborsFriendPairs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CommonNeighborsFriendPairs);
-
-/// Dense vertex program for the delivery benchmarks: every vertex floods
-/// its social neighbourhood each round (~avg_degree messages per vertex, so
-/// facebook @ 2500 vertices is >100k messages/round).
-struct Flood {
-  explicit Flood(const graph::SocialGraph& g) : graph(&g), sum(g.num_nodes(), 0) {}
-  const graph::SocialGraph* graph;
-  std::vector<std::uint64_t> sum;
-
-  void compute(sim::VertexId v,
-               std::span<const sim::Envelope<std::uint64_t>> inbox,
-               sim::Mailbox<std::uint64_t>& out) {
-    std::uint64_t acc = 1;
-    for (const auto& m : inbox) acc += m.payload;
-    sum[v] += acc;
-    for (const auto w : graph->neighbors(v)) {
-      out.send(w, acc % 1024);
-    }
-  }
-};
-
-/// Single-threaded replica of the pre-counting-sort delivery (fresh merged
-/// vector + global O(M log M) comparison sort + offset rebuild every round)
-/// — the in-binary baseline the counting-sort engine is measured against.
-template <typename Program, typename TPayload>
-class SortDeliveryEngine {
- public:
-  SortDeliveryEngine(std::size_t n, Program& program)
-      : n_(n), program_(program), offsets_(n + 1, 0) {}
-
-  std::size_t step() {
-    sim::EnvelopeArena<TPayload> outbox;
-    for (std::size_t v = 0; v < n_; ++v) {
-      const auto vid = static_cast<sim::VertexId>(v);
-      sim::Mailbox<TPayload> mailbox(vid, outbox);
-      program_.compute(vid,
-                       std::span<const sim::Envelope<TPayload>>(
-                           inbox_.data() + offsets_[v],
-                           offsets_[v + 1] - offsets_[v]),
-                       mailbox);
-    }
-    std::sort(outbox.begin(), outbox.end(),
-              [](const auto& a, const auto& b) {
-                if (a.dst != b.dst) return a.dst < b.dst;
-                if (a.src != b.src) return a.src < b.src;
-                return a.seq < b.seq;
-              });
-    inbox_ = std::move(outbox);
-    offsets_.assign(n_ + 1, 0);
-    for (const auto& e : inbox_) ++offsets_[e.dst + 1];
-    for (std::size_t v = 1; v <= n_; ++v) offsets_[v] += offsets_[v - 1];
-    return inbox_.size();
-  }
-
- private:
-  std::size_t n_;
-  Program& program_;
-  sim::EnvelopeArena<TPayload> inbox_;
-  std::vector<std::size_t> offsets_;
-};
-
-constexpr std::size_t kFloodVertices = 4200;  // >100k messages/round
-constexpr int kFloodIterations = 12;  // pinned: counters must be exact in CI
-
-void BM_SuperstepDelivery(benchmark::State& state) {
-  const auto g = graph::make_dataset_graph(
-      graph::profile_by_name("facebook"), kFloodVertices, 1);
-  Flood program(g);
-  sim::SuperstepEngine<Flood, std::uint64_t> engine(kFloodVertices, program);
-  std::size_t messages = 0;
-  for (int warm = 0; warm < 3; ++warm) messages = engine.step();
-  const std::size_t growth_after_warmup = engine.buffer_growth_events();
-  for (auto _ : state) {
-    messages = engine.step();
-  }
-  if (engine.buffer_growth_events() != growth_after_warmup) {
-    state.SkipWithError("steady-state step grew an engine buffer");
-    return;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(messages));
-  state.counters["messages_per_round"] =
-      benchmark::Counter(static_cast<double>(messages));
-}
-BENCHMARK(BM_SuperstepDelivery)
-    ->Iterations(kFloodIterations)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SuperstepDeliverySortBaseline(benchmark::State& state) {
-  const auto g = graph::make_dataset_graph(
-      graph::profile_by_name("facebook"), kFloodVertices, 1);
-  Flood program(g);
-  SortDeliveryEngine<Flood, std::uint64_t> engine(kFloodVertices, program);
-  std::size_t messages = 0;
-  for (int warm = 0; warm < 3; ++warm) messages = engine.step();
-  for (auto _ : state) {
-    messages = engine.step();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(messages));
-  state.counters["messages_per_round"] =
-      benchmark::Counter(static_cast<double>(messages));
-}
-BENCHMARK(BM_SuperstepDeliverySortBaseline)
-    ->Iterations(kFloodIterations)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_HolmeKimGenerate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -374,6 +266,8 @@ void BM_CheckEnabledOff(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckEnabledOff);
 
+constexpr int kGossipRoundIterations = 10;  // pinned: exact CI counters
+
 void BM_SelectGossipRound(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto g = graph::make_dataset_graph(
@@ -386,7 +280,11 @@ void BM_SelectGossipRound(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_SelectGossipRound)->Arg(500)->Arg(1000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SelectGossipRound)
+    ->Arg(500)
+    ->Arg(1000)
+    ->Iterations(kGossipRoundIterations)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SelectBuildTree(benchmark::State& state) {
   const auto g = graph::make_dataset_graph(

@@ -1,86 +1,21 @@
-// Strong-scaling of the vertex-centric superstep engine (the paper runs its
-// simulations on a 20-node Flink cluster; our in-process engine parallelizes
-// across worker threads). Measures wall time per superstep of a
-// message-heavy vertex program at 1..hardware threads, and verifies the
-// deterministic-delivery guarantee costs us nothing in scaling.
-// A second sweep builds the full SELECT system at three graph sizes and
-// reports `mem.bytes_per_peer` (RSS over peers) plus the tracked subsystem
-// footprint at each — the per-node state cost ROADMAP item 1 budgets.
-#include <chrono>
-
+// Memory per peer as the network grows: builds the full SELECT system at
+// three graph sizes and reports `mem.bytes_per_peer` (RSS over peers) plus
+// the tracked subsystem footprint at each — the per-node state cost ROADMAP
+// item 7 (honest memory) budgets.
 #include "bench/bench_common.hpp"
 #include "graph/profiles.hpp"
 #include "obs/memory.hpp"
 #include "select/protocol.hpp"
-#include "sim/superstep.hpp"
-
-namespace {
-
-using namespace sel;
-
-/// Vertex program: every vertex forwards an accumulating counter to all its
-/// social neighbours each round — a dense communication pattern.
-struct GossipFlood {
-  explicit GossipFlood(const graph::SocialGraph& g) : graph(&g), sum(g.num_nodes(), 0) {}
-
-  const graph::SocialGraph* graph;
-  std::vector<std::uint64_t> sum;
-
-  void compute(sim::VertexId v, std::span<const sim::Envelope<std::uint64_t>> inbox,
-               sim::Mailbox<std::uint64_t>& out) {
-    std::uint64_t acc = 1;
-    for (const auto& m : inbox) acc += m.payload;
-    sum[v] += acc;
-    for (const auto w : graph->neighbors(v)) {
-      out.send(w, acc % 1024);
-    }
-  }
-};
-
-}  // namespace
 
 int main() {
   using namespace sel;
   bench::print_banner(
-      "superstep strong scaling",
-      "substrate: vertex-centric engine (stand-in for the paper's 20-node "
-      "Flink/Gelly cluster)",
-      "speedup with threads; results identical across thread counts");
+      "memory scaling",
+      "per-peer state of the SELECT overlay (ring + K long links, LSH "
+      "buckets, friendship bitmaps) over the N sweep",
+      "tracked bytes grow near-linearly with N; bytes/peer falls as the "
+      "process baseline amortizes");
 
-  const std::size_t n = scaled(4000, 512);
-  const auto g = graph::make_dataset_graph(
-      graph::profile_by_name("facebook"), n, 1);
-  const std::size_t rounds = 6;
-  const unsigned max_threads =
-      std::max(1u, std::thread::hardware_concurrency());
-
-  CsvWriter csv(bench::output_path("scaling.csv"), {"threads", "seconds_per_round", "speedup"});
-  TablePrinter table({"threads", "s/round", "speedup", "checksum"});
-  double baseline = 0.0;
-
-  for (unsigned threads = 1; threads <= max_threads; threads *= 2) {
-    GossipFlood program(g);
-    sim::SuperstepEngine<GossipFlood, std::uint64_t> engine(
-        n, program, Executor::pooled(threads));
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < rounds; ++r) engine.step();
-    const auto elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    const double per_round = elapsed / static_cast<double>(rounds);
-    if (threads == 1) baseline = per_round;
-    std::uint64_t checksum = 0;
-    for (const auto s : program.sum) checksum ^= s * 0x9e3779b97f4a7c15ULL;
-    table.add_row({std::to_string(threads), fmt(per_round, 4),
-                   fmt(baseline / per_round), fmt(static_cast<double>(checksum % 100000), 0)});
-    csv.row({static_cast<double>(threads), per_round, baseline / per_round});
-  }
-  table.print();
-  std::printf("\nidentical checksums across rows confirm determinism is "
-              "independent of thread count\nwrote %s\n",
-              csv.path().c_str());
-
-  // -- memory-per-peer sweep ------------------------------------------------
   // One full SELECT build per size; each row is sampled while the system is
   // alive, then the system is torn down so sizes do not stack. RSS is
   // monotone across the process (freed pages rarely return to the kernel),
@@ -123,6 +58,8 @@ int main() {
   }
   mem_table.print();
   std::printf("wrote %s\n", mem_csv.path().c_str());
-  bench::write_run_report("scaling", csv.path());
+  // The CSV path only names the report (scaling.report.json); no
+  // scaling.csv is written.
+  bench::write_run_report("scaling", bench::output_path("scaling.csv"));
   return 0;
 }

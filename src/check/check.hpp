@@ -4,9 +4,9 @@
 // algorithms maintain implicitly: the ring stays sorted by identifier
 // (Sec. II-A), long links stay symmetric between out/in tables (Sec. III-D),
 // the LSH index keeps |H| = K buckets (Alg. 5), dissemination trees stay
-// acyclic with one parent per node (Sec. II-B), and the superstep engine
-// delivers a deterministically ordered inbox. This layer makes those
-// invariants machine-checked at runtime, levelled like SEL_OBS:
+// acyclic with one parent per node (Sec. II-B), and every subscriber gets a
+// notification exactly once. This layer makes those invariants
+// machine-checked at runtime, levelled like SEL_OBS:
 //
 //   SEL_CHECK=off    every call site costs a single predictable branch;
 //                    no counters, no allocations, no validation work.

@@ -49,8 +49,8 @@ inline void reset_memory_budget_trip() noexcept {
   detail::memory_budget_tripped().store(false, std::memory_order_relaxed);
 }
 
-/// Call-site helper for the wired owners (superstep step, engine publish,
-/// protocol round, report write): validates the global MemTracker against
+/// Call-site helper for the wired owners (engine publish, protocol round,
+/// report write): validates the global MemTracker against
 /// SEL_MEM_BUDGET and reports at most one violation per process. Returns
 /// false only on the trip. Costs two relaxed loads when the budget is off.
 inline bool check_memory_budget() {

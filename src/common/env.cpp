@@ -149,7 +149,6 @@ const std::vector<EnvKnob>& env_knobs() {
        "per-round memory sampling in reports (same as --mem-profile)"},
       {"SELECT_BENCH_SCALE", "experiment network-size multiplier"},
       {"SELECT_TRIALS", "independent trials per data point"},
-      {"SELECT_THREADS", "worker threads for the global pool (0 = hardware)"},
       {"SELECT_LOG", "log level: error | warn | info | debug"},
       {"SELECT_RESULTS_DIR", "bench artifact directory (default results/)"},
   };

@@ -24,7 +24,7 @@ void raise_peak(std::atomic<std::int64_t>& peak, std::int64_t v) noexcept {
 thread_local Subsystem t_scope = Subsystem::kOther;
 
 constexpr std::array<const char*, kSubsystemCount> kNames = {
-    "graph", "overlay", "pubsub", "runtime", "arena", "other"};
+    "graph", "overlay", "pubsub", "runtime", "other"};
 
 /// "12.3MiB"-style rendering for breakdown dumps.
 std::string human_bytes(std::int64_t bytes) {

@@ -49,10 +49,9 @@ enum class Subsystem : std::uint8_t {
   kOverlay = 1,  ///< ring/long-link peer state + dissemination trees
   kPubsub = 2,   ///< in-flight dissemination + store-and-forward buffers
   kRuntime = 3,  ///< event engine + transport plane
-  kArena = 4,    ///< superstep counting-sort arenas (outboxes/inbox/offsets)
-  kOther = 5,    ///< MemScope-tagged allocations outside the named owners
+  kOther = 4,    ///< MemScope-tagged allocations outside the named owners
 };
-inline constexpr std::size_t kSubsystemCount = 6;
+inline constexpr std::size_t kSubsystemCount = 5;
 
 /// Stable lowercase name ("graph", "overlay", ...) used in gauge keys.
 [[nodiscard]] const char* subsystem_name(Subsystem s) noexcept;

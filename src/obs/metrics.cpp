@@ -233,8 +233,7 @@ namespace {
 /// obs_metrics_test asserts exact snapshot sizes.
 void preregister_builtin_families(MetricsRegistry& reg) {
   for (const char* sub :
-       {"graph", "overlay", "pubsub", "runtime", "arena", "other",
-        "tracked"}) {
+       {"graph", "overlay", "pubsub", "runtime", "other", "tracked"}) {
     reg.gauge(std::string("mem.") + sub + ".live_bytes");
     reg.gauge(std::string("mem.") + sub + ".peak_bytes");
   }

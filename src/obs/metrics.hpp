@@ -4,7 +4,7 @@
 // histograms and tracing spans. Hot-path updates are designed to be cheap
 // enough for per-message/per-exchange call sites:
 //   - counters are sharded across cache-line-padded atomics (one shard per
-//     thread slot), so concurrent increments from pool workers never contend;
+//     thread slot), so increments from different threads never contend;
 //     an increment is a single relaxed fetch_add;
 //   - gauges are one relaxed atomic store;
 //   - histograms use fixed bucket bounds chosen at registration, so observe()
@@ -13,7 +13,7 @@
 //     costing one predictable branch.
 //
 // Naming convention: `subsystem.metric` (e.g. `select.gossip_exchanges`,
-// `pubsub.relay_forwards`, `sim.superstep.messages`). Handles are meant to be
+// `pubsub.relay_forwards`, `runtime.events_fired`). Handles are meant to be
 // looked up once (static local at the call site) and reused; registration
 // takes a mutex, updates never do.
 //
@@ -191,14 +191,16 @@ class Span {
   std::array<Cell, kCounterShards> shards_{};
 };
 
-/// One synchronized protocol/superstep round, as recorded by the engines.
-/// `label` distinguishes producers ("select.round", "sim.superstep").
+/// One protocol round, as recorded by its producer. `label` names the
+/// producer ("select.round").
 struct RoundSample {
   std::string label;
   std::uint64_t round = 0;
-  double compute_ms = 0.0;  ///< vertex/peer work (max busy chunk)
-  double barrier_ms = 0.0;  ///< idle time waiting on the slowest chunk
-  double deliver_ms = 0.0;  ///< message merge/sort/offsets or ring rebuild
+  double compute_ms = 0.0;  ///< peer work (the gossip/relink loop)
+  /// Idle time waiting on other workers. Report schema: the round loop is
+  /// sequential, so "select.round" records 0.
+  double barrier_ms = 0.0;
+  double deliver_ms = 0.0;  ///< ring rebuild
   std::uint64_t messages = 0;
 };
 

@@ -1,7 +1,7 @@
 // Perfetto / Chrome Trace Event Format exporter.
 //
 // Serializes the global trace state — per-message provenance
-// (obs/provenance.hpp), protocol/superstep phase events (TraceBuffer) and
+// (obs/provenance.hpp), protocol-round phase events (TraceBuffer) and
 // aggregate SEL_TRACE_SCOPE span totals — into the JSON Trace Event Format
 // understood by ui.perfetto.dev and chrome://tracing.
 //
@@ -10,9 +10,9 @@
 //                       dissemination; hop slices (sim time, µs) linked
 //                       parent→child with flow events (ph "s"/"f")
 //   pid 2 "rounds"      one track per producer label ("select.round",
-//                       "sim.superstep", ...); compute/barrier/deliver
-//                       slices with wall-clock timestamps, plus per-round
-//                       counter series (ph "C") from the round sampler
+//                       ...); compute/deliver slices with wall-clock
+//                       timestamps, plus per-round counter series (ph "C")
+//                       from the round sampler
 //   pid 3 "span totals" aggregate SEL_TRACE_SCOPE spans laid out
 //                       end-to-end (their individual begin times are not
 //                       recorded — only totals)

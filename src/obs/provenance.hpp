@@ -13,7 +13,7 @@
 //   unbounded run cannot grow the tracer.
 //
 //   TraceBuffer — generic (label, phase, [ts, ts+dur]) wall-clock events
-//   for protocol rounds and superstep phases, same ring-buffer bound.
+//   for protocol-round phases, same ring-buffer bound.
 //
 // Cost contract: with SEL_OBS=off every entry point is a single predictable
 // branch (measured by BM_Trace* in bench_micro). When enabled, an unsampled
@@ -114,11 +114,11 @@ class ProvenanceTracer {
   std::vector<HopRecord> hops_;           ///< ring, capacity kMaxHops
 };
 
-/// One timed phase of a protocol/superstep round, wall-clock stamped.
+/// One timed phase of a protocol round, wall-clock stamped.
 /// `label`/`phase` must be string literals (stored as pointers).
 struct PhaseEvent {
   const char* label = "";  ///< track, e.g. "select.round"
-  const char* phase = "";  ///< slice name: "compute" | "barrier" | "deliver"
+  const char* phase = "";  ///< slice name: "compute" | "deliver"
   std::uint64_t round = 0;
   std::int64_t ts_us = 0;
   std::int64_t dur_us = 0;

@@ -1,7 +1,8 @@
 // RingSubstrate introspection / analysis utilities for the SELECT overlay.
-// Used by the Fig. 8 harness, the overlay_explorer example and the tests to
-// quantify what the protocol actually built: friend coverage, identifier
-// clusters, and how well ring regions align with social communities.
+// They quantify what the protocol actually built: friend coverage,
+// identifier clusters, and how well ring regions align with social
+// communities. The tests use them as the oracle for the paper's structural
+// claims (select_analysis_test.cpp).
 #pragma once
 
 #include <cstdint>

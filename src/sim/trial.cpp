@@ -1,7 +1,5 @@
 #include "sim/trial.hpp"
 
-#include <vector>
-
 #include "common/assert.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -24,34 +22,26 @@ double TrialSummary::ci95(const std::string& name) const {
 
 TrialSummary run_trials(std::size_t trials, std::uint64_t root_seed,
                         const std::function<MetricMap(std::uint64_t)>& body,
-                        const std::string& label, const Executor& exec) {
+                        const std::string& label) {
   SEL_EXPECTS(trials > 0);
   static obs::Counter& trials_c =
       obs::MetricsRegistry::global().counter("sim.trials_run");
-  // Trials run per the executor, but results are collected per index and
-  // folded in trial order below: the RunningStats stream is identical to a
-  // sequential run regardless of executor width.
-  std::vector<MetricMap> results(trials);
-  exec.for_each(0, trials, [&](std::size_t t) {
+  TrialSummary summary;
+  for (std::size_t t = 0; t < trials; ++t) {
     const std::uint64_t trial_seed = derive_seed(root_seed, t);
+    MetricMap result;
     {
       SEL_TRACE_SCOPE("sim.trial");
-      results[t] = body(trial_seed);
+      result = body(trial_seed);
     }
-    trials_c.add(1);
-    if (!label.empty() && !exec.is_pooled()) {
-      log_info(label + ": trial " + std::to_string(t + 1) + "/" +
-               std::to_string(trials) + " done");
-    }
-  });
-  TrialSummary summary;
-  for (const auto& result : results) {
     for (const auto& [name, value] : result) {
       summary.metrics[name].add(value);
     }
-  }
-  if (!label.empty() && exec.is_pooled()) {
-    log_info(label + ": " + std::to_string(trials) + " trials done");
+    trials_c.add(1);
+    if (!label.empty()) {
+      log_info(label + ": trial " + std::to_string(t + 1) + "/" +
+               std::to_string(trials) + " done");
+    }
   }
   return summary;
 }

@@ -7,7 +7,6 @@
 #include <map>
 #include <string>
 
-#include "common/executor.hpp"
 #include "common/stats.hpp"
 
 namespace sel::sim {
@@ -24,17 +23,11 @@ struct TrialSummary {
 
 /// Runs `body(trial_seed)` for `trials` independent trials. Trial seeds are
 /// derived from `root_seed` with SplitMix64, so any subset of trials can be
-/// reproduced in isolation.
-///
-/// A pooled `exec` fans the trial bodies out across workers; results are
-/// still folded into the summary sequentially in trial order, so the
-/// aggregates are bit-identical for any executor width (RunningStats is
-/// order-sensitive in floating point). With a pooled executor `body` must
-/// be safe to call concurrently with itself (global obs/check machinery
-/// is; per-trial state must not be shared).
+/// reproduced in isolation. Trials run one after another on the calling
+/// thread, each folded into the summary as it finishes.
 [[nodiscard]] TrialSummary run_trials(
     std::size_t trials, std::uint64_t root_seed,
     const std::function<MetricMap(std::uint64_t)>& body,
-    const std::string& label = "", const Executor& exec = {});
+    const std::string& label = "");
 
 }  // namespace sel::sim

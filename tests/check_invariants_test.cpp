@@ -11,13 +11,11 @@
 
 #include <cstddef>
 #include <numeric>
-#include <span>
 #include <vector>
 
 #include "check/corrupt.hpp"
 #include "check/overlay_checks.hpp"
 #include "check/protocol_checks.hpp"
-#include "check/superstep_checks.hpp"
 #include "check/tree_checks.hpp"
 #include "graph/profiles.hpp"
 #include "lsh/lsh.hpp"
@@ -27,7 +25,6 @@
 #include "overlay/tree.hpp"
 #include "pubsub/engine.hpp"
 #include "select/protocol.hpp"
-#include "sim/superstep.hpp"
 
 namespace sel::check {
 namespace {
@@ -232,41 +229,6 @@ TEST(CheckDelivery, DetectsIncompleteCompletion) {
   EXPECT_EQ(v->invariant, "pubsub.completion");
 }
 
-// -- superstep inbox ----------------------------------------------------------
-
-using Envelope = sim::Envelope<int>;
-
-TEST(CheckSuperstep, SortedPartitionedInboxPasses) {
-  const std::vector<Envelope> inbox = {
-      {0, 0, 0, 1}, {0, 1, 0, 2}, {1, 0, 0, 3}, {2, 2, 1, 4}};
-  const std::vector<std::size_t> offsets = {0, 2, 3, 4};
-  EXPECT_FALSE(validate_superstep_inbox(inbox, offsets, 3).has_value());
-}
-
-TEST(CheckSuperstep, DetectsDuplicateEmission) {
-  const std::vector<Envelope> inbox = {{0, 1, 0, 1}, {0, 1, 0, 1}};
-  const std::vector<std::size_t> offsets = {0, 2, 2};
-  const auto v = validate_superstep_inbox(inbox, offsets, 2);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->invariant, "superstep.inbox.sorted");
-}
-
-TEST(CheckSuperstep, DetectsOffsetShapeMismatch) {
-  const std::vector<Envelope> inbox = {{0, 0, 0, 1}};
-  const std::vector<std::size_t> offsets = {0, 1};  // claims 1 vertex, not 2
-  const auto v = validate_superstep_inbox(inbox, offsets, 2);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->invariant, "superstep.offsets.shape");
-}
-
-TEST(CheckSuperstep, DetectsMisfiledMessage) {
-  const std::vector<Envelope> inbox = {{1, 0, 0, 1}};
-  const std::vector<std::size_t> offsets = {0, 1, 1};
-  const auto v = validate_superstep_inbox(inbox, offsets, 2);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->invariant, "superstep.offsets.partition");
-}
-
 // -- off-mode cost contract ---------------------------------------------------
 
 TEST(CheckOffMode, WiredSitesAddNoCounters) {
@@ -308,35 +270,6 @@ TEST(CheckFullIntegration, BuildAndPublishHoldAllInvariants) {
   pubsub::NotificationEngine engine(ps, net);
   engine.publish(0, 0.0);
   engine.run_all();  // tree validation + delivery accounting
-
-  EXPECT_TRUE(capture.empty())
-      << capture.violations().front().invariant << ": "
-      << capture.violations().front().detail;
-}
-
-struct RingProgram {
-  explicit RingProgram(std::size_t n) : sums(n, 0), rounds_left(n, 3) {}
-  std::vector<long long> sums;
-  std::vector<int> rounds_left;
-
-  void compute(sim::VertexId v, std::span<const Envelope> inbox,
-               sim::Mailbox<int>& out) {
-    for (const auto& msg : inbox) sums[v] += msg.payload;
-    if (rounds_left[v] > 0) {
-      --rounds_left[v];
-      out.send(static_cast<sim::VertexId>((v + 1) % sums.size()),
-               static_cast<int>(v));
-    }
-  }
-};
-
-TEST(CheckFullIntegration, SuperstepRoundsHoldInboxInvariant) {
-  const ScopedLevel full(Level::kFull);
-  const ScopedFailureCapture capture;
-
-  RingProgram program(16);
-  sim::SuperstepEngine<RingProgram, int> engine(16, program);
-  engine.run_until_quiescent(100);
 
   EXPECT_TRUE(capture.empty())
       << capture.violations().front().invariant << ": "

@@ -30,6 +30,8 @@ TEST(EnvKnobs, RegistryCoversTheRuntimeSurface) {
   for (const auto& k : env_knobs()) {
     EXPECT_NE(k.summary, nullptr);
     EXPECT_GT(std::string(k.summary).size(), 0u) << k.name;
+    // Execution is single-threaded: no knob sizes a worker pool.
+    EXPECT_EQ(std::string(k.name).find("THREADS"), std::string::npos) << k.name;
   }
 }
 

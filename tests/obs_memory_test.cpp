@@ -32,7 +32,6 @@ TEST(Subsystem, NamesAreStable) {
   EXPECT_STREQ(subsystem_name(Subsystem::kOverlay), "overlay");
   EXPECT_STREQ(subsystem_name(Subsystem::kPubsub), "pubsub");
   EXPECT_STREQ(subsystem_name(Subsystem::kRuntime), "runtime");
-  EXPECT_STREQ(subsystem_name(Subsystem::kArena), "arena");
   EXPECT_STREQ(subsystem_name(Subsystem::kOther), "other");
 }
 
@@ -110,24 +109,26 @@ TEST(MemScope, DynamicTagFollowsInnermostScope) {
 }
 
 TEST(MemTracker, PeakTracksInterleavedHighWater) {
-  // kArena is untouched elsewhere in this binary, so peaks are exact.
+  // Only this file allocates under kRuntime here (no event engine runs in
+  // this binary), and earlier tests release what they charge, so live
+  // bytes are exact and the peak moves only when live bytes pass it.
   auto& tracker = MemTracker::global();
-  const std::int64_t live_before = tracker.live_bytes(Subsystem::kArena);
+  const std::int64_t live_before = tracker.live_bytes(Subsystem::kRuntime);
   constexpr std::int64_t kBig = 64 * 1024;
   constexpr std::int64_t kSmall = 16 * 1024;
   {
-    AccountedVector<char, Subsystem::kArena> big(kBig);
-    EXPECT_GE(tracker.peak_bytes(Subsystem::kArena), live_before + kBig);
+    AccountedVector<char, Subsystem::kRuntime> big(kBig);
+    EXPECT_GE(tracker.peak_bytes(Subsystem::kRuntime), live_before + kBig);
   }
-  const std::int64_t peak_after_big = tracker.peak_bytes(Subsystem::kArena);
+  const std::int64_t peak_after_big = tracker.peak_bytes(Subsystem::kRuntime);
   {
-    AccountedVector<char, Subsystem::kArena> small(kSmall);
+    AccountedVector<char, Subsystem::kRuntime> small(kSmall);
     // The smaller allocation must not move the high-water mark.
-    EXPECT_EQ(tracker.peak_bytes(Subsystem::kArena), peak_after_big);
-    EXPECT_EQ(tracker.live_bytes(Subsystem::kArena), live_before + kSmall);
+    EXPECT_EQ(tracker.peak_bytes(Subsystem::kRuntime), peak_after_big);
+    EXPECT_EQ(tracker.live_bytes(Subsystem::kRuntime), live_before + kSmall);
   }
-  EXPECT_EQ(tracker.live_bytes(Subsystem::kArena), live_before);
-  EXPECT_EQ(tracker.peak_bytes(Subsystem::kArena), peak_after_big);
+  EXPECT_EQ(tracker.live_bytes(Subsystem::kRuntime), live_before);
+  EXPECT_EQ(tracker.peak_bytes(Subsystem::kRuntime), peak_after_big);
 }
 
 TEST(Rss, ReadRssReportsResidentBytes) {

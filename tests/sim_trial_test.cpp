@@ -69,30 +69,6 @@ TEST(TrialRunner, CiShrinksWithMoreTrials) {
   EXPECT_GT(few.ci95("x"), many.ci95("x"));
 }
 
-TEST(TrialRunner, PooledExecutorMatchesSequentialBitForBit) {
-  auto noisy = [](std::uint64_t seed) {
-    Rng rng(seed);
-    MetricMap m;
-    m["x"] = rng.uniform();
-    m["y"] = rng.normal();
-    return m;
-  };
-  const auto serial = run_trials(24, 99, noisy);
-  for (const unsigned width : {2u, 8u}) {
-    const auto pooled =
-        run_trials(24, 99, noisy, "", Executor::pooled(width));
-    for (const auto& [name, stats] : serial.metrics) {
-      // The fold is sequential in trial order regardless of executor width,
-      // so the floating-point aggregates are exactly equal, not just close.
-      const auto& p = pooled.metrics.at(name);
-      EXPECT_EQ(stats.count(), p.count()) << name;
-      EXPECT_EQ(stats.mean(), p.mean()) << name << " width=" << width;
-      EXPECT_EQ(stats.ci95_halfwidth(), p.ci95_halfwidth())
-          << name << " width=" << width;
-    }
-  }
-}
-
 TEST(TrialSummary, MeanOfMissingMetricAborts) {
   const auto summary = run_trials(2, 1, [](std::uint64_t) {
     return MetricMap{{"a", 1.0}};
