@@ -48,7 +48,7 @@ enum class Subsystem : std::uint8_t {
   kGraph = 0,    ///< CSR social graph (offsets + adjacency)
   kOverlay = 1,  ///< ring/long-link peer state + dissemination trees
   kPubsub = 2,   ///< in-flight dissemination + store-and-forward buffers
-  kRuntime = 3,  ///< event engine + transport plane
+  kRuntime = 3,  ///< event engine's pending-event heap
   kOther = 4,    ///< MemScope-tagged allocations outside the named owners
 };
 inline constexpr std::size_t kSubsystemCount = 5;

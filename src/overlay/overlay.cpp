@@ -168,6 +168,9 @@ RouteResult RingSubstrate::greedy_route(PeerId src, PeerId dst,
     result.status = RouteStatus::kOk;
     return result;
   }
+  // No hop may enter an offline peer, so the walk below could only end at a
+  // dead end or the TTL: fail at once.
+  if (opts.require_online && !peer(dst).online) return result;
 
   std::unordered_set<PeerId> visited{src};
   PeerId current = src;

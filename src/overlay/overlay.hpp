@@ -43,7 +43,8 @@ struct RouteOptions {
   /// SELECT's richer L_p (friends' friends' connections, Sec. III-E) —
   /// finds guaranteed 3-hop paths before falling back to greedy steps.
   std::size_t lookahead_depth = 1;
-  /// Skip offline peers while routing (churn experiments).
+  /// Skip offline peers while routing (churn experiments). A route to an
+  /// offline destination then fails at once: kNoRoute, path == {src}.
   bool require_online = true;
   /// Permit non-improving moves (with a visited set) instead of failing at
   /// local minima; keeps routing alive under churn.

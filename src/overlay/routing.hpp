@@ -64,7 +64,10 @@ class Overlay {
   [[nodiscard]] virtual std::size_t build_iterations() const { return 0; }
 
   /// Social lookup: route a message from peer `from` to peer `to`
-  /// (Fig. 2 measures the hop count of these).
+  /// (Fig. 2 measures the hop count of these). An offline `to` (other than
+  /// `from` itself) fails at once with kNoRoute and path == {from}; callers
+  /// need no liveness check of their own. route_avoiding() keeps the same
+  /// contract.
   [[nodiscard]] virtual RouteResult route(PeerId from, PeerId to) const = 0;
 
   /// Route that must not traverse any peer in `avoid` (the reliability

@@ -1,7 +1,6 @@
 #include "pubsub/mailbox.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "check/mailbox_checks.hpp"
 #include "common/assert.hpp"
@@ -133,14 +132,6 @@ MailboxManager::MailboxManager(runtime::EventEngine& queue,
   pending_gauge();
 }
 
-double MailboxManager::placement_u01(PeerId subscriber,
-                                     PeerId candidate) const {
-  std::uint64_t h = splitmix64(seed_ ^ splitmix64(kPlacementSalt));
-  h = splitmix64(h ^ splitmix64(subscriber));
-  h = splitmix64(h ^ splitmix64(candidate));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
 double MailboxManager::availability_of(PeerId p) const {
   return availability_ ? availability_(p) : 1.0;
 }
@@ -164,36 +155,59 @@ std::vector<PeerId> MailboxManager::placement_ranking(
     if (a.score != b.score) return a.score > b.score;
     return a.peer < b.peer;
   };
-  const auto score_of = [&](PeerId p) {
-    return core::placement_score(availability_of(p),
-                                 placement_u01(subscriber, p), policy_.bias);
+  // Pure rendezvous draw u01(seed, subscriber, candidate); the
+  // subscriber's half of the hash is shared by every candidate.
+  const std::uint64_t key = splitmix64(
+      splitmix64(seed_ ^ splitmix64(kPlacementSalt)) ^ splitmix64(subscriber));
+  const auto u01_of = [key](PeerId p) {
+    return static_cast<double>(splitmix64(key ^ splitmix64(p)) >> 11) *
+           0x1.0p-53;
   };
 
+  std::vector<PeerId> near = overlay_->neighbors(subscriber);
+  std::sort(near.begin(), near.end());
+  near.erase(std::unique(near.begin(), near.end()), near.end());
   std::vector<Scored> neighborhood;
-  std::unordered_set<PeerId> in_neighborhood;
-  for (const PeerId p : overlay_->neighbors(subscriber)) {
+  for (const PeerId p : near) {
     if (p == subscriber || peer_dead(p)) continue;
-    if (!in_neighborhood.insert(p).second) continue;
-    neighborhood.push_back({score_of(p), p});
+    neighborhood.push_back(
+        {core::placement_score(availability_of(p), u01_of(p), policy_.bias),
+         p});
   }
   std::sort(neighborhood.begin(), neighborhood.end(), by_score);
 
+  // The best `pool` of everyone else, kept as a heap whose front is the
+  // worst entry. With a CMA ≤ 1 and a non-negative bias a score is at most
+  // placement_score_bound(u), and peers arrive in ascending id, so a later
+  // peer loses every tie: a draw whose bound cannot beat the front is
+  // skipped unscored. The result equals a full sort cut to `pool`.
+  const std::size_t pool = policy_.fallback_pool;
+  const std::size_t n = overlay_->num_peers();
   std::vector<Scored> fallback;
-  for (PeerId p = 0; p < overlay_->num_peers(); ++p) {
-    if (p == subscriber || peer_dead(p) || in_neighborhood.count(p) != 0) {
+  fallback.reserve(std::min(pool, n));
+  auto next_near = near.begin();
+  for (PeerId p = 0; pool > 0 && p < n; ++p) {
+    while (next_near != near.end() && *next_near < p) ++next_near;
+    if (next_near != near.end() && *next_near == p) continue;
+    if (p == subscriber || peer_dead(p)) continue;
+    const double u = u01_of(p);
+    const double a = availability_of(p);
+    const bool full = fallback.size() == pool;
+    if (full && a <= 1.0 && policy_.bias >= 0.0 &&
+        core::placement_score_bound(u) <= fallback.front().score) {
       continue;
     }
-    fallback.push_back({score_of(p), p});
+    const Scored s{core::placement_score(a, u, policy_.bias), p};
+    if (!full) {
+      fallback.push_back(s);
+      std::push_heap(fallback.begin(), fallback.end(), by_score);
+    } else if (by_score(s, fallback.front())) {
+      std::pop_heap(fallback.begin(), fallback.end(), by_score);
+      fallback.back() = s;
+      std::push_heap(fallback.begin(), fallback.end(), by_score);
+    }
   }
-  if (fallback.size() > policy_.fallback_pool) {
-    std::partial_sort(fallback.begin(),
-                      fallback.begin() +
-                          static_cast<std::ptrdiff_t>(policy_.fallback_pool),
-                      fallback.end(), by_score);
-    fallback.resize(policy_.fallback_pool);
-  } else {
-    std::sort(fallback.begin(), fallback.end(), by_score);
-  }
+  std::sort_heap(fallback.begin(), fallback.end(), by_score);
 
   std::vector<PeerId> out;
   out.reserve(neighborhood.size() + fallback.size());

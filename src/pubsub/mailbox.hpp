@@ -196,9 +196,6 @@ class MailboxManager {
     bool resolved = false;  ///< replayed, forgotten, or abandoned
   };
 
-  /// Pure rendezvous draw for (subscriber, candidate).
-  [[nodiscard]] double placement_u01(overlay::PeerId subscriber,
-                                     overlay::PeerId candidate) const;
   [[nodiscard]] double availability_of(overlay::PeerId p) const;
   [[nodiscard]] bool peer_dead(overlay::PeerId p) const;
   /// Domain-diverse slot assignment: next usable candidate from the

@@ -29,6 +29,7 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "obs/memory.hpp"
 
 namespace sel::runtime {
 
@@ -94,8 +95,9 @@ class EventEngine {
   /// Counts fired events and refreshes the runtime.queue_depth gauge.
   void note_drained(std::size_t fired);
 
-  /// Binary heap ordered by Later{} (std::push_heap/std::pop_heap).
-  std::vector<Entry> heap_;
+  /// Binary heap ordered by Later{} (std::push_heap/std::pop_heap),
+  /// attributed to `mem.runtime`.
+  obs::AccountedVector<Entry, obs::Subsystem::kRuntime> heap_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t tie_seed_ = 0;
   double now_ = 0.0;

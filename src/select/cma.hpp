@@ -18,6 +18,14 @@
 
 namespace sel::core {
 
+/// The clamped draw placement_score() raises to 1/weight. For cma ≤ 1 and
+/// bias ≥ 0 the weight is at most 1, so the exponent is at least 1 and the
+/// score never exceeds this bound: a ranking can drop a candidate whose
+/// bound cannot beat its worst kept score without computing the score.
+[[nodiscard]] inline double placement_score_bound(double u01) noexcept {
+  return std::clamp(u01, 1e-12, 1.0);
+}
+
 /// Weighted rendezvous-hash placement score. `u01` is the candidate's pure
 /// rendezvous draw in [0,1) (a hash of (seed, subscriber, candidate));
 /// `cma` is its availability average; `bias` controls how strongly
@@ -33,7 +41,7 @@ namespace sel::core {
   // of dividing by zero.
   constexpr double kCmaFloor = 1e-3;
   const double weight = std::pow(std::max(cma, kCmaFloor), bias);
-  return std::pow(std::clamp(u01, 1e-12, 1.0), 1.0 / weight);
+  return std::pow(placement_score_bound(u01), 1.0 / weight);
 }
 
 class Cma {

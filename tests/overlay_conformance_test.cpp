@@ -152,8 +152,12 @@ TEST_P(OverlayConformance, ChurnContractUnderMaintenance) {
     if (offline[from]) continue;  // source liveness is the caller's problem
     const RouteResult r = sys_->route(from, to);
     if (offline[to]) {
-      // Routing to an offline peer must fail honestly.
+      // Routing to an offline peer must fail honestly, and at once: no hop
+      // can enter the target, so walking toward it is wasted work.
       EXPECT_FALSE(r.success) << GetParam() << " delivered to offline peer";
+      EXPECT_EQ(r.status, RouteStatus::kNoRoute) << GetParam();
+      EXPECT_EQ(r.path, std::vector<PeerId>{from})
+          << GetParam() << " walked toward offline peer " << to;
       continue;
     }
     ++attempted;

@@ -85,9 +85,11 @@ TEST(GreedyRoute, SkipsOfflinePeers) {
   RingSubstrate ov = ring_of(8);
   ov.add_long_link(0, 4);
   ov.set_online(4, false);
-  // Target 4 offline: route fails (destination unusable).
+  // Target 4 offline: route fails (destination unusable), before any hop.
   const auto r = ov.greedy_route(0, 4);
   EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.status, RouteStatus::kNoRoute);
+  EXPECT_EQ(r.path, std::vector<PeerId>{0});
 }
 
 TEST(GreedyRoute, RoutesAroundOfflineRelay) {

@@ -8,15 +8,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
+#include "common/flat_set.hpp"
+#include "common/rng.hpp"
 #include "fault/fault.hpp"
 #include "graph/profiles.hpp"
 #include "pubsub/engine.hpp"
 #include "runtime/event_engine.hpp"
+#include "select/cma.hpp"
 #include "select/protocol.hpp"
 
 namespace sel::pubsub {
@@ -76,6 +81,105 @@ TEST_F(MailboxTest, PlacementFavorsHighAvailabilityPeers) {
   const auto ranking = mb.placement_ranking(sub);
   ASSERT_FALSE(ranking.empty());
   EXPECT_EQ(ranking.front(), target);
+}
+
+// Brute-force reference for placement_ranking(): score every candidate,
+// sort each section fully by (score desc, peer asc) and cut the fallback
+// section to the pool. The draw is the documented rendezvous hash of
+// (seed, subscriber, candidate) under the mailbox placement salt.
+std::vector<PeerId> full_scan_ranking(
+    const overlay::Overlay& ov, PeerId sub, std::uint64_t seed,
+    const MailboxPolicy& policy,
+    const std::function<double(PeerId)>& availability,
+    const fault::FaultPlan* plan) {
+  const auto u01 = [&](PeerId p) {
+    std::uint64_t h = splitmix64(seed ^ splitmix64(0x3a11b0c501));
+    h = splitmix64(h ^ splitmix64(sub));
+    h = splitmix64(h ^ splitmix64(p));
+    return static_cast<double>(h >> 11) * 0x1.0p-53;
+  };
+  struct Scored {
+    double score;
+    PeerId peer;
+  };
+  const auto by_score = [](const Scored& a, const Scored& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.peer < b.peer;
+  };
+  const auto scored = [&](PeerId p) {
+    const double a = availability ? availability(p) : 1.0;
+    return Scored{core::placement_score(a, u01(p), policy.bias), p};
+  };
+  const auto dead = [plan](PeerId p) {
+    return plan != nullptr && plan->crashed(p);
+  };
+  const std::vector<PeerId> neighbors = ov.neighbors(sub);
+  const FlatSet<PeerId> near(neighbors.begin(), neighbors.end());
+  std::vector<Scored> neighborhood;
+  std::vector<Scored> rest;
+  for (PeerId p = 0; p < ov.num_peers(); ++p) {
+    if (p == sub || dead(p)) continue;
+    (near.contains(p) ? neighborhood : rest).push_back(scored(p));
+  }
+  std::sort(neighborhood.begin(), neighborhood.end(), by_score);
+  std::sort(rest.begin(), rest.end(), by_score);
+  rest.resize(std::min(rest.size(), policy.fallback_pool));
+  std::vector<PeerId> out;
+  for (const auto& s : neighborhood) out.push_back(s.peer);
+  for (const auto& s : rest) out.push_back(s.peer);
+  return out;
+}
+
+TEST_F(MailboxTest, PlacementMatchesFullScanReference) {
+  // placement_ranking() skips candidates whose score bound cannot enter
+  // the fallback pool; it must still return exactly the full-scan ranking.
+  const std::vector<std::pair<const char*, std::function<double(PeerId)>>>
+      availabilities = {
+          {"unset", nullptr},
+          {"all 1.0", [](PeerId) { return 1.0; }},
+          // Scores underflow to 0.0: the order falls to peer id.
+          {"all 0.0", [](PeerId) { return 0.0; }},
+          {"mixed",
+           [](PeerId p) {
+             return static_cast<double>(splitmix64(p) % 1001) / 1000.0;
+           }},
+          {"1e-4 beside 0.37",
+           [](PeerId p) { return p % 2 == 0 ? 1e-4 : 0.37; }},
+          // Above 1 the bound does not hold; such peers are scored exactly.
+          {"some above 1",
+           [](PeerId p) {
+             return p % 7 == 0 ? 3.0 : p % 3 == 0 ? 1.25 : 0.5;
+           }},
+      };
+  fault::FaultPlan plan(fault::FaultSpec{}, 42, g_.num_nodes());
+  const PeerId sub = 7;
+  const auto near = sys_->overlay().neighbor_list(sub);
+  ASSERT_FALSE(near.empty());
+  plan.force_crash(near.front());
+  for (const PeerId p : {0U, 1U, 8U, 100U, 150U, 299U}) plan.force_crash(p);
+
+  runtime::EventEngine q;
+  for (const std::size_t pool : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{24}, g_.num_nodes() + 5}) {
+    MailboxPolicy policy;
+    policy.fallback_pool = pool;
+    for (const auto& [label, availability] : availabilities) {
+      for (fault::FaultPlan* faults :
+           {static_cast<fault::FaultPlan*>(nullptr), &plan}) {
+        for (const PeerId s : {sub, PeerId{0}, PeerId{150}, PeerId{299}}) {
+          MailboxManager mb(q, *sys_, *net_, policy, 42);
+          mb.set_availability_fn(availability);
+          mb.set_fault_plan(faults);
+          EXPECT_EQ(mb.placement_ranking(s),
+                    full_scan_ranking(*sys_, s, 42, policy, availability,
+                                      faults))
+              << "pool " << pool << ", availability " << label
+              << ", crashed peers " << (faults != nullptr)
+              << ", subscriber " << s;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(MailboxTest, ReplicateReachesQuorumAndReplaysOnce) {

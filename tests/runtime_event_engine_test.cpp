@@ -1,6 +1,7 @@
 // EventEngine unit tests: the drain API (run_until / run with its runaway
-// backstop) and the event-queue semantics underneath it — time order, FIFO
-// ties, the seeded tie permutation, and callbacks that schedule more.
+// backstop), the event-queue semantics underneath it — time order, FIFO
+// ties, the seeded tie permutation, and callbacks that schedule more — and
+// the heap's `mem.runtime` attribution.
 #include "runtime/event_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,8 @@
 #include <functional>
 #include <memory>
 #include <vector>
+
+#include "obs/memory.hpp"
 
 namespace sel::runtime {
 namespace {
@@ -49,6 +52,20 @@ TEST(EventEngine, TieSeedPermutesEqualTimeOrderDeterministically) {
   const auto a = order_with(99);
   EXPECT_EQ(a, order_with(99));
   EXPECT_NE(a, order_with(0));
+}
+
+TEST(EventEngine, PendingEventsAreAttributedToRuntimeMemory) {
+  const auto runtime_live = [] {
+    return obs::memory_values().at("mem.runtime.live_bytes");
+  };
+  const double before = runtime_live();
+  {
+    EventEngine e;
+    for (int i = 0; i < 64; ++i) e.schedule(1.0 + i, [](double) {});
+    EXPECT_GT(runtime_live(), 0.0);
+    EXPECT_GT(runtime_live(), before);
+  }
+  EXPECT_EQ(runtime_live(), before);
 }
 
 // -- event-queue semantics ----------------------------------------------------
