@@ -189,4 +189,15 @@ inline Result validate_link_symmetry(const overlay::RingSubstrate& ov) {
   return std::nullopt;
 }
 
+/// Version-gated recompute (DESIGN.md §13): derived state kept because the
+/// versions it read did not move must equal its recompute. SEL_CHECK=full
+/// recomputes anyway and passes how many entries the recompute changed.
+inline Result validate_gated_skip(const char* invariant, overlay::PeerId p,
+                                  std::size_t divergent) {
+  if (divergent == 0) return std::nullopt;
+  return Violation{invariant, "peer " + std::to_string(p) +
+                                  ": the skipped recompute changes " +
+                                  std::to_string(divergent) + " entries"};
+}
+
 }  // namespace sel::check

@@ -49,8 +49,11 @@ std::size_t LshIndex::bucket_of_peer(std::uint32_t peer) const {
 
 void LshIndex::insert(std::uint32_t peer, const DynamicBitset& bitmap) {
   erase(peer);
-  const std::size_t b = bucket_of(bitmap);
-  buckets_[b].push_back(Entry{peer, bitmap});
+  append(peer, bitmap);
+}
+
+void LshIndex::append(std::uint32_t peer, const DynamicBitset& bitmap) {
+  buckets_[bucket_of(bitmap)].push_back(Entry{peer, bitmap});
   ++count_;
 }
 

@@ -56,6 +56,10 @@ class LshIndex {
   /// Indexes a peer's bitmap (replaces a previous entry for the same peer).
   void insert(std::uint32_t peer, const DynamicBitset& bitmap);
 
+  /// Indexes a peer that is not in the index, without insert()'s scan of
+  /// every bucket: the way to rebuild after clear().
+  void append(std::uint32_t peer, const DynamicBitset& bitmap);
+
   /// Removes a peer from the index; no-op when absent.
   void erase(std::uint32_t peer);
 

@@ -10,9 +10,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
+#include "check/overlay_checks.hpp"
 #include "overlay/overlay.hpp"
 
 namespace sel::overlay {
@@ -20,33 +22,43 @@ namespace sel::overlay {
 class LookaheadCache {
  public:
   explicit LookaheadCache(const RingSubstrate& ov)
-      : ov_(&ov), snapshots_(ov.num_peers()), known_(ov.num_peers(), false) {}
+      : ov_(&ov), snapshots_(ov.num_peers()), versions_(ov.num_peers(), 0) {}
 
-  /// Refreshes the snapshot of `p`'s neighbour set (ring + long links).
+  /// Refreshes the snapshot of `p`'s neighbour set (ring + long links). The
+  /// recompute is skipped while p's neighbor_version equals the one the
+  /// snapshot was taken at: the set cannot have changed since.
   void refresh(PeerId p) {
+    const std::uint64_t version = ov_->neighbor_version(p);
+    if (versions_[p] == version) {
+      if (check::enabled(check::Level::kFull)) {
+        check::enforce(check::validate_gated_skip(
+            "overlay.lookahead.gated_skip", p, stale_entries(p)));
+      }
+      return;
+    }
     auto list = ov_->neighbor_list(p);
     std::sort(list.begin(), list.end());
     snapshots_[p] = std::move(list);
-    known_[p] = true;
+    versions_[p] = version;
   }
 
   void refresh_all() {
     for (PeerId p = 0; p < snapshots_.size(); ++p) refresh(p);
   }
 
-  [[nodiscard]] bool has_snapshot(PeerId p) const { return known_[p]; }
+  [[nodiscard]] bool has_snapshot(PeerId p) const { return versions_[p] != 0; }
 
   /// The snapshotted neighbour list (sorted); empty when unknown.
   [[nodiscard]] std::span<const PeerId> snapshot(PeerId p) const {
     static const std::vector<PeerId> kEmpty;
-    return known_[p] ? std::span<const PeerId>(snapshots_[p])
-                     : std::span<const PeerId>(kEmpty);
+    return has_snapshot(p) ? std::span<const PeerId>(snapshots_[p])
+                           : std::span<const PeerId>(kEmpty);
   }
 
   /// L_p query: does the *snapshot* of `via` contain `target`?
   /// Unknown peers answer false (no lookahead claim without knowledge).
   [[nodiscard]] bool cached_contains(PeerId via, PeerId target) const {
-    if (!known_[via]) return false;
+    if (!has_snapshot(via)) return false;
     const auto& snap = snapshots_[via];
     return std::binary_search(snap.begin(), snap.end(), target);
   }
@@ -54,7 +66,7 @@ class LookaheadCache {
   /// Entries in the snapshot that no longer match the live neighbour set —
   /// a staleness measure for tests and diagnostics.
   [[nodiscard]] std::size_t stale_entries(PeerId p) const {
-    if (!known_[p]) return 0;
+    if (!has_snapshot(p)) return 0;
     auto live = ov_->neighbor_list(p);
     std::sort(live.begin(), live.end());
     const auto& snap = snapshots_[p];
@@ -78,17 +90,16 @@ class LookaheadCache {
   }
 
   [[nodiscard]] std::size_t num_snapshots() const {
-    std::size_t count = 0;
-    for (const bool k : known_) {
-      if (k) ++count;
-    }
-    return count;
+    return static_cast<std::size_t>(std::count_if(
+        versions_.begin(), versions_.end(),
+        [](std::uint64_t v) { return v != 0; }));
   }
 
  private:
   const RingSubstrate* ov_;
   std::vector<std::vector<PeerId>> snapshots_;
-  std::vector<bool> known_;
+  /// neighbor_version each snapshot was taken at; 0 = no snapshot.
+  std::vector<std::uint64_t> versions_;
 };
 
 }  // namespace sel::overlay

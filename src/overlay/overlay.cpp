@@ -26,6 +26,7 @@ void RingSubstrate::join(PeerId p, net::OverlayId id) {
   }
   pr.id = id;
   pr.online = true;
+  bump_links(pr);
 }
 
 void RingSubstrate::set_id(PeerId p, net::OverlayId id) {
@@ -38,11 +39,16 @@ void RingSubstrate::set_online(PeerId p, bool online) { peer(p).online = online;
 void RingSubstrate::rebuild_ring(bool online_only) {
   std::vector<PeerId> order;
   order.reserve(joined_count_);
+  auto set_ring = [this](Peer& pr, PeerId succ, PeerId pred) {
+    if (pr.succ == succ && pr.pred == pred) return;
+    pr.succ = succ;
+    pr.pred = pred;
+    bump_neighbors(pr);
+  };
   for (PeerId p = 0; p < peers_.size(); ++p) {
     if (!peers_[p].joined) continue;
     if (online_only && !peers_[p].online) {
-      peers_[p].succ = kInvalidPeer;
-      peers_[p].pred = kInvalidPeer;
+      set_ring(peers_[p], kInvalidPeer, kInvalidPeer);
       continue;
     }
     order.push_back(p);
@@ -53,13 +59,11 @@ void RingSubstrate::rebuild_ring(bool online_only) {
   });
   const std::size_t n = order.size();
   for (std::size_t i = 0; i < n; ++i) {
-    const PeerId p = order[i];
+    auto& pr = peers_[order[i]];
     if (n == 1) {
-      peers_[p].succ = kInvalidPeer;
-      peers_[p].pred = kInvalidPeer;
+      set_ring(pr, kInvalidPeer, kInvalidPeer);
     } else {
-      peers_[p].succ = order[(i + 1) % n];
-      peers_[p].pred = order[(i + n - 1) % n];
+      set_ring(pr, order[(i + 1) % n], order[(i + n - 1) % n]);
     }
   }
   if (check::enabled()) {
@@ -80,6 +84,8 @@ bool RingSubstrate::add_long_link(PeerId from, PeerId to) {
   }
   f.out_links.push_back(to);
   t.in_links.push_back(from);
+  bump_links(f);
+  bump_links(t);
   if (check::enabled(check::Level::kFull)) {
     check::enforce(check::validate_peer_links(*this, from));
     check::enforce(check::validate_peer_links(*this, to));
@@ -96,6 +102,8 @@ bool RingSubstrate::remove_long_link(PeerId from, PeerId to) {
   const auto rit = std::find(t.in_links.begin(), t.in_links.end(), from);
   SEL_ASSERT(rit != t.in_links.end());
   t.in_links.erase(rit);
+  bump_links(f);
+  bump_links(t);
   if (check::enabled(check::Level::kFull)) {
     check::enforce(check::validate_peer_links(*this, from));
     check::enforce(check::validate_peer_links(*this, to));

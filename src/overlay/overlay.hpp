@@ -162,6 +162,27 @@ class RingSubstrate {
   /// Average out-degree over joined peers (long links only).
   [[nodiscard]] double average_long_degree() const;
 
+  // -- version stamps ---------------------------------------------------------
+  // Derived state (friendship bitmaps, L_p snapshots, link choices) records
+  // the versions it read and recomputes only when one moved (DESIGN.md §13).
+  // Both versions are drawn from one monotonic clock, so a version is newer
+  // than any clock value read before its bump. Every peer starts at 1; a
+  // consumer keeps 0 for "never computed".
+
+  /// Bumped at both ends by every add_long_link/remove_long_link that
+  /// changes a table, and by join(). Covers the out/in link tables and the
+  /// joined flag; ids and online flags are not part of it.
+  [[nodiscard]] std::uint64_t link_version(PeerId p) const {
+    return peer(p).link_version;
+  }
+  /// Bumped with link_version and whenever rebuild_ring() changes p's
+  /// successor or predecessor: it covers neighbor_list(p).
+  [[nodiscard]] std::uint64_t neighbor_version(PeerId p) const {
+    return peer(p).neighbor_version;
+  }
+  /// The latest version handed out.
+  [[nodiscard]] std::uint64_t version_clock() const noexcept { return clock_; }
+
  private:
   // Test backdoor: check_invariants_test seeds violations the public API
   // refuses to create (see check/corrupt.hpp).
@@ -178,9 +199,14 @@ class RingSubstrate {
     bool online = true;
     PeerId succ = kInvalidPeer;
     PeerId pred = kInvalidPeer;
+    std::uint64_t link_version = 1;
+    std::uint64_t neighbor_version = 1;
     LinkVector out_links;
     LinkVector in_links;
   };
+
+  void bump_links(Peer& pr) { pr.link_version = pr.neighbor_version = ++clock_; }
+  void bump_neighbors(Peer& pr) { pr.neighbor_version = ++clock_; }
 
   [[nodiscard]] const Peer& peer(PeerId p) const {
     SEL_EXPECTS(p < peers_.size());
@@ -193,6 +219,7 @@ class RingSubstrate {
 
   obs::AccountedVector<Peer, obs::Subsystem::kOverlay> peers_;
   std::size_t joined_count_ = 0;
+  std::uint64_t clock_ = 1;
 };
 
 }  // namespace sel::overlay

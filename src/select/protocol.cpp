@@ -292,19 +292,22 @@ void SelectSystem::exchange(PeerId p, PeerId u) {
   // the tie-strength cache rather than a fresh adjacency merge.
   const auto common =
       static_cast<double>(tie_index_.common_neighbors(p, u));
-  auto& fp = state_[p].friends[friend_index(p, u)];
+  const std::size_t u_at_p = friend_index(p, u);
+  const std::size_t p_at_u = friend_index(u, p);
+  auto& fp = state_[p].friends[u_at_p];
   fp.strength = graph_->degree(p) == 0
                     ? 0.0
                     : common / static_cast<double>(graph_->degree(p));
-  auto& fu = state_[u].friends[friend_index(u, p)];
+  auto& fu = state_[u].friends[p_at_u];
   fu.strength = graph_->degree(u) == 0
                     ? 0.0
                     : common / static_cast<double>(graph_->degree(u));
-  refresh_bitmap(p, u);
-  refresh_bitmap(u, p);
+  refresh_bitmap(p, u_at_p);
+  refresh_bitmap(u, p_at_u);
   // Alg. 4 lines 5-8: the exchanged routing tables also refresh what each
   // side knows about the overlay connections of *mutual* friends (u is
-  // socially connected to them and relays their link state).
+  // socially connected to them and relays their link state). The merge walk
+  // yields w's position in both friend lists.
   const auto np = graph_->neighbors(p);
   const auto nu2 = graph_->neighbors(u);
   std::size_t i = 0;
@@ -317,8 +320,8 @@ void SelectSystem::exchange(PeerId p, PeerId u) {
     } else {
       const PeerId w = np[i];
       if (overlay_.joined(w)) {
-        refresh_bitmap(p, w);
-        refresh_bitmap(u, w);
+        refresh_bitmap(p, i);
+        refresh_bitmap(u, j);
         lookahead_.refresh(w);
       }
       ++i;
@@ -330,22 +333,37 @@ void SelectSystem::exchange(PeerId p, PeerId u) {
   lookahead_.refresh(u);
 }
 
-void SelectSystem::refresh_bitmap(PeerId p, PeerId u) {
-  const std::size_t u_idx = friend_index(p, u);
-  auto& info = state_[p].friends[u_idx];
-  info.bitmap.clear_all();
-  info.bitmap.set(u_idx);  // self-coverage (see constructor comment)
+void SelectSystem::refresh_bitmap(PeerId p, std::size_t u_idx) {
   const auto nbrs = graph_->neighbors(p);
+  const PeerId u = nbrs[u_idx];
+  auto& info = state_[p].friends[u_idx];
+  // The bitmap reads only u's link tables, which link_version covers.
+  const std::uint64_t version = overlay_.link_version(u);
+  const bool current = info.links_seen == version;
+  if (current && !check::enabled(check::Level::kFull)) return;
+  auto& fresh = bitmap_scratch_;
+  fresh.resize(nbrs.size());
+  fresh.clear_all();
+  fresh.set(u_idx);  // self-coverage (see constructor comment)
   // bitmap(u, v) = 1 iff (u, v) ∈ R_u, for v ∈ C_p (paper Sec. III-D).
   auto mark = [&](PeerId v) {
     const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
     if (it != nbrs.end() && *it == v) {
-      info.bitmap.set(static_cast<std::size_t>(it - nbrs.begin()));
+      fresh.set(static_cast<std::size_t>(it - nbrs.begin()));
     }
   };
   for (const PeerId v : overlay_.out_links(u)) mark(v);
   for (const PeerId v : overlay_.in_links(u)) mark(v);
-  info.bitmap_known = true;
+  if (current) {
+    check::enforce(check::validate_gated_skip(
+        "select.bitmap.gated_skip", p, fresh.hamming_distance(info.bitmap)));
+    return;
+  }
+  info.links_seen = version;
+  if (fresh != info.bitmap) {
+    info.bitmap = fresh;
+    state_[p].bitmaps_changed = true;
+  }
 }
 
 double SelectSystem::evaluate_position(PeerId p) {
@@ -446,11 +464,11 @@ bool SelectSystem::try_connect(PeerId p, PeerId u) {
 std::size_t SelectSystem::create_links(PeerId p) {
   auto& st = state_[p];
   if (!st.index.has_value()) return 0;
-  const auto nbrs = graph_->neighbors(p);
   std::size_t changes = 0;
 
   if (!params_.enable_lsh_selection) {
     // Ablation: link to K random joined friends instead of LSH buckets.
+    const auto nbrs = graph_->neighbors(p);
     std::size_t have = overlay_.out_degree(p);
     for (int attempts = 0; attempts < 32 && have < k_; ++attempts) {
       const PeerId f = nbrs[st.rng.below(nbrs.size())];
@@ -462,12 +480,51 @@ std::size_t SelectSystem::create_links(PeerId p) {
     return changes;
   }
 
+  // relink(p) is a pure function of what links_current(p) watches: with
+  // none of it moved, it would rebuild the same index and change nothing.
+  const bool current = links_current(p);
+  if (!current || check::enabled(check::Level::kFull)) {
+    changes = relink(p);
+    if (current) {
+      check::enforce(
+          check::validate_gated_skip("select.links.gated_skip", p, changes));
+    }
+  }
+  if (check::enabled()) {
+    // Alg. 5 bucket bound |H| = K is O(1); the full index walk and the
+    // link-budget check run only at full level.
+    check::enforce(check::validate_lsh_bucket_bound(*st.index, k_));
+    if (check::enabled(check::Level::kFull)) {
+      check::enforce(check::validate_lsh_index(*st.index, k_));
+      check::enforce(check::validate_link_budget(overlay_, p, k_));
+    }
+  }
+  return changes;
+}
+
+bool SelectSystem::links_current(PeerId p) const {
+  const auto& st = state_[p];
+  if (st.bitmaps_changed) return false;
+  auto moved = [this, &st](PeerId q) {
+    return overlay_.link_version(q) > st.relinked_at;
+  };
+  const auto nbrs = graph_->neighbors(p);
+  return !moved(p) && std::none_of(nbrs.begin(), nbrs.end(), moved);
+}
+
+std::size_t SelectSystem::relink(PeerId p) {
+  auto& st = state_[p];
+  const auto nbrs = graph_->neighbors(p);
+  std::size_t changes = 0;
+  st.relinked_at = overlay_.version_clock();
+  st.bitmaps_changed = false;
+
   // Alg. 5 lines 2-4: index the neighbourhood bitmaps into |H| = K buckets.
   st.index->clear();
   for (std::size_t i = 0; i < st.friends.size(); ++i) {
     const PeerId f = nbrs[i];
     if (!overlay_.joined(f)) continue;
-    st.index->insert(f, st.friends[i].bitmap);
+    st.index->append(f, st.friends[i].bitmap);
   }
 
   // Alg. 5 lines 5-18: the primary pick is one peer per non-empty bucket
@@ -559,42 +616,42 @@ std::size_t SelectSystem::create_links(PeerId p) {
   //    is what makes high-degree neighbourhoods reachable in 2 hops with
   //    only K links.
   if (final_set.size() < k_) {
+    // Friend positions of the candidates, looked up once rather than on
+    // every pass of the greedy loop.
+    std::vector<std::size_t> at;
+    at.reserve(priority.size());
+    for (const PeerId cand : priority) at.push_back(friend_index(p, cand));
     DynamicBitset covered(st.friends.size());
-    auto mark_covered = [&](PeerId q) {
-      const auto nbrs2 = graph_->neighbors(p);
-      const auto it = std::lower_bound(nbrs2.begin(), nbrs2.end(), q);
-      if (it != nbrs2.end() && *it == q) {
-        const auto idx = static_cast<std::size_t>(it - nbrs2.begin());
-        covered |= st.friends[idx].bitmap;
-        covered.set(idx);
-      }
+    auto mark_covered = [&](std::size_t idx) {
+      covered |= st.friends[idx].bitmap;
+      covered.set(idx);
     };
-    for (const PeerId q : final_set) mark_covered(q);
+    for (const PeerId q : final_set) mark_covered(friend_index(p, q));
     std::vector<PeerId> excluded;  // rejected by their incoming cap
     auto skip = [&excluded](PeerId q) {
       return std::find(excluded.begin(), excluded.end(), q) !=
              excluded.end();
     };
     while (final_set.size() < k_) {
-      PeerId best_cand = overlay::kInvalidPeer;
+      std::size_t best = priority.size();
       std::size_t best_gain = 0;
-      for (const PeerId cand : priority) {
-        if (in_final(cand) || skip(cand)) continue;
-        const std::size_t idx = friend_index(p, cand);
+      for (std::size_t r = 0; r < priority.size(); ++r) {
+        if (in_final(priority[r]) || skip(priority[r])) continue;
         // |bitmap \ covered| = |bitmap| - |bitmap ∩ covered|.
-        const auto& bm = st.friends[idx].bitmap;
+        const auto& bm = st.friends[at[r]].bitmap;
         const std::size_t gain = bm.count() -
                                  bm.intersection_count(covered) +
-                                 (covered.test(idx) ? 0 : 1);
+                                 (covered.test(at[r]) ? 0 : 1);
         if (gain > best_gain) {
           best_gain = gain;
-          best_cand = cand;
+          best = r;
         }
       }
-      if (best_cand == overlay::kInvalidPeer) break;
+      if (best == priority.size()) break;
+      const PeerId best_cand = priority[best];
       if (try_connect(p, best_cand)) {
         final_set.push_back(best_cand);
-        mark_covered(best_cand);
+        mark_covered(at[best]);
         ++changes;
       } else {
         excluded.push_back(best_cand);
@@ -604,15 +661,6 @@ std::size_t SelectSystem::create_links(PeerId p) {
   for (const PeerId v : outs) {
     if (!in_final(v)) {
       if (overlay_.remove_long_link(p, v)) ++changes;
-    }
-  }
-  if (check::enabled()) {
-    // Alg. 5 bucket bound |H| = K is O(1); the full index walk and the
-    // link-budget check run only at full level.
-    check::enforce(check::validate_lsh_bucket_bound(*st.index, k_));
-    if (check::enabled(check::Level::kFull)) {
-      check::enforce(check::validate_lsh_index(*st.index, k_));
-      check::enforce(check::validate_link_budget(overlay_, p, k_));
     }
   }
   return changes;

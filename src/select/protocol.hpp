@@ -133,13 +133,18 @@ class SelectSystem final : public overlay::RingOverlay {
   struct FriendInfo {
     double strength = -1.0;      ///< known via gossip; -1 = unknown
     DynamicBitset bitmap;        ///< R_friend ∩ C_p over C_p's index space
-    bool bitmap_known = false;
+    /// The friend's link_version the bitmap was built from; 0 = never.
+    std::uint64_t links_seen = 0;
   };
 
   struct PeerState {
     std::vector<FriendInfo> friends;           ///< aligned with g.neighbors(p)
     std::optional<lsh::LshIndex> index;        ///< persistent K-bucket index
     Rng rng;
+    /// Version clock read at the start of the last relink(p).
+    std::uint64_t relinked_at = 0;
+    /// A friend bitmap changed since then (true until the first relink).
+    bool bitmaps_changed = true;
   };
 
   /// Position of `friend_peer` in p's sorted neighbour list.
@@ -153,9 +158,18 @@ class SelectSystem final : public overlay::RingOverlay {
   /// Alg. 2 (damped): returns the ring distance moved.
   double evaluate_position(overlay::PeerId p);
 
-  /// Algs. 5-6: rebuilds p's LSH index and reassigns long links. Returns
-  /// the number of link changes made.
+  /// Algs. 5-6: rebuilds p's LSH index and reassigns long links unless
+  /// links_current(p). Returns the number of link changes made.
   std::size_t create_links(overlay::PeerId p);
+
+  /// True when nothing relink(p) reads moved since its last run: p's
+  /// bitmaps, and the link_version of p and of every friend (which covers
+  /// their link tables and joined flags). relinked_at is read before that
+  /// run's own link changes, so a run that changed a link is never current.
+  [[nodiscard]] bool links_current(overlay::PeerId p) const;
+
+  /// The LSH path of create_links, always recomputed.
+  std::size_t relink(overlay::PeerId p);
 
   /// Alg. 6 candidate score: social coverage, plus degree-centrality bias
   /// when params.centrality_weight > 0 (Kourtellis variant).
@@ -173,8 +187,9 @@ class SelectSystem final : public overlay::RingOverlay {
   /// Returns true when the link was established.
   bool try_connect(overlay::PeerId p, overlay::PeerId u);
 
-  /// Refreshes p's stored bitmap for friend u from u's current links.
-  void refresh_bitmap(overlay::PeerId p, overlay::PeerId u);
+  /// Refreshes p's stored bitmap for its friend at position `u_idx` from
+  /// that friend's current links, unless its link_version is unchanged.
+  void refresh_bitmap(overlay::PeerId p, std::size_t u_idx);
 
   SelectParams params_;
   std::uint64_t seed_;
@@ -189,6 +204,7 @@ class SelectSystem final : public overlay::RingOverlay {
   graph::TieStrengthIndex tie_index_;
   overlay::LookaheadCache lookahead_;
   std::vector<sim::JoinEvent> schedule_;
+  DynamicBitset bitmap_scratch_;  ///< refresh_bitmap's recompute target
 
   std::size_t rounds_run_ = 0;
   std::size_t quiet_streak_ = 0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "graph/profiles.hpp"
 #include "pubsub/metrics.hpp"
 #include "select/protocol.hpp"
@@ -53,6 +56,55 @@ TEST(LookaheadCache, SnapshotsGoStale) {
   cache.refresh(0);
   EXPECT_EQ(cache.stale_entries(0), 0u);
   EXPECT_TRUE(cache.cached_contains(0, 5));
+}
+
+std::vector<PeerId> sorted_neighbors(const RingSubstrate& ov, PeerId p) {
+  auto live = ov.neighbor_list(p);
+  std::sort(live.begin(), live.end());
+  return live;
+}
+
+TEST(LookaheadCache, GatedRefreshMatchesSortedNeighborList) {
+  RingSubstrate ov = ring_of(8);
+  ov.add_long_link(0, 4);
+  ov.add_long_link(6, 0);
+  LookaheadCache cache(ov);
+  auto expect_current = [&](PeerId p) {
+    const auto snap = cache.snapshot(p);
+    EXPECT_EQ(std::vector<PeerId>(snap.begin(), snap.end()),
+              sorted_neighbors(ov, p));
+  };
+  cache.refresh(0);
+  expect_current(0);
+  cache.refresh(0);  // neighbour version unchanged: skipped, still exact
+  expect_current(0);
+  ov.add_long_link(0, 2);  // link change
+  cache.refresh(0);
+  expect_current(0);
+  ov.set_id(0, net::OverlayId(0.55));  // ring change
+  ov.rebuild_ring();
+  cache.refresh(0);
+  expect_current(0);
+  ov.remove_long_link(6, 0);  // incoming side
+  cache.refresh(0);
+  expect_current(0);
+}
+
+TEST(LookaheadCache, StaleEntriesCountDivergenceWithoutRefresh) {
+  RingSubstrate ov = ring_of(8);
+  LookaheadCache cache(ov);
+  cache.refresh(3);
+  cache.refresh(3);
+  EXPECT_EQ(cache.stale_entries(3), 0u);
+  ov.add_long_link(5, 3);  // changed on the far end only
+  EXPECT_EQ(cache.stale_entries(3), 1u);
+  EXPECT_FALSE(cache.cached_contains(3, 5));
+  ov.set_id(3, net::OverlayId(0.95));  // 3 moves between 7 and 0
+  ov.rebuild_ring();
+  EXPECT_EQ(cache.stale_entries(3), 5u);  // -2, -4 (old ring); +7, +0, +5
+  cache.refresh(3);
+  EXPECT_EQ(cache.stale_entries(3), 0u);
+  EXPECT_TRUE(cache.cached_contains(3, 5));
 }
 
 TEST(LookaheadCache, RefreshAllCoversEveryPeer) {

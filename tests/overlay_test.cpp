@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 namespace sel::overlay {
 namespace {
@@ -180,6 +182,128 @@ TEST(RingSubstrate, InOutLinkSymmetryInvariant) {
       EXPECT_NE(std::find(outs.begin(), outs.end(), p), outs.end());
     }
   }
+}
+
+// -- version stamps ---------------------------------------------------------
+
+struct Versions {
+  std::uint64_t link;
+  std::uint64_t neighbor;
+  bool operator==(const Versions&) const = default;
+};
+
+std::vector<Versions> versions_of(const RingSubstrate& ov) {
+  std::vector<Versions> out;
+  for (PeerId p = 0; p < ov.num_peers(); ++p) {
+    out.push_back({ov.link_version(p), ov.neighbor_version(p)});
+  }
+  return out;
+}
+
+TEST(RingSubstrateVersions, StartAtOneAndJoinBumps) {
+  RingSubstrate ov(3);
+  EXPECT_EQ(ov.link_version(0), 1u);
+  EXPECT_EQ(ov.neighbor_version(0), 1u);
+  const auto clock = ov.version_clock();
+  ov.join(1, net::OverlayId(0.3));
+  EXPECT_GT(ov.link_version(1), clock);
+  EXPECT_EQ(ov.neighbor_version(1), ov.link_version(1));
+  EXPECT_EQ(ov.link_version(0), 1u);
+  EXPECT_EQ(ov.link_version(2), 1u);
+}
+
+TEST(RingSubstrateVersions, AddAndRemoveBumpBothEnds) {
+  RingSubstrate ov = ring_of(5);
+  auto before = versions_of(ov);
+  auto clock = ov.version_clock();
+  ASSERT_TRUE(ov.add_long_link(0, 3));
+  auto after = versions_of(ov);
+  for (const PeerId p : {0u, 3u}) {
+    EXPECT_GT(after[p].link, clock) << p;
+    EXPECT_EQ(after[p].neighbor, after[p].link) << p;
+  }
+  for (const PeerId p : {1u, 2u, 4u}) EXPECT_EQ(after[p], before[p]) << p;
+
+  before = after;
+  clock = ov.version_clock();
+  ASSERT_TRUE(ov.remove_long_link(0, 3));
+  after = versions_of(ov);
+  for (const PeerId p : {0u, 3u}) {
+    EXPECT_GT(after[p].link, clock) << p;
+    EXPECT_EQ(after[p].neighbor, after[p].link) << p;
+  }
+  for (const PeerId p : {1u, 2u, 4u}) EXPECT_EQ(after[p], before[p]) << p;
+}
+
+TEST(RingSubstrateVersions, RefusedAddAndNoOpRemoveBumpNothing) {
+  RingSubstrate ov(5);
+  for (PeerId p = 0; p < 4; ++p) {
+    ov.join(p, net::OverlayId(static_cast<double>(p) / 4.0));
+  }
+  ov.rebuild_ring();
+  ASSERT_TRUE(ov.add_long_link(0, 2));
+  const auto before = versions_of(ov);
+  const auto clock = ov.version_clock();
+  EXPECT_FALSE(ov.add_long_link(0, 2));  // duplicate
+  EXPECT_FALSE(ov.add_long_link(1, 1));  // self-loop
+  EXPECT_FALSE(ov.add_long_link(1, 4));  // 4 never joined
+  EXPECT_FALSE(ov.add_long_link(4, 1));
+  EXPECT_FALSE(ov.remove_long_link(2, 0));  // only 0 -> 2 exists
+  EXPECT_FALSE(ov.remove_long_link(1, 3));
+  EXPECT_EQ(versions_of(ov), before);
+  EXPECT_EQ(ov.version_clock(), clock);
+}
+
+TEST(RingSubstrateVersions, IdAndLivenessChangesBumpNothing) {
+  RingSubstrate ov = ring_of(4);
+  const auto before = versions_of(ov);
+  ov.set_id(1, net::OverlayId(0.9));
+  ov.set_online(2, false);
+  EXPECT_EQ(versions_of(ov), before);
+}
+
+TEST(RingSubstrateVersions, RebuildRingBumpsExactlyChangedRingNeighbors) {
+  RingSubstrate ov = ring_of(6);  // ids 0, 1/6, ..., 5/6
+  ov.add_long_link(0, 3);
+  auto before = versions_of(ov);
+  ov.rebuild_ring();  // nothing moved
+  EXPECT_EQ(versions_of(ov), before);
+
+  // Peer 1 moves between 3 and 4: 0, 1, 2, 3 and 4 get a new successor or
+  // predecessor; 5 keeps both.
+  auto clock = ov.version_clock();
+  ov.set_id(1, net::OverlayId(0.6));
+  ov.rebuild_ring();
+  auto after = versions_of(ov);
+  for (PeerId p = 0; p < 6; ++p) {
+    EXPECT_EQ(after[p].link, before[p].link) << p;
+    if (p == 5) {
+      EXPECT_EQ(after[p].neighbor, before[p].neighbor);
+    } else {
+      EXPECT_GT(after[p].neighbor, clock) << p;
+    }
+  }
+
+  // Online-only repair: offline 2 loses its ring links, 0 and 3 (now its
+  // ring neighbours) re-close the gap; 1, 4 and 5 keep theirs.
+  before = after;
+  clock = ov.version_clock();
+  ov.set_online(2, false);
+  ov.rebuild_ring(/*online_only=*/true);
+  EXPECT_EQ(ov.successor(2), kInvalidPeer);
+  after = versions_of(ov);
+  for (PeerId p = 0; p < 6; ++p) {
+    EXPECT_EQ(after[p].link, before[p].link) << p;
+    if (p == 0 || p == 2 || p == 3) {
+      EXPECT_GT(after[p].neighbor, clock) << p;
+    } else {
+      EXPECT_EQ(after[p].neighbor, before[p].neighbor) << p;
+    }
+  }
+  // Already invalidated: a second repair changes nothing.
+  before = after;
+  ov.rebuild_ring(/*online_only=*/true);
+  EXPECT_EQ(versions_of(ov), before);
 }
 
 }  // namespace

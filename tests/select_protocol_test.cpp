@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <ostream>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "check/check.hpp"
 #include "graph/generators.hpp"
 #include "graph/profiles.hpp"
 #include "obs/metrics.hpp"
@@ -258,6 +268,150 @@ TEST(SelectRouteOptions, TreeRespectsOfflineSubscribers) {
   const auto tree = ps.build_tree(publisher);
   EXPECT_FALSE(tree.contains(victim));
 }
+
+// -- version-gated recomputes ----------------------------------------------
+
+// SEL_CHECK=full runs every gated recompute anyway and enforces that a skip
+// would have been exact (a kept bitmap or L_p snapshot equals its recompute,
+// a skipped create_links would change no link). Churn from outside the
+// protocol — link adds and drops on both tables, peers joining between
+// rounds — must never expose a stale skip.
+TEST(SelectGatedRecompute, SkipsStayExactUnderLinkChurnAndLateJoins) {
+  const check::ScopedLevel full(check::Level::kFull);
+  const check::ScopedFailureCapture capture;
+  const auto g = fb_graph(300, 21);
+  SelectSystem sys(g, SelectParams{}, 21);
+  auto& ov = sys.overlay();
+  const auto n = static_cast<PeerId>(g.num_nodes());
+  Rng rng(21);
+  std::vector<PeerId> late;
+  for (PeerId p = 0; p < n; ++p) {
+    if (rng.chance(0.6)) {
+      ov.join(p, net::OverlayId(rng.uniform()));
+    } else {
+      late.push_back(p);
+    }
+  }
+  ov.rebuild_ring();
+  // Settle first, so most create_links calls have something to skip.
+  for (int round = 0; round < 6; ++round) sys.run_round();
+  for (int round = 0; round < 12; ++round) {
+    for (int i = 0; i < 20; ++i) {
+      const auto a = static_cast<PeerId>(rng.below(n));
+      const auto friends = g.neighbors(a);
+      if (friends.empty()) continue;
+      const PeerId b = friends[rng.below(friends.size())];
+      if (rng.chance(0.5)) {
+        // Within the K budgets, so only the gates can trip a check.
+        if (ov.out_degree(a) < sys.k() && ov.in_degree(b) < sys.k()) {
+          ov.add_long_link(a, b);
+        }
+      } else if (ov.out_degree(a) > 0) {
+        ov.remove_long_link(a, ov.out_links(a)[rng.below(ov.out_degree(a))]);
+      }
+    }
+    for (int j = 0; j < 10 && !late.empty(); ++j) {
+      ov.join(late.back(), net::OverlayId(rng.uniform()));
+      late.pop_back();
+    }
+    ov.rebuild_ring();
+    sys.run_round();
+  }
+  ASSERT_TRUE(capture.empty()) << capture.violations().front().invariant
+                               << ": " << capture.violations().front().detail;
+}
+
+// -- pinned behaviour fingerprints ---------------------------------------
+//
+// Construction recomputes its derived state (friendship bitmaps, L_p
+// snapshots, LSH indexes) only when the inputs changed. A skip that is not
+// exact shows up as a different overlay, so these fingerprints were printed
+// by the implementation that recomputed everything on every call and are
+// pinned here: they must never change.
+
+/// Order-sensitive 64-bit hash of the overlay state: ids by bit pattern,
+/// sorted out-links, sorted in-links and every lookahead snapshot.
+std::uint64_t overlay_fingerprint(const SelectSystem& sys) {
+  std::uint64_t h = 0x5e1ec7f1a9e5ULL;
+  auto mix = [&h](std::uint64_t v) { h = splitmix64(h ^ v); };
+  auto mix_sorted = [&mix](std::span<const PeerId> peers) {
+    std::vector<PeerId> sorted(peers.begin(), peers.end());
+    std::sort(sorted.begin(), sorted.end());
+    mix(sorted.size());
+    for (const PeerId q : sorted) mix(q);
+  };
+  const auto& ov = sys.overlay();
+  for (PeerId p = 0; p < ov.num_peers(); ++p) {
+    mix(p);
+    mix(std::bit_cast<std::uint64_t>(ov.id(p).value()));
+    mix_sorted(ov.out_links(p));
+    mix_sorted(ov.in_links(p));
+    mix(sys.lookahead().has_snapshot(p) ? 1 : 0);
+    mix_sorted(sys.lookahead().snapshot(p));
+  }
+  return h;
+}
+
+/// Seeded churn through the public API only: peers toggle offline and back,
+/// maintenance repairs, further gossip rounds relink.
+void churn_script(SelectSystem& sys, std::uint64_t seed) {
+  Rng rng(derive_seed(seed, 0xc4u));
+  const auto n = static_cast<PeerId>(sys.num_peers());
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    for (PeerId p = 0; p < n; ++p) {
+      if (rng.uniform() < 0.1) sys.set_peer_online(p, !sys.peer_online(p));
+    }
+    sys.maintenance_round();
+    sys.run_round();
+    sys.run_round();
+  }
+  for (PeerId p = 0; p < n; ++p) sys.set_peer_online(p, true);
+  sys.maintenance_round();
+  sys.run_round();
+}
+
+struct PinnedFingerprint {
+  std::size_t n;
+  std::uint64_t seed;
+  std::uint64_t after_build;
+  std::uint64_t after_churn;
+};
+
+void PrintTo(const PinnedFingerprint& pin, std::ostream* os) {
+  *os << "facebook n=" << pin.n << " seed=" << pin.seed;
+}
+
+class SelectFingerprint : public ::testing::TestWithParam<PinnedFingerprint> {};
+
+TEST_P(SelectFingerprint, BuildAndChurnMatchPinnedValues) {
+  const auto& pin = GetParam();
+  const auto g = fb_graph(pin.n, pin.seed);
+  SelectSystem sys(g, SelectParams{}, pin.seed);
+  sys.build();
+  EXPECT_EQ(overlay_fingerprint(sys), pin.after_build)
+      << "after build: 0x" << std::hex << overlay_fingerprint(sys);
+  churn_script(sys, pin.seed);
+  EXPECT_EQ(overlay_fingerprint(sys), pin.after_churn)
+      << "after churn: 0x" << std::hex << overlay_fingerprint(sys);
+}
+
+constexpr PinnedFingerprint kPinned[] = {
+    {500, 1, 0x5398b3b61e551fa6ULL, 0x85fe1b676111e95eULL},
+    {500, 2, 0x69a253a5d46c4ca8ULL, 0xdb38f6882af05dafULL},
+    {500, 3, 0x291a4dcedf5d312aULL, 0xdeed9b56d4acb5feULL},
+    {2000, 1, 0x11fd287c08758b49ULL, 0x47a2f172c953e52cULL},
+    {2000, 2, 0xcdf9b2faef061efaULL, 0x3d977581effdbeceULL},
+    {2000, 3, 0x0485ad4e9d993ae6ULL, 0xe53de7081f2f4da9ULL},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Facebook, SelectFingerprint, ::testing::ValuesIn(kPinned),
+    [](const ::testing::TestParamInfo<PinnedFingerprint>& info) {
+      char name[48];
+      std::snprintf(name, sizeof name, "n%zu_seed%llu", info.param.n,
+                    static_cast<unsigned long long>(info.param.seed));
+      return std::string(name);
+    });
 
 }  // namespace
 }  // namespace sel::core
