@@ -1,12 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: LSH indexing,
 // greedy routing, graph generation, common-neighbour counting, gossip
-// rounds and tree construction.
+// rounds, tree construction and the message plane's publish-and-drain loop.
 //
 // The binary writes a RunReport (results/micro.report.json) on exit; the CI
 // perf-smoke job runs it twice and gates with compare_reports.py, so the
-// counter-ticking benchmark (BM_SelectGossipRound) pins its iteration count
-// — the `select.*` protocol counters must be bit-identical between
-// same-flag runs.
+// counter-ticking benchmarks (BM_SelectGossipRound, BM_EngineFeedDrain) pin
+// their iteration counts — the `select.*`, `pubsub.*` and `runtime.*`
+// counters must be bit-identical between same-flag runs.
 #include <benchmark/benchmark.h>
 
 #include "baselines/symphony.hpp"
@@ -21,7 +21,9 @@
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
+#include "pubsub/engine.hpp"
 #include "select/protocol.hpp"
+#include "sim/workload.hpp"
 
 namespace {
 
@@ -138,7 +140,10 @@ void BM_HolmeKimGenerate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_HolmeKimGenerate)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HolmeKimGenerate)
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SymphonyGreedyRoute(benchmark::State& state) {
   const auto g = graph::make_dataset_graph(
@@ -299,6 +304,40 @@ void BM_SelectBuildTree(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SelectBuildTree);
+
+constexpr int kEngineFeedIterations = 5;  // pinned: exact CI counters
+
+// The message plane alone: a built 1,000-peer facebook SELECT overlay and a
+// fixed stream of 10,000 Jiang posts, each published when due and drained
+// to the end on a fresh engine per iteration. Every publisher's tree is
+// built on its first post and shared by the rest, so the time is the
+// per-hop path: event heap, transport, delivery accounting.
+void BM_EngineFeedDrain(benchmark::State& state) {
+  const auto g = graph::make_dataset_graph(
+      graph::profile_by_name("facebook"), 1000, 1);
+  const net::NetworkModel net(g.num_nodes(), 1);
+  core::SelectSystem sys(g, core::SelectParams{}, 1, &net);
+  sys.build();
+  const overlay::PubSubSystem ps(sys);
+  auto posts = sim::PublicationWorkload(g, sim::WorkloadParams{}, 1)
+                   .generate(3600.0, 2);
+  posts.resize(std::min<std::size_t>(posts.size(), 10'000));
+  std::size_t deliveries = 0;
+  for (auto _ : state) {
+    pubsub::NotificationEngine engine(ps, net);
+    for (const auto& post : posts) {
+      engine.run_until(post.time_s);
+      engine.publish(post.publisher, post.time_s);
+    }
+    engine.run_all();
+    deliveries += engine.stats().deliveries;
+    benchmark::DoNotOptimize(deliveries);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(deliveries));
+}
+BENCHMARK(BM_EngineFeedDrain)
+    ->Iterations(kEngineFeedIterations)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 
+#include "common/assert.hpp"
 #include "overlay/overlay.hpp"
 #include "overlay/tree.hpp"
 
@@ -31,19 +32,25 @@ struct Corruptor {
   }
 
   /// Seeds a duplicate delivery: appends `child` to parent's child list and
-  /// the delivery order again, as a buggy tree merge would.
+  /// the delivery order again, as a buggy tree merge would. The index keeps
+  /// the child's first position.
   static void add_duplicate_child(overlay::DisseminationTree& tree,
                                   overlay::PeerId parent,
                                   overlay::PeerId child) {
-    tree.children_[parent].push_back(child);
-    tree.order_.push_back(child);
+    const auto up = tree.position(parent);
+    const auto first = tree.position(child);
+    SEL_EXPECTS(up != overlay::DisseminationTree::kNoPos &&
+                first != overlay::DisseminationTree::kNoPos);
+    tree.attach(up, child);
   }
 
   /// Seeds a parent-chain cycle between two non-root nodes.
   static void make_cycle(overlay::DisseminationTree& tree, overlay::PeerId a,
                          overlay::PeerId b) {
-    tree.parent_[a] = b;
-    tree.parent_[b] = a;
+    const auto pa = tree.position(a);
+    const auto pb = tree.position(b);
+    tree.links_[pa].parent = pb;
+    tree.links_[pb].parent = pa;
   }
 
   /// Moves `node` under `new_parent`, keeping parent and children tables
@@ -52,12 +59,29 @@ struct Corruptor {
   /// cycle that only the bounded root-walk can see.
   static void reparent(overlay::DisseminationTree& tree, overlay::PeerId node,
                        overlay::PeerId new_parent) {
-    auto& old_siblings = tree.children_[tree.parent_[node]];
-    old_siblings.erase(
-        std::remove(old_siblings.begin(), old_siblings.end(), node),
-        old_siblings.end());
-    tree.parent_[node] = new_parent;
-    tree.children_[new_parent].push_back(node);
+    using Pos = overlay::DisseminationTree::Pos;
+    constexpr Pos kNoPos = overlay::DisseminationTree::kNoPos;
+    auto& links = tree.links_;
+    const Pos pos = tree.position(node);
+    const Pos up = tree.position(new_parent);
+    // Unlink from the old parent's sibling chain.
+    auto& old = links[links[pos].parent];
+    Pos prev = kNoPos;
+    for (Pos c = old.first_child; c != pos; c = links[c].next_sibling) {
+      prev = c;
+    }
+    (prev == kNoPos ? old.first_child : links[prev].next_sibling) =
+        links[pos].next_sibling;
+    if (old.last_child == pos) old.last_child = prev;
+    --old.child_count;
+    // Append to the new parent's chain.
+    links[pos].parent = up;
+    links[pos].next_sibling = kNoPos;
+    auto& fresh = links[up];
+    (fresh.first_child == kNoPos ? fresh.first_child
+                                 : links[fresh.last_child].next_sibling) = pos;
+    fresh.last_child = pos;
+    ++fresh.child_count;
   }
 };
 

@@ -163,9 +163,7 @@ RetryPolicy RetryPolicy::from_env() {
 NotificationEngine::NotificationEngine(const overlay::PubSubSystem& sys,
                                        const net::NetworkModel& net,
                                        double payload_bytes)
-    : sys_(&sys),
-      payload_bytes_(payload_bytes),
-      transport_(queue_, net) {
+    : sys_(&sys), payload_bytes_(payload_bytes), transport_(net) {
   SEL_EXPECTS(payload_bytes > 0.0);
   warn_unknown_sel_env_once();
   // Pre-register the replay-lifecycle counters the durability tier reports
@@ -185,163 +183,202 @@ void NotificationEngine::set_runtime_options(runtime::Options options) {
   queue_ = runtime::EventEngine(options.tie_seed);
 }
 
+const NotificationEngine::SharedTree& NotificationEngine::tree_for(
+    PeerId publisher) {
+  // Cached per publisher until invalidate_trees().
+  const auto cached = tree_cache_.find(publisher);
+  if (cached != tree_cache_.end()) {
+    ++stats_.tree_cache_hits;
+    return cached->second;
+  }
+  SEL_TRACE_SCOPE("pubsub.build_tree");
+  ++stats_.tree_cache_misses;
+  tree_builds_counter().add(1);
+  auto entry = std::make_shared<TreeEntry>(sys_->build_tree(publisher));
+  const DisseminationTree& tree = entry->tree;
+  // Every freshly built dissemination tree must be acyclic with one parent
+  // per node — the structure exactly-once delivery rides on.
+  if (check::enabled(check::Level::kFull)) {
+    check::enforce(check::validate_tree(tree));
+  }
+  entry->subscribers = sys_->subscribers_of(publisher);
+  const std::size_t n = tree.node_count();
+  entry->subscribed.resize(n);
+  entry->edge_s.resize(n);
+  runtime::Message edge;
+  edge.payload_bytes = payload_bytes_;
+  for (Pos p = 0; p < n; ++p) {
+    entry->subscribed[p] = entry->subscribers.contains(tree.peer_at(p)) ? 1 : 0;
+    entry->max_deliveries += entry->subscribed[p];
+    // Every child of p shares p's uplink: the perfect wire's transfer time
+    // of each tree edge, computed once instead of once per message.
+    const auto kids = tree.children_at(p);
+    edge.from = tree.peer_at(p);
+    edge.uplink_share = static_cast<std::uint32_t>(kids.size());
+    for (const Pos c : kids) {
+      edge.to = tree.peer_at(c);
+      entry->edge_s[c] = transport_.transfer_time_s(edge);
+    }
+  }
+  return tree_cache_.emplace(publisher, std::move(entry)).first->second;
+}
+
 MessageId NotificationEngine::publish(PeerId publisher, double time_s) {
   SEL_EXPECTS(time_s >= queue_.now_s());
   const MessageId id = next_id_++;
 
   publishes_counter().add(1);
-  // Tree: cached per publisher until invalidate_trees().
-  auto cached = tree_cache_.find(publisher);
-  if (cached == tree_cache_.end()) {
-    SEL_TRACE_SCOPE("pubsub.build_tree");
-    ++stats_.tree_cache_misses;
-    tree_builds_counter().add(1);
-    cached = tree_cache_.emplace(publisher, sys_->build_tree(publisher)).first;
-    // Every freshly built dissemination tree must be acyclic with one
-    // parent per node — the structure exactly-once delivery rides on.
-    if (check::enabled(check::Level::kFull)) {
-      check::enforce(check::validate_tree(cached->second));
-    }
-  } else {
-    ++stats_.tree_cache_hits;
+  SharedTree entry = tree_for(publisher);
+
+  if (records_.empty() || records_.back().size() == kRecordsPerChunk) {
+    records_.emplace_back().reserve(kRecordsPerChunk);
   }
-
-  InFlight flight{cached->second, sys_->subscribers_of(publisher), 0, 0, {}};
-
-  MessageRecord rec;
+  MessageRecord& rec = records_.back().emplace_back();
   rec.id = id;
   rec.publisher = publisher;
   rec.trace = obs::ProvenanceTracer::global().begin_publish(id, publisher,
                                                             time_s);
   rec.publish_time_s = time_s;
-  // max_deliveries is maintained even with SEL_CHECK off (one increment in
-  // a loop that runs anyway) so flipping the level mid-flight cannot seed a
-  // stale bound.
-  for (const PeerId s : flight.subscribers) {
-    if (!flight.tree.contains(s)) continue;
-    ++flight.max_deliveries;
-    if (sys_->peer_online(s)) ++rec.wanted;
+  for (Pos p = 0; p < entry->tree.node_count(); ++p) {
+    if (entry->subscribed[p] != 0 &&
+        sys_->peer_online(entry->tree.peer_at(p))) {
+      ++rec.wanted;
+    }
   }
   stats_.wanted += rec.wanted;
   ++stats_.messages_published;
 
-  records_.emplace(id, rec);
-  auto& stored = in_flight_.emplace(id, std::move(flight)).first->second;
-  in_flight_gauge().set(static_cast<double>(in_flight_.size()));
+  Slot slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<Slot>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  InFlight& flight = slots_[slot];
+  flight.id = id;
+  flight.tree = std::move(entry);
+  in_flight_gauge().set(
+      static_cast<double>(slots_.size() - free_slots_.size()));
   // SEL_MEM_BUDGET: publish grows the message plane's tracked state, so it
   // is the natural soft-fail point (two relaxed loads when the knob is off).
   check::check_memory_budget();
   // Store-and-forward: subscribers offline right now (in the tree or not)
   // get the message queued for replay on their return.
   if (retry_.enabled && retry_.replay) {
-    for (const PeerId s : stored.subscribers) {
+    for (const PeerId s : flight.tree->subscribers) {
       if (!sys_->peer_online(s)) mark_missed(id, s, time_s);
     }
   }
-  stored.pending_events = 1;  // the initial forward below
-  queue_.schedule(time_s, [this, id, publisher](double now) {
-    forward(id, publisher, now, 0);
-    finish_event(id);
+  flight.pending_events = 1;  // the initial forward below
+  queue_.schedule(time_s, [this, slot](double now) {
+    forward(slot, /*node=*/0, now);
+    finish_event(slot);
   });
   return id;
 }
 
-void NotificationEngine::finish_event(MessageId id) {
-  const auto it = in_flight_.find(id);
-  SEL_ASSERT(it != in_flight_.end());
-  SEL_ASSERT(it->second.pending_events > 0);
-  if (--it->second.pending_events == 0) {
-    in_flight_.erase(it);
-    in_flight_gauge().set(static_cast<double>(in_flight_.size()));
+void NotificationEngine::finish_event(Slot slot) {
+  InFlight& flight = slots_[slot];
+  SEL_ASSERT(flight.pending_events > 0);
+  if (--flight.pending_events != 0) return;
+  flight.tree.reset();
+  flight.received.clear();
+  flight.routes.clear();
+  free_slots_.push_back(slot);
+  const std::size_t live = slots_.size() - free_slots_.size();
+  in_flight_gauge().set(static_cast<double>(live));
+  if (live == 0) {
+    // Idle: give the pool back, so in-flight state costs nothing between
+    // bursts.
+    slots_ = decltype(slots_){};
+    free_slots_ = decltype(free_slots_){};
   }
 }
 
-void NotificationEngine::forward(MessageId id, PeerId node, double start_s,
-                                 std::uint32_t depth) {
-  const auto flight_it = in_flight_.find(id);
-  SEL_ASSERT(flight_it != in_flight_.end());
-  auto& flight = flight_it->second;
-  auto& rec = records_.at(id);
-
-  const auto kids = flight.tree.children(node);
+void NotificationEngine::forward(Slot slot, Pos node, double start_s) {
+  InFlight& flight = slots_[slot];
+  const TreeEntry& entry = *flight.tree;
+  const DisseminationTree& tree = entry.tree;
+  const auto kids = tree.children_at(node);
   if (kids.empty()) return;
+  auto& rec = record_of(flight.id);
   // A forwarding non-subscriber is a relay (the publisher itself excluded).
-  if (node != rec.publisher && !flight.subscribers.contains(node)) {
+  if (node != 0 && entry.subscribed[node] == 0) {
     ++rec.relay_forwards;
     ++stats_.relay_forwards;
     relay_forwards_counter().add(1);
   }
   if (reliable()) {
-    for (const PeerId child : kids) {
-      send_hop(id, node, child, depth + 1, /*attempt=*/0, start_s,
-               kids.size());
-    }
+    for (const Pos child : kids) send_hop(slot, child, /*attempt=*/0, start_s);
     return;
   }
   // Perfect transfer plane: every scheduled hop arrives, delivery is
-  // exactly-once by tree structure. This branch is byte-identical to the
-  // pre-reliability engine. Simultaneous sends split the uplink across all
-  // children.
-  for (const PeerId child : kids) {
-    runtime::Message m;
-    m.msg = id;
-    m.from = node;
-    m.to = child;
-    m.payload_bytes = payload_bytes_;
-    m.send_s = start_s;
-    m.uplink_share = static_cast<std::uint32_t>(kids.size());
-    const runtime::SendOutcome outcome = transport_.send(
-        m, [this, id, child, depth](const runtime::Arrival& a) {
-          const double now = a.arrive_s;
-          auto& r = records_.at(id);
-          const auto f = in_flight_.find(id);
-          SEL_ASSERT(f != in_flight_.end());
-          if (f->second.subscribers.contains(child) &&
-              sys_->peer_online(child)) {
-            ++r.delivered;
-            ++stats_.deliveries;
-            deliveries_counter().add(1);
-            delivery_hops_counter().add(static_cast<std::int64_t>(depth) + 1);
-            static obs::Histogram& latency_hist =
-                obs::MetricsRegistry::global().histogram(
-                    "pubsub.delivery_latency_s");
-            const double latency = now - r.publish_time_s;
-            latency_hist.observe(latency);
-            r.delivery_latency_s.add(latency);
-            stats_.delivery_latency_s.add(latency);
-            if (r.delivered >= r.wanted) r.completed_at_s = now;
-            if (check::enabled()) {
-              check::enforce(check::validate_delivery_count(
-                  r.delivered, f->second.max_deliveries, r.wanted,
-                  r.completed_at_s.has_value()));
-            }
-          }
-          forward(id, child, now, depth + 1);
-          finish_event(id);
-        });
+  // exactly-once by tree structure. Simultaneous sends split the uplink
+  // across all children.
+  runtime::Message m;
+  m.msg = flight.id;
+  m.from = tree.peer_at(node);
+  m.payload_bytes = payload_bytes_;
+  m.send_s = start_s;
+  m.uplink_share = static_cast<std::uint32_t>(kids.size());
+  for (const Pos child : kids) {
+    m.to = tree.peer_at(child);
+    const runtime::SendOutcome outcome =
+        transport_.send(m, entry.edge_s[child]);
     // No fault plan reaches this branch (reliable() would be true), so the
     // hop always lands, exactly once.
     SEL_ASSERT(!outcome.dropped && outcome.copies == 1);
-    flight.pending_events += outcome.copies;
+    queue_.schedule(outcome.arrive_s, [this, slot, child](double now) {
+      arrive(slot, child, now);
+    });
+    ++flight.pending_events;
     if (rec.trace != 0) {
       obs::HopRecord hop;
       hop.trace = rec.trace;
-      hop.msg = id;
-      hop.from = node;
-      hop.to = child;
-      hop.depth = depth + 1;
+      hop.msg = flight.id;
+      hop.from = m.from;
+      hop.to = m.to;
+      hop.depth = tree.depth_at(child);
       // Relay status of the *receiver*: a non-subscriber that will forward
       // onward (non-subscriber leaves do not occur in subscriber-first
       // trees, so this matches tree.relay_nodes()).
-      hop.relay = !flight.subscribers.contains(child) &&
-                  !flight.tree.children(child).empty();
-      hop.delivered =
-          flight.subscribers.contains(child) && sys_->peer_online(child);
+      hop.relay = entry.subscribed[child] == 0 &&
+                  !tree.children_at(child).empty();
+      hop.delivered = entry.subscribed[child] != 0 && sys_->peer_online(m.to);
       hop.send_s = start_s;
       hop.arrive_s = outcome.arrive_s;
       obs::ProvenanceTracer::global().record_hop(hop);
     }
   }
+}
+
+void NotificationEngine::arrive(Slot slot, Pos node, double now_s) {
+  const InFlight& flight = slots_[slot];
+  const TreeEntry& entry = *flight.tree;
+  auto& r = record_of(flight.id);
+  if (entry.subscribed[node] != 0 &&
+      sys_->peer_online(entry.tree.peer_at(node))) {
+    ++r.delivered;
+    ++stats_.deliveries;
+    deliveries_counter().add(1);
+    delivery_hops_counter().add(entry.tree.depth_at(node));
+    static obs::Histogram& latency_hist =
+        obs::MetricsRegistry::global().histogram("pubsub.delivery_latency_s");
+    const double latency = now_s - r.publish_time_s;
+    latency_hist.observe(latency);
+    r.delivery_latency_s.add(latency);
+    stats_.delivery_latency_s.add(latency);
+    if (r.delivered >= r.wanted) r.completed_at_s = now_s;
+    if (check::enabled()) {
+      check::enforce(check::validate_delivery_count(
+          r.delivered, entry.max_deliveries, r.wanted,
+          r.completed_at_s.has_value()));
+    }
+  }
+  forward(slot, node, now_s);
+  finish_event(slot);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,7 +396,7 @@ void NotificationEngine::forward(MessageId id, PeerId node, double start_s,
 //
 // The wire itself — transfer times, hop fates, receiver-state draws — lives
 // behind runtime::Transport; the engine owns the protocol reaction to each
-// SendOutcome/Arrival.
+// SendOutcome and receiver state.
 // ---------------------------------------------------------------------------
 
 void NotificationEngine::record_hop(const MessageRecord& rec, PeerId from,
@@ -397,73 +434,85 @@ double NotificationEngine::timeout_for(MessageId id, PeerId to,
   return t * (1.0 + retry_.jitter * u);
 }
 
-void NotificationEngine::send_hop(MessageId id, PeerId from, PeerId to,
-                                  std::uint32_t depth, std::uint32_t attempt,
-                                  double start_s, std::size_t share) {
-  auto& flight = in_flight_.at(id);
-  auto& rec = records_.at(id);
+void NotificationEngine::send_hop(Slot slot, Pos to, std::uint32_t attempt,
+                                  double start_s) {
+  InFlight& flight = slots_[slot];
+  const TreeEntry& entry = *flight.tree;
+  const DisseminationTree& tree = entry.tree;
+  const Pos from = tree.parent_at(to);
   runtime::Message m;
-  m.msg = id;
-  m.from = from;
-  m.to = to;
+  m.msg = flight.id;
+  m.from = tree.peer_at(from);
+  m.to = tree.peer_at(to);
   m.fault_attempt = attempt;
   m.payload_bytes = payload_bytes_;
   m.send_s = start_s;
-  m.uplink_share = static_cast<std::uint32_t>(share);
-  const runtime::SendOutcome outcome = transport_.send(
-      m, [this, id, from, to, depth, attempt,
-          start_s](const runtime::Arrival& a) {
-        deliver_hop(id, from, to, depth, attempt, start_s, a.arrive_s,
-                    a.receiver);
-        finish_event(id);
-      });
-  record_hop(rec, from, to, depth, attempt, /*failover=*/false,
-             !flight.subscribers.contains(to) &&
-                 !flight.tree.children(to).empty(),
-             flight.subscribers.contains(to) && !outcome.dropped, start_s,
+  // A first attempt shares the sender's uplink with all its children, as
+  // the cached edge time assumes; a resend goes alone.
+  m.uplink_share =
+      attempt == 0 ? static_cast<std::uint32_t>(tree.children_at(from).size())
+                   : 1;
+  const runtime::SendOutcome outcome =
+      attempt == 0 ? transport_.send(m, entry.edge_s[to]) : transport_.send(m);
+  for (std::uint32_t c = 0; c < outcome.copies; ++c) {
+    queue_.schedule(outcome.arrive_s,
+                    [this, slot, to, attempt, start_s](double now) {
+                      deliver_hop(slot, to, attempt, start_s, now);
+                      finish_event(slot);
+                    });
+  }
+  record_hop(record_of(flight.id), m.from, m.to, tree.depth_at(to), attempt,
+             /*failover=*/false,
+             entry.subscribed[to] == 0 && !tree.children_at(to).empty(),
+             entry.subscribed[to] != 0 && !outcome.dropped, start_s,
              outcome.arrive_s);
   if (outcome.dropped) {
     // No arrival event; the sender notices the missing ack at the deadline.
     ++flight.pending_events;
-    queue_.schedule(start_s + timeout_for(id, to, attempt),
-                    [this, id, from, to, depth, attempt,
-                     start_s](double now) {
-                      handle_hop_failure(id, from, to, depth, attempt,
-                                         start_s, now);
-                      finish_event(id);
+    queue_.schedule(start_s + timeout_for(flight.id, m.to, attempt),
+                    [this, slot, to, attempt, start_s](double now) {
+                      handle_hop_failure(slot, to, attempt, start_s, now);
+                      finish_event(slot);
                     });
     return;
   }
   flight.pending_events += outcome.copies;
 }
 
-void NotificationEngine::deliver_hop(MessageId id, PeerId from, PeerId to,
-                                     std::uint32_t depth,
-                                     std::uint32_t attempt, double send_s,
-                                     double now_s,
-                                     fault::ReceiveState receiver_state) {
-  auto& flight = in_flight_.at(id);
-  const bool responsive = receiver_state == fault::ReceiveState::kOk &&
-                          sys_->peer_online(to);
+void NotificationEngine::deliver_hop(Slot slot, Pos to, std::uint32_t attempt,
+                                     double send_s, double now_s) {
+  InFlight& flight = slots_[slot];
+  const TreeEntry& entry = *flight.tree;
+  const PeerId peer = entry.tree.peer_at(to);
+  // Receiver-side draw at the arrival event — stall windows and crash state
+  // advance in deterministic event order.
+  const bool responsive =
+      transport_.receive(flight.id, peer, now_s) == fault::ReceiveState::kOk &&
+      sys_->peer_online(peer);
   if (!responsive) {
-    handle_hop_failure(id, from, to, depth, attempt, send_s, now_s);
+    handle_hop_failure(slot, to, attempt, send_s, now_s);
     return;
   }
-  if (observer_) observer_(to, true);
+  if (observer_) observer_(peer, true);
   // Only the first acked copy forwards onward — injected duplicates and
   // retransmission races must not multiply subtree traffic.
-  const bool newly = flight.received.insert(to).second;
-  if (flight.subscribers.contains(to)) {
-    deliver_to_subscriber(id, to, depth, now_s);
+  if (flight.received.empty()) {
+    flight.received.assign(entry.tree.node_count(), 0);
   }
-  if (newly) forward(id, to, now_s, depth);
+  const bool newly = flight.received[to] == 0;
+  flight.received[to] = 1;
+  if (entry.subscribed[to] != 0) {
+    deliver_to_subscriber(slot, peer, entry.tree.depth_at(to), now_s);
+  }
+  if (newly) forward(slot, to, now_s);
 }
 
-void NotificationEngine::deliver_to_subscriber(MessageId id, PeerId to,
+void NotificationEngine::deliver_to_subscriber(Slot slot, PeerId to,
                                                std::uint32_t depth,
                                                double now_s) {
-  auto& flight = in_flight_.at(id);
-  auto& rec = records_.at(id);
+  const InFlight& flight = slots_[slot];
+  const MessageId id = flight.id;
+  auto& rec = record_of(id);
   if (!rec.delivered_to.insert(to).second) {
     ++rec.duplicates_suppressed;
     ++stats_.duplicates_suppressed;
@@ -486,19 +535,20 @@ void NotificationEngine::deliver_to_subscriber(MessageId id, PeerId to,
   if (check::enabled()) {
     check::enforce(check::validate_at_least_once(
         rec.delivered, rec.replays, rec.delivered_to.size(),
-        flight.max_deliveries, rec.wanted, rec.completed_at_s.has_value()));
+        flight.tree->max_deliveries, rec.wanted,
+        rec.completed_at_s.has_value()));
   }
 }
 
-void NotificationEngine::handle_hop_failure(MessageId id, PeerId from,
-                                            PeerId to, std::uint32_t depth,
+void NotificationEngine::handle_hop_failure(Slot slot, Pos to,
                                             std::uint32_t attempt,
                                             double send_s, double now_s) {
+  InFlight& flight = slots_[slot];
+  const PeerId peer = flight.tree->tree.peer_at(to);
   // A timed-out transfer is availability evidence against the receiver —
   // the CMA input of the recovery layer (paper Sec. III-F).
-  if (observer_) observer_(to, false);
-  auto& flight = in_flight_.at(id);
-  auto& rec = records_.at(id);
+  if (observer_) observer_(peer, false);
+  auto& rec = record_of(flight.id);
   if (retry_.enabled && attempt + 1 < retry_.max_attempts) {
     ++rec.retries;
     ++stats_.retries;
@@ -506,12 +556,11 @@ void NotificationEngine::handle_hop_failure(MessageId id, PeerId from,
     // The resend fires when the sender's (lazy) timer expires; a failure
     // detected after the deadline resends immediately.
     const double resend_at =
-        std::max(now_s, send_s + timeout_for(id, to, attempt));
+        std::max(now_s, send_s + timeout_for(flight.id, peer, attempt));
     ++flight.pending_events;
-    queue_.schedule(resend_at, [this, id, from, to, depth,
-                                attempt](double now) {
-      send_hop(id, from, to, depth, attempt + 1, now, /*share=*/1);
-      finish_event(id);
+    queue_.schedule(resend_at, [this, slot, to, attempt](double now) {
+      send_hop(slot, to, attempt + 1, now);
+      finish_event(slot);
     });
     return;
   }
@@ -519,87 +568,94 @@ void NotificationEngine::handle_hop_failure(MessageId id, PeerId from,
     ++stats_.retry_exhausted;
     retry_exhausted_counter().add(1);
   }
-  lost_subtree(id, to, now_s);
+  lost_subtree(slot, to, now_s);
 }
 
-void NotificationEngine::lost_subtree(MessageId id, PeerId dead,
-                                      double now_s) {
-  auto& flight = in_flight_.at(id);
-  auto& rec = records_.at(id);
+void NotificationEngine::lost_subtree(Slot slot, Pos dead, double now_s) {
+  const InFlight& flight = slots_[slot];
+  const TreeEntry& entry = *flight.tree;
+  const DisseminationTree& tree = entry.tree;
+  auto& rec = record_of(flight.id);
   // Every undelivered subscriber at or below the dead receiver loses its
   // tree route; reroute each via its disjoint backup path (paper Sec. V) or
   // queue it for store-and-forward replay.
-  std::vector<PeerId> stack{dead};
+  std::vector<Pos> stack{dead};
   std::vector<PeerId> lost;
   while (!stack.empty()) {
-    const PeerId n = stack.back();
+    const Pos n = stack.back();
     stack.pop_back();
-    if (flight.subscribers.contains(n) && !rec.delivered_to.contains(n)) {
-      lost.push_back(n);
+    if (entry.subscribed[n] != 0 &&
+        !rec.delivered_to.contains(tree.peer_at(n))) {
+      lost.push_back(tree.peer_at(n));
     }
-    for (const PeerId c : flight.tree.children(n)) stack.push_back(c);
+    for (const Pos c : tree.children_at(n)) stack.push_back(c);
   }
   const MultipathPlan* plan = retry_.enabled && retry_.failover
                                   ? multipath_for(rec.publisher)
                                   : nullptr;
-  const FlatSet<PeerId> avoid{dead};
+  const FlatSet<PeerId> avoid{tree.peer_at(dead)};
   for (const PeerId s : lost) {
     const std::vector<PeerId>* backup = nullptr;
     if (plan != nullptr) {
-      for (const auto& entry : plan->paths) {
-        if (entry.subscriber == s && entry.backup.size() >= 2) {
-          backup = &entry.backup;
+      for (const auto& path : plan->paths) {
+        if (path.subscriber == s && path.backup.size() >= 2) {
+          backup = &path.backup;
           break;
         }
       }
     }
-    FailoverPath reroute;
-    bool rerouted = false;
     if (backup != nullptr) {
       // Source-routed from the publisher. The backup avoids the primary
       // *plan* route's intermediates; when the engine tree routed
       // differently it may still cross the dead peer, in which case the
       // per-hop retries below fail and the subscriber falls back to replay.
-      reroute = std::make_shared<const std::vector<PeerId>>(*backup);
-    } else if (plan != nullptr) {
+      start_route(slot, Route{*backup, /*detour=*/false}, now_s);
+      continue;
+    }
+    if (plan != nullptr) {
       // No precomputed disjoint backup: ask the overlay for a fresh route
       // that detours around the relay the failure detector declared dead.
       auto detour = sys_->route_avoiding(rec.publisher, s, avoid);
       if (detour.success && detour.path.size() >= 2) {
-        reroute = std::make_shared<const std::vector<PeerId>>(
-            std::move(detour.path));
-        rerouted = true;
-      } else if (detour.status == overlay::RouteStatus::kUnsupported) {
+        start_route(slot, Route{std::move(detour.path), /*detour=*/true},
+                    now_s);
+        continue;
+      }
+      if (detour.status == overlay::RouteStatus::kUnsupported) {
         route_avoid_unsupported_counter().add(1);
       } else {
         route_avoid_failed_counter().add(1);
       }
     }
-    if (reroute != nullptr) {
-      ++rec.failovers;
-      ++stats_.failovers;
-      failovers_counter().add(1);
-      send_failover_hop(id, std::move(reroute), /*hop=*/0, /*attempt=*/0,
-                        now_s, /*detour=*/rerouted);
-    } else {
-      mark_missed(id, s, now_s);
-    }
+    mark_missed(flight.id, s, now_s);
   }
 }
 
-void NotificationEngine::send_failover_hop(MessageId id, FailoverPath path,
-                                           std::size_t hop,
+void NotificationEngine::start_route(Slot slot, Route route, double now_s) {
+  auto& rec = record_of(slots_[slot].id);
+  ++rec.failovers;
+  ++stats_.failovers;
+  failovers_counter().add(1);
+  auto& routes = slots_[slot].routes;
+  routes.push_back(std::move(route));
+  send_failover_hop(slot, static_cast<std::uint32_t>(routes.size() - 1),
+                    /*hop=*/0, /*attempt=*/0, now_s);
+}
+
+void NotificationEngine::send_failover_hop(Slot slot, std::uint32_t route,
+                                           std::uint32_t hop,
                                            std::uint32_t attempt,
-                                           double start_s, bool detour) {
-  auto& flight = in_flight_.at(id);
-  auto& rec = records_.at(id);
-  const PeerId from = (*path)[hop];
-  const PeerId to = (*path)[hop + 1];
+                                           double start_s) {
+  InFlight& flight = slots_[slot];
+  const Route& r = flight.routes[route];
+  const PeerId from = r.hops[hop];
+  const PeerId to = r.hops[hop + 1];
+  const bool last = hop + 2 == r.hops.size();
   // Detour paths draw from a third salt block so a detour edge shared with
   // the exhausted backup path cannot replay its consumed fates.
-  const std::uint32_t salt_base = kFailoverAttemptBase * (detour ? 2u : 1u);
+  const std::uint32_t salt_base = kFailoverAttemptBase * (r.detour ? 2u : 1u);
   runtime::Message m;
-  m.msg = id;
+  m.msg = flight.id;
   m.from = from;
   m.to = to;
   m.fault_attempt = attempt + salt_base;
@@ -610,83 +666,84 @@ void NotificationEngine::send_failover_hop(MessageId id, FailoverPath path,
   // source-routed, so a second copy would double every remaining hop;
   // receiver dedup already covers the delivery semantics.
   m.collapse_duplicates = true;
-  const runtime::SendOutcome outcome = transport_.send(
-      m, [this, id, path, hop, attempt, start_s,
-          detour](const runtime::Arrival& a) {
-        deliver_failover_hop(id, path, hop, attempt, start_s, a.arrive_s,
-                             detour, a.receiver);
-        finish_event(id);
-      });
-  const bool last = hop + 2 == path->size();
-  record_hop(rec, from, to, static_cast<std::uint32_t>(hop + 1), attempt,
+  const runtime::SendOutcome outcome = transport_.send(m);
+  for (std::uint32_t c = 0; c < outcome.copies; ++c) {
+    queue_.schedule(outcome.arrive_s,
+                    [this, slot, route, hop, attempt, start_s](double now) {
+                      deliver_failover_hop(slot, route, hop, attempt, start_s,
+                                           now);
+                      finish_event(slot);
+                    });
+  }
+  record_hop(record_of(flight.id), from, to, hop + 1, attempt,
              /*failover=*/true, !last, last && !outcome.dropped, start_s,
              outcome.arrive_s);
   if (outcome.dropped) {
     ++flight.pending_events;
-    queue_.schedule(start_s + timeout_for(id, to, attempt),
-                    [this, id, path = std::move(path), hop, attempt, start_s,
-                     detour](double now) {
-                      failover_hop_failure(id, path, hop, attempt, start_s,
-                                           now, detour);
-                      finish_event(id);
+    queue_.schedule(start_s + timeout_for(flight.id, to, attempt),
+                    [this, slot, route, hop, attempt, start_s](double now) {
+                      failover_hop_failure(slot, route, hop, attempt, start_s,
+                                           now);
+                      finish_event(slot);
                     });
     return;
   }
   flight.pending_events += outcome.copies;
 }
 
-void NotificationEngine::deliver_failover_hop(
-    MessageId id, const FailoverPath& path, std::size_t hop,
-    std::uint32_t attempt, double send_s, double now_s, bool detour,
-    fault::ReceiveState receiver_state) {
-  auto& flight = in_flight_.at(id);
-  auto& rec = records_.at(id);
-  const PeerId to = (*path)[hop + 1];
-  const bool responsive = receiver_state == fault::ReceiveState::kOk &&
-                          sys_->peer_online(to);
+void NotificationEngine::deliver_failover_hop(Slot slot, std::uint32_t route,
+                                              std::uint32_t hop,
+                                              std::uint32_t attempt,
+                                              double send_s, double now_s) {
+  const InFlight& flight = slots_[slot];
+  const Route& r = flight.routes[route];
+  const PeerId to = r.hops[hop + 1];
+  const bool last = hop + 2 == r.hops.size();
+  const bool responsive =
+      transport_.receive(flight.id, to, now_s) == fault::ReceiveState::kOk &&
+      sys_->peer_online(to);
   if (!responsive) {
-    failover_hop_failure(id, path, hop, attempt, send_s, now_s, detour);
+    failover_hop_failure(slot, route, hop, attempt, send_s, now_s);
     return;
   }
   if (observer_) observer_(to, true);
-  if (hop + 2 == path->size()) {
-    deliver_to_subscriber(id, to, static_cast<std::uint32_t>(hop + 1),
-                          now_s);
+  if (last) {
+    deliver_to_subscriber(slot, to, hop + 1, now_s);
     return;
   }
   // Intermediates only relay; tree-based delivery to them (if they are
   // subscribers at all) happens on their own tree routes.
-  if (!flight.subscribers.contains(to)) {
+  if (!flight.tree->subscribers.contains(to)) {
+    auto& rec = record_of(flight.id);
     ++rec.relay_forwards;
     ++stats_.relay_forwards;
     relay_forwards_counter().add(1);
   }
-  send_failover_hop(id, path, hop + 1, /*attempt=*/0, now_s, detour);
+  send_failover_hop(slot, route, hop + 1, /*attempt=*/0, now_s);
 }
 
-void NotificationEngine::failover_hop_failure(MessageId id,
-                                              const FailoverPath& path,
-                                              std::size_t hop,
+void NotificationEngine::failover_hop_failure(Slot slot, std::uint32_t route,
+                                              std::uint32_t hop,
                                               std::uint32_t attempt,
-                                              double send_s, double now_s,
-                                              bool detour) {
-  const PeerId to = (*path)[hop + 1];
+                                              double send_s, double now_s) {
+  InFlight& flight = slots_[slot];
+  const Route& r = flight.routes[route];
+  const PeerId to = r.hops[hop + 1];
+  const PeerId subscriber = r.hops.back();
+  const bool detour = r.detour;
   if (observer_) observer_(to, false);
-  auto& flight = in_flight_.at(id);
-  auto& rec = records_.at(id);
+  auto& rec = record_of(flight.id);
   if (retry_.enabled && attempt + 1 < retry_.max_attempts) {
     ++rec.retries;
     ++stats_.retries;
     retries_counter().add(1);
     const double resend_at =
-        std::max(now_s, send_s + timeout_for(id, to, attempt));
+        std::max(now_s, send_s + timeout_for(flight.id, to, attempt));
     ++flight.pending_events;
-    queue_.schedule(resend_at,
-                    [this, id, path, hop, attempt, detour](double now) {
-                      send_failover_hop(id, path, hop, attempt + 1, now,
-                                        detour);
-                      finish_event(id);
-                    });
+    queue_.schedule(resend_at, [this, slot, route, hop, attempt](double now) {
+      send_failover_hop(slot, route, hop, attempt + 1, now);
+      finish_event(slot);
+    });
     return;
   }
   if (retry_.enabled) {
@@ -697,18 +754,11 @@ void NotificationEngine::failover_hop_failure(MessageId id,
   // around the casualty; failures of the detour itself (or of the final
   // hop, where the subscriber is the unresponsive party) terminate in
   // store-and-forward replay.
-  const PeerId subscriber = path->back();
   if (!detour && to != subscriber && retry_.enabled && retry_.failover) {
     const FlatSet<PeerId> avoid{to};
     auto fresh = sys_->route_avoiding(rec.publisher, subscriber, avoid);
     if (fresh.success && fresh.path.size() >= 2) {
-      ++rec.failovers;
-      ++stats_.failovers;
-      failovers_counter().add(1);
-      send_failover_hop(id,
-                        std::make_shared<const std::vector<PeerId>>(
-                            std::move(fresh.path)),
-                        /*hop=*/0, /*attempt=*/0, now_s, /*detour=*/true);
+      start_route(slot, Route{std::move(fresh.path), /*detour=*/true}, now_s);
       return;
     }
     if (fresh.status == overlay::RouteStatus::kUnsupported) {
@@ -717,12 +767,12 @@ void NotificationEngine::failover_hop_failure(MessageId id,
       route_avoid_failed_counter().add(1);
     }
   }
-  mark_missed(id, subscriber, now_s);
+  mark_missed(flight.id, subscriber, now_s);
 }
 
 void NotificationEngine::mark_missed(MessageId id, PeerId subscriber,
                                      double t_s) {
-  auto& rec = records_.at(id);
+  auto& rec = record_of(id);
   if (rec.delivered_to.contains(subscriber)) return;
   if (!rec.missed.insert(subscriber).second) return;
   ++stats_.missed;
@@ -733,7 +783,9 @@ void NotificationEngine::mark_missed(MessageId id, PeerId subscriber,
   ++replay_queued_;
   // Durability tier: replicate the queued copy to k mailbox peers so a
   // publisher crash (or a cap eviction below) cannot lose it.
-  if (mailbox_ != nullptr) mailbox_->replicate(id, subscriber, rec.publisher, t_s);
+  if (mailbox_ != nullptr) {
+    mailbox_->replicate(id, subscriber, rec.publisher, t_s);
+  }
   // SEL_REPLAY_CAP: oldest-first eviction keeps the publisher-local queue
   // bounded across long offline periods. FIFO entries already replayed are
   // stale — skipped without counting.
@@ -761,7 +813,7 @@ std::size_t NotificationEngine::replay_missed(PeerId subscriber,
     std::unordered_set<MessageId> seen;
     for (const MessageId id : it->second) {
       const bool queued_twice = !seen.insert(id).second;
-      auto& rec = records_.at(id);
+      auto& rec = record_of(id);
       const bool already_delivered = rec.delivered_to.contains(subscriber);
       const bool delivering = !queued_twice && !already_delivered;
       if (check::enabled()) {
@@ -789,7 +841,7 @@ std::size_t NotificationEngine::replay_missed(PeerId subscriber,
   // authority, so a message served by both tiers is delivered once.
   if (mailbox_ != nullptr) {
     for (const MessageId id : mailbox_->replay(subscriber, t_s)) {
-      auto& rec = records_.at(id);
+      auto& rec = record_of(id);
       const bool already_delivered = rec.delivered_to.contains(subscriber);
       const bool delivering = !already_delivered;
       if (check::enabled()) {
@@ -821,7 +873,7 @@ void NotificationEngine::on_peer_crashed(PeerId peer, double t_s) {
   for (auto it = missed_.begin(); it != missed_.end();) {
     auto& queued = it->second;
     const auto pred = [&](MessageId id) {
-      return records_.at(id).publisher == peer;
+      return record_of(id).publisher == peer;
     };
     const auto dropped =
         static_cast<std::size_t>(std::count_if(queued.begin(), queued.end(),
@@ -857,9 +909,8 @@ const MultipathPlan* NotificationEngine::multipath_for(PeerId publisher) {
 }
 
 const MessageRecord& NotificationEngine::record(MessageId id) const {
-  const auto it = records_.find(id);
-  SEL_EXPECTS(it != records_.end());
-  return it->second;
+  SEL_EXPECTS(id >= 1 && id < next_id_);
+  return records_[(id - 1) / kRecordsPerChunk][(id - 1) % kRecordsPerChunk];
 }
 
 }  // namespace sel::pubsub

@@ -10,11 +10,15 @@
 //
 // Trees are cached per publisher and invalidated on churn — rebuilding the
 // tree for every post would hide the cost structure a real deployment has.
+// A cache entry is immutable and shared: every message in flight from a
+// publisher points at the entry it was published with (tree, subscriber
+// flags and edge transfer times by tree position), so a publish copies no
+// tree and a hop reads arrays instead of looking peers up.
 //
-// Execution runtime (src/runtime/): hops travel through the engine's
-// runtime::Transport, which schedules every arrival on the engine's
-// EventEngine at its exact virtual time; protocol timers (ack deadlines,
-// resends) share that clock.
+// Execution runtime (src/runtime/): the engine's runtime::Transport decides
+// each hop's fate and arrival time, and the engine schedules the arrivals on
+// its EventEngine at their exact virtual times; protocol timers (ack
+// deadlines, resends) share that clock.
 //
 // Reliability layer (fault injection + recovery): attaching a
 // fault::FaultPlan (set_fault_plan) subjects every hop to drops, duplicate
@@ -172,8 +176,7 @@ class NotificationEngine {
   NotificationEngine(const overlay::PubSubSystem& sys,
                      const net::NetworkModel& net,
                      double payload_bytes = net::kDefaultPayloadBytes);
-  // Scheduled events capture `this`; the transport and any mailbox hold
-  // queue_ by address.
+  // Scheduled events capture `this`; any mailbox holds queue_ by address.
   NotificationEngine(const NotificationEngine&) = delete;
   NotificationEngine& operator=(const NotificationEngine&) = delete;
 
@@ -189,8 +192,10 @@ class NotificationEngine {
 
   [[nodiscard]] double now_s() const noexcept { return queue_.now_s(); }
 
-  /// Drops cached trees (and multipath plans); call after churn or topology
-  /// maintenance.
+  /// Drops cached trees (and multipath plans); call after churn, topology
+  /// maintenance or PubSubSystem::set_interest_function, because a cache
+  /// entry holds the publisher's subscriber flags as well as its tree.
+  /// Messages already in flight keep the entry they were published with.
   void invalidate_trees() {
     tree_cache_.clear();
     multipath_cache_.clear();
@@ -265,64 +270,94 @@ class NotificationEngine {
   }
 
  private:
-  /// Per-message subscriber set + tree (kept while events are pending).
-  struct InFlight {
+  using Pos = overlay::DisseminationTree::Pos;
+  /// Index of a message's in-flight state in slots_.
+  using Slot = std::uint32_t;
+
+  /// One publisher's cached dissemination state: built on a cache miss,
+  /// then immutable and shared by every message published from it until
+  /// invalidate_trees().
+  struct TreeEntry {
+    explicit TreeEntry(overlay::DisseminationTree t) : tree(std::move(t)) {}
+
     overlay::DisseminationTree tree;
-    /// Ascending-ordered (FlatSet) so loops over it — delivery accounting,
-    /// store-and-forward marking — visit subscribers deterministically.
+    /// Ascending-ordered (FlatSet) so loops over it — store-and-forward
+    /// marking — visit subscribers deterministically.
     FlatSet<overlay::PeerId> subscribers;
-    std::size_t pending_events = 0;
+    /// By tree position: 1 when the node is a subscriber.
+    obs::AccountedVector<std::uint8_t, obs::Subsystem::kPubsub> subscribed;
+    /// By tree position: Transport::transfer_time_s of the edge from the
+    /// node's parent, at the parent's fan-out (0 at the root).
+    obs::AccountedVector<double, obs::Subsystem::kPubsub> edge_s;
     /// Subscribers present in the tree — the exactly-once delivery bound
     /// (always maintained so SEL_CHECK can be enabled mid-flight; see
     /// check/tree_checks.hpp).
     std::size_t max_deliveries = 0;
-    /// Reliable mode: peers that acked a copy already — only the first
-    /// receipt forwards down the tree, so injected duplicates and
-    /// retransmission races cannot multiply traffic.
-    PubsubSet<overlay::PeerId> received;
+  };
+  using SharedTree = std::shared_ptr<const TreeEntry>;
+
+  /// A source-routed failover chain from the publisher to one subscriber.
+  struct Route {
+    std::vector<overlay::PeerId> hops;
+    /// A route_avoiding() path (already a second-chance route): its
+    /// failures terminate in replay instead of rerouting again, which
+    /// bounds the recovery chain at two route computations.
+    bool detour = false;
   };
 
-  /// Shared source-routed path for failover resends (immutable once built).
-  using FailoverPath = std::shared_ptr<const std::vector<overlay::PeerId>>;
+  /// In-flight state of one message. Every scheduled event increments
+  /// pending_events at its schedule site and calls finish_event() when it
+  /// fires, so the slot lives exactly as long as any event (arrival, retry
+  /// timer, failover hop) references it; then it is reused.
+  struct InFlight {
+    MessageId id = 0;
+    SharedTree tree;
+    std::uint32_t pending_events = 0;
+    /// Reliable mode, by tree position: the node acked a copy already —
+    /// only the first receipt forwards down the tree, so injected
+    /// duplicates and retransmission races cannot multiply traffic.
+    obs::AccountedVector<std::uint8_t, obs::Subsystem::kPubsub> received;
+    /// Reliable mode: failover chains, indexed by the events walking them.
+    std::vector<Route, obs::Tagged<Route, obs::Subsystem::kPubsub>> routes;
+  };
 
-  /// Schedules the sends from `node` (at tree depth `depth`) for message
-  /// `id` down its cached tree.
-  void forward(MessageId id, overlay::PeerId node, double start_s,
-               std::uint32_t depth);
+  /// The cache entry for `publisher`, built on a miss.
+  const SharedTree& tree_for(overlay::PeerId publisher);
+  [[nodiscard]] MessageRecord& record_of(MessageId id) {
+    return records_[(id - 1) / kRecordsPerChunk][(id - 1) % kRecordsPerChunk];
+  }
 
-  // Reliable-mode hop pipeline. Every scheduled event increments
-  // InFlight::pending_events at its schedule site and calls finish_event()
-  // when it fires, so the in-flight state lives exactly as long as any
-  // event (arrival, retry timer, failover hop) references it.
-  void send_hop(MessageId id, overlay::PeerId from, overlay::PeerId to,
-                std::uint32_t depth, std::uint32_t attempt, double start_s,
-                std::size_t share);
-  void deliver_hop(MessageId id, overlay::PeerId from, overlay::PeerId to,
-                   std::uint32_t depth, std::uint32_t attempt, double send_s,
-                   double now_s, fault::ReceiveState receiver_state);
-  /// Timeout handling for attempt `attempt` of the hop to `to`: feeds the
+  /// Schedules the sends from tree position `node` of the message in
+  /// `slot` down its tree.
+  void forward(Slot slot, Pos node, double start_s);
+  /// Perfect transfer plane: a copy reached tree position `node`.
+  void arrive(Slot slot, Pos node, double now_s);
+
+  // Reliable-mode hop pipeline.
+  /// Attempt `attempt` of the tree hop into position `to`.
+  void send_hop(Slot slot, Pos to, std::uint32_t attempt, double start_s);
+  void deliver_hop(Slot slot, Pos to, std::uint32_t attempt, double send_s,
+                   double now_s);
+  /// Timeout handling for attempt `attempt` of the hop into `to`: feeds the
   /// availability observer, schedules the resend at the backoff deadline or
   /// — budget exhausted — declares the subtree under `to` lost.
-  void handle_hop_failure(MessageId id, overlay::PeerId from,
-                          overlay::PeerId to, std::uint32_t depth,
-                          std::uint32_t attempt, double send_s, double now_s);
+  void handle_hop_failure(Slot slot, Pos to, std::uint32_t attempt,
+                          double send_s, double now_s);
   /// Reroutes every undelivered subscriber in the tree subtree under `dead`
   /// via its backup path, or queues it for replay when no backup exists.
-  void lost_subtree(MessageId id, overlay::PeerId dead, double now_s);
-  /// `detour` marks a route_avoiding() path (already a second-chance
-  /// route): its failures terminate in replay instead of rerouting again,
-  /// which bounds the recovery chain at two route computations.
-  void send_failover_hop(MessageId id, FailoverPath path, std::size_t hop,
-                         std::uint32_t attempt, double start_s, bool detour);
-  void deliver_failover_hop(MessageId id, const FailoverPath& path,
-                            std::size_t hop, std::uint32_t attempt,
-                            double send_s, double now_s, bool detour,
-                            fault::ReceiveState receiver_state);
-  void failover_hop_failure(MessageId id, const FailoverPath& path,
-                            std::size_t hop, std::uint32_t attempt,
-                            double send_s, double now_s, bool detour);
+  void lost_subtree(Slot slot, Pos dead, double now_s);
+  /// Counts a failover and sends the first hop of `route`.
+  void start_route(Slot slot, Route route, double now_s);
+  void send_failover_hop(Slot slot, std::uint32_t route, std::uint32_t hop,
+                         std::uint32_t attempt, double start_s);
+  void deliver_failover_hop(Slot slot, std::uint32_t route, std::uint32_t hop,
+                            std::uint32_t attempt, double send_s,
+                            double now_s);
+  void failover_hop_failure(Slot slot, std::uint32_t route, std::uint32_t hop,
+                            std::uint32_t attempt, double send_s,
+                            double now_s);
   /// Counts a subscriber delivery with receiver-side dedup.
-  void deliver_to_subscriber(MessageId id, overlay::PeerId to,
+  void deliver_to_subscriber(Slot slot, overlay::PeerId to,
                              std::uint32_t depth, double now_s);
   /// Queues `subscriber` for store-and-forward replay (deduplicated) at
   /// `t_s`, replicating to the mailbox tier when one is attached and
@@ -339,18 +374,26 @@ class NotificationEngine {
                   std::uint32_t attempt, bool failover, bool relay,
                   bool delivered, double send_s, double arrive_s) const;
 
-  /// Decrements the pending-event count; frees the in-flight state when the
-  /// last event of the message fired.
-  void finish_event(MessageId id);
+  /// Decrements the pending-event count; recycles the slot when the last
+  /// event of its message fired.
+  void finish_event(Slot slot);
 
   const overlay::PubSubSystem* sys_;
   double payload_bytes_;
   runtime::EventEngine queue_;
   runtime::Transport transport_;
   MessageId next_id_ = 1;
-  PubsubMap<MessageId, MessageRecord> records_;
-  PubsubMap<MessageId, InFlight> in_flight_;
-  PubsubMap<overlay::PeerId, overlay::DisseminationTree> tree_cache_;
+  /// Record of message id i at index i - 1, in chunks of kRecordsPerChunk
+  /// reserved up front and never grown past, so a reference from record()
+  /// stays valid across later publishes.
+  static constexpr std::size_t kRecordsPerChunk = 256;
+  std::vector<obs::AccountedVector<MessageRecord, obs::Subsystem::kPubsub>>
+      records_;
+  /// In-flight slot pool; freed whole once no message is in flight.
+  std::vector<InFlight, obs::Tagged<InFlight, obs::Subsystem::kPubsub>>
+      slots_;
+  obs::AccountedVector<Slot, obs::Subsystem::kPubsub> free_slots_;
+  PubsubMap<overlay::PeerId, SharedTree> tree_cache_;
   EngineStats stats_;
 
   fault::FaultPlan* fault_ = nullptr;  ///< not owned

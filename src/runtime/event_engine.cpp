@@ -22,16 +22,15 @@ obs::Gauge& queue_depth_gauge() {
 }  // namespace
 
 void EventEngine::fire_next() {
-  // pop_heap rotates the earliest entry to the back, where it is mutable
-  // and can be moved out before invoking (the callback may schedule more).
-  // An earlier version const_cast-moved out of priority_queue::top(), which
-  // mutates the const heap top in place — UB-adjacent and flagged by
-  // clang-tidy/UBSan builds.
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry entry = std::move(heap_.back());
+  const Entry entry = heap_.back();
   heap_.pop_back();
+  // Copied out before the call: the callback may schedule more events,
+  // which can reuse this slot or grow the store under it.
+  Callable c = callables_[entry.slot];
+  free_.push_back(entry.slot);
   now_ = entry.time;
-  entry.callback(now_);
+  c.fire(c.storage, now_);
 }
 
 void EventEngine::note_drained(std::size_t fired) {

@@ -17,15 +17,22 @@
 //     refreshed as the queue drains, and a Perfetto-visible span around
 //     every drain (SEL_TRACE_SCOPE "runtime.drain").
 //
+// Events cost no allocation: a callable is copied into a fixed-size inline
+// slot, which is why schedule() accepts only trivially copyable callables of
+// at most kMaxCallableBytes (capture ids, indexes and pointers, never owning
+// objects). The heap orders small (time, tie, seq, slot) keys; slots are
+// recycled through a free list.
+//
 // Single-threaded by design: determinism comes from the total event order,
 // and callbacks are free to schedule more events without synchronization.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <new>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -35,19 +42,43 @@ namespace sel::runtime {
 
 class EventEngine {
  public:
-  using Callback = std::function<void(double now_s)>;
+  /// Largest callable schedule() stores: the widest capture the message
+  /// plane uses (the mailbox's store timers).
+  static constexpr std::size_t kMaxCallableBytes = 40;
 
   /// `tie_seed` 0 (default) breaks equal-time ties in schedule order (FIFO);
   /// non-zero seeds permute equal-time firing deterministically.
   explicit EventEngine(std::uint64_t tie_seed = 0) noexcept
       : tie_seed_(tie_seed) {}
 
-  /// Schedules `cb` at absolute virtual time `time_s` (must not be in the
-  /// past).
-  void schedule(double time_s, Callback cb) {
+  /// Schedules `f(now_s)` at absolute virtual time `time_s` (must not be in
+  /// the past).
+  template <typename F>
+  void schedule(double time_s, F f) {
+    static_assert(std::is_trivially_copyable_v<F>,
+                  "events are stored inline: capture ids and pointers, not "
+                  "owning objects");
+    static_assert(sizeof(F) <= kMaxCallableBytes &&
+                      alignof(F) <= alignof(Callable),
+                  "event capture exceeds the inline slot");
+    static_assert(std::is_invocable_v<F&, double>);
     SEL_EXPECTS(time_s >= now_);
+    Callable c;
+    ::new (static_cast<void*>(c.storage)) F(f);
+    c.fire = [](void* storage, double now) {
+      (*std::launder(static_cast<F*>(storage)))(now);
+    };
+    std::uint32_t slot;
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(callables_.size());
+      callables_.push_back(c);
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+      callables_[slot] = c;
+    }
     const std::uint64_t seq = next_seq_++;
-    heap_.push_back(Entry{time_s, tie_for(seq), seq, std::move(cb)});
+    heap_.push_back(Entry{time_s, tie_for(seq), seq, slot});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
@@ -67,11 +98,17 @@ class EventEngine {
   std::size_t run(std::size_t max_events = 100'000'000);
 
  private:
+  /// One stored callable: its bytes and the thunk that invokes them.
+  struct Callable {
+    void (*fire)(void* storage, double now) = nullptr;
+    alignas(8) std::byte storage[kMaxCallableBytes]{};
+  };
+
   struct Entry {
     double time;
     std::uint64_t tie;  ///< equal-time ordering key (== seq when unseeded)
     std::uint64_t seq;
-    Callback callback;
+    std::uint32_t slot;  ///< index into callables_
   };
 
   /// Max-heap comparator that puts the earliest (time, tie, seq) at the
@@ -95,9 +132,12 @@ class EventEngine {
   /// Counts fired events and refreshes the runtime.queue_depth gauge.
   void note_drained(std::size_t fired);
 
-  /// Binary heap ordered by Later{} (std::push_heap/std::pop_heap),
-  /// attributed to `mem.runtime`.
+  // Pending-event storage, attributed to `mem.runtime`.
+  /// Binary heap ordered by Later{} (std::push_heap/std::pop_heap).
   obs::AccountedVector<Entry, obs::Subsystem::kRuntime> heap_;
+  obs::AccountedVector<Callable, obs::Subsystem::kRuntime> callables_;
+  /// Slots of fired events, reused by later schedules.
+  obs::AccountedVector<std::uint32_t, obs::Subsystem::kRuntime> free_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t tie_seed_ = 0;
   double now_ = 0.0;

@@ -1,7 +1,5 @@
 #include "runtime/transport.hpp"
 
-#include <utility>
-
 #include "obs/metrics.hpp"
 
 namespace sel::runtime {
@@ -25,14 +23,12 @@ obs::Counter& hops_counter() {
 
 }  // namespace
 
-SendOutcome Transport::send(const Message& m, ArrivalFn on_arrival) {
-  const double base =
-      net_->transfer_time_s(m.from, m.to, m.payload_bytes, m.uplink_share);
+SendOutcome Transport::send(const Message& m, double transfer_s) {
   fault::HopFate fate;
   if (fault_ != nullptr) {
     fate = fault_->hop_fate(m.msg, m.from, m.to, m.fault_attempt);
   }
-  const double arrival = m.send_s + base * fate.latency_factor;
+  const double arrival = m.send_s + transfer_s * fate.latency_factor;
 
   hops_counter().add(1);
   SendOutcome outcome;
@@ -43,21 +39,6 @@ SendOutcome Transport::send(const Message& m, ArrivalFn on_arrival) {
   }
   hop_latency_hist().observe(arrival - m.send_s);
   outcome.copies = fate.duplicated && !m.collapse_duplicates ? 2 : 1;
-  for (std::uint32_t c = 0; c < outcome.copies; ++c) {
-    // Last copy moves the completion; earlier copies share it by value.
-    ArrivalFn done =
-        c + 1 == outcome.copies ? std::move(on_arrival) : on_arrival;
-    engine_->schedule(arrival, [this, to = m.to, msg = m.msg,
-                                done = std::move(done)](double now) {
-      Arrival a;
-      a.arrive_s = now;
-      // Receiver-side draw at the arrival event — stall windows and
-      // crash state advance in deterministic event order.
-      a.receiver = fault_ != nullptr ? fault_->on_receive(to, msg, now)
-                                     : fault::ReceiveState::kOk;
-      done(a);
-    });
-  }
   return outcome;
 }
 

@@ -1,18 +1,18 @@
 // Transport plane: who carries a hop, and when it lands.
 //
 // The notification engine (pubsub/engine.cpp) speaks one narrow contract —
-// send(message, on_arrival) — and stays ignorant of *how* the hop travels.
-// The transport is single-process: arrival time = send + NetworkModel
-// transfer time (latency + payload/bandwidth with uplink sharing), stretched
-// by the fault plan's latency spikes; drops and duplicates come from
-// send-side hop fates; receiver stall/crash states are drawn at the arrival
-// event. Scheduling goes through the shared EventEngine, so runs are
-// bit-identical per seed — including under a seeded tie-break permutation.
+// send(message) at the sender, receive(...) at each arrival — and stays
+// ignorant of *how* the hop travels. The transport is single-process:
+// arrival time = send + NetworkModel transfer time (latency +
+// payload/bandwidth with uplink sharing), stretched by the fault plan's
+// latency spikes; drops and duplicates come from send-side hop fates;
+// receiver stall/crash states are drawn when an arrival fires.
 //
-// Contract: every send() produces exactly one synchronous SendOutcome and
-// then `copies` arrival completions, each delivered through the EventEngine
-// at its virtual arrival time (never synchronously from inside send()).
-// A dropped hop produces no arrivals at all — the sender arms its own loss
+// Contract: send() draws the hop's fate and returns one SendOutcome; it
+// schedules nothing. The caller schedules `copies` arrival events at
+// `arrive_s` on its EventEngine, in copy order, and calls receive() when
+// each fires, so receiver states advance in deterministic event order. A
+// dropped hop has no arrivals at all — the sender arms its own loss
 // detection (ack timeout), exactly as a real sender would.
 //
 // Send-side fates (drop, duplicate, latency spike) are pure in (seed,
@@ -21,11 +21,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "fault/fault.hpp"
 #include "net/network_model.hpp"
-#include "runtime/event_engine.hpp"
 
 namespace sel::runtime {
 
@@ -50,46 +48,51 @@ struct Message {
   bool collapse_duplicates = false;
 };
 
-/// Synchronous result of a send: what the wire did with the hop.
+/// Result of a send: what the wire did with the hop.
 struct SendOutcome {
   bool dropped = false;  ///< lost in transit; no arrival will ever fire
-  /// Arrival completions scheduled (0 when dropped; 2 when the fault plan
-  /// duplicated the hop).
+  /// Arriving copies (0 when dropped; 2 when the fault plan duplicated the
+  /// hop).
   std::uint32_t copies = 0;
-  /// Virtual arrival time of the (first) copy — also filled for dropped
-  /// hops (when the copy *would* have landed), for provenance records.
+  /// Virtual arrival time of every copy — also filled for dropped hops
+  /// (when the copy *would* have landed), for provenance records.
   double arrive_s = 0.0;
-};
-
-/// One arriving copy, reported at its virtual arrival time.
-struct Arrival {
-  double arrive_s = 0.0;
-  /// Receiver condition drawn at the arrival event (kOk without faults).
-  fault::ReceiveState receiver = fault::ReceiveState::kOk;
 };
 
 class Transport {
  public:
-  using ArrivalFn = std::function<void(const Arrival&)>;
-
-  /// `engine` and `net` must outlive the transport; `plan` may be null
-  /// (perfect wire) and may be swapped at any quiescent point.
-  Transport(EventEngine& engine, const net::NetworkModel& net,
-            fault::FaultPlan* plan = nullptr)
-      : engine_(&engine), net_(&net), fault_(plan) {}
-  // Scheduled arrivals capture `this`.
-  Transport(const Transport&) = delete;
-  Transport& operator=(const Transport&) = delete;
+  /// `net` must outlive the transport; `plan` may be null (perfect wire)
+  /// and may be swapped at any quiescent point.
+  explicit Transport(const net::NetworkModel& net,
+                     fault::FaultPlan* plan = nullptr)
+      : net_(&net), fault_(plan) {}
 
   void set_fault_plan(fault::FaultPlan* plan) noexcept { fault_ = plan; }
 
-  /// Ships one hop. `on_arrival` runs once per arriving copy (see
-  /// SendOutcome::copies), at that copy's virtual arrival time, via the
-  /// EventEngine — never synchronously from inside this call.
-  SendOutcome send(const Message& m, ArrivalFn on_arrival);
+  /// NetworkModel transfer time of the hop (latency + payload over the
+  /// sender's uplink share), before any fault stretching.
+  [[nodiscard]] double transfer_time_s(const Message& m) const {
+    return net_->transfer_time_s(m.from, m.to, m.payload_bytes,
+                                 m.uplink_share);
+  }
+
+  /// Ships one hop: draws its send-side fate and reports when, and in how
+  /// many copies, it lands. Schedules nothing.
+  SendOutcome send(const Message& m) { return send(m, transfer_time_s(m)); }
+  /// As send(m), with the hop's transfer_time_s(m) already known (the
+  /// notification engine caches it per tree edge).
+  SendOutcome send(const Message& m, double transfer_s);
+
+  /// Condition of receiver `to` as a copy of message `msg` arrives at
+  /// `now_s` (kOk without a fault plan). Call once per arrival, when it
+  /// fires.
+  [[nodiscard]] fault::ReceiveState receive(std::uint64_t msg,
+                                            std::uint32_t to, double now_s) {
+    return fault_ != nullptr ? fault_->on_receive(to, msg, now_s)
+                             : fault::ReceiveState::kOk;
+  }
 
  private:
-  EventEngine* engine_;
   const net::NetworkModel* net_;
   fault::FaultPlan* fault_;  ///< not owned
 };

@@ -192,7 +192,9 @@ TEST(CheckTree, DetectsDuplicateDeliveryNode) {
 TEST(CheckTree, DetectsParentChildMismatch) {
   auto tree = small_tree();
   Corruptor::make_cycle(tree, 2, 3);
-  EXPECT_TRUE(validate_tree(tree).has_value());
+  const auto v = validate_tree(tree);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->invariant, "tree.parent_child");
 }
 
 TEST(CheckTree, DetectsParentChainCycle) {

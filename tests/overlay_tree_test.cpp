@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "common/flat_set.hpp"
+#include "common/rng.hpp"
 #include "overlay/system.hpp"
 
 namespace sel::overlay {
@@ -115,6 +119,81 @@ TEST(DisseminationTree, SubscriberRelaysNotCounted) {
   t.add_path(std::vector<PeerId>{0, 1, 2});  // 1 forwards to 2, both subs
   const FlatSet<PeerId> subs{1, 2};
   EXPECT_TRUE(t.relay_nodes(subs).empty());
+}
+
+TEST(DisseminationTree, PositionalViewAgreesWithPeerApiOnRandomMerges) {
+  // Random add_path / add_child sequences against a reference model (first
+  // parent wins, children in insertion order). Child order fixes send order
+  // and so every equal-time tie-break downstream, so it is compared too.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const auto universe = static_cast<PeerId>(8 + rng.below(56));
+    const auto root = static_cast<PeerId>(rng.below(universe));
+    DisseminationTree t(root);
+    std::map<PeerId, PeerId> parent;
+    std::map<PeerId, std::vector<PeerId>> kids;
+    std::vector<PeerId> order{root};
+    const auto attach = [&](PeerId up, PeerId child) {
+      if (child == root || parent.contains(child)) return;
+      parent[child] = up;
+      kids[up].push_back(child);
+      order.push_back(child);
+    };
+    for (int op = 0; op < 30; ++op) {
+      if (rng.chance(0.5)) {
+        std::vector<PeerId> path{root};
+        const std::size_t len = 1 + rng.below(5);
+        for (std::size_t i = 0; i < len; ++i) {
+          path.push_back(static_cast<PeerId>(rng.below(universe)));
+        }
+        t.add_path(path);
+        for (std::size_t i = 1; i < path.size(); ++i) {
+          attach(path[i - 1], path[i]);
+        }
+      } else {
+        const PeerId up = order[rng.below(order.size())];
+        const auto child = static_cast<PeerId>(rng.below(universe));
+        t.add_child(up, child);
+        attach(up, child);
+      }
+    }
+
+    ASSERT_EQ(t.node_count(), order.size()) << "seed " << seed;
+    ASSERT_EQ(std::vector<PeerId>(t.nodes().begin(), t.nodes().end()), order);
+    for (DisseminationTree::Pos pos = 0; pos < t.node_count(); ++pos) {
+      const PeerId p = t.peer_at(pos);
+      EXPECT_EQ(t.position(p), pos);
+      EXPECT_TRUE(t.contains(p));
+      const auto up = t.parent_at(pos);
+      if (pos == 0) {
+        EXPECT_EQ(up, DisseminationTree::kNoPos);
+        EXPECT_EQ(t.parent(p), kInvalidPeer);
+      } else {
+        ASSERT_LT(up, pos);  // parents precede children
+        EXPECT_EQ(t.peer_at(up), t.parent(p));
+        EXPECT_EQ(t.parent(p), parent.at(p));
+        EXPECT_EQ(t.depth_at(pos), t.depth_at(up) + 1);
+      }
+      EXPECT_EQ(t.depth_at(pos), t.depth(p));
+      std::vector<PeerId> by_pos;
+      for (const auto c : t.children_at(pos)) {
+        EXPECT_EQ(t.parent_at(c), pos);
+        by_pos.push_back(t.peer_at(c));
+      }
+      const auto by_peer = t.children(p);
+      EXPECT_EQ(t.children_at(pos).size(), by_peer.size());
+      EXPECT_EQ(by_pos, std::vector<PeerId>(by_peer.begin(), by_peer.end()));
+      const auto it = kids.find(p);
+      EXPECT_EQ(by_pos, it == kids.end() ? std::vector<PeerId>{} : it->second)
+          << "seed " << seed << " peer " << p;
+    }
+    for (PeerId p = 0; p < universe; ++p) {
+      if (t.contains(p)) continue;
+      EXPECT_EQ(t.position(p), DisseminationTree::kNoPos);
+      EXPECT_TRUE(t.children(p).empty());
+      EXPECT_EQ(t.depth(p), static_cast<std::size_t>(-1));
+    }
+  }
 }
 
 TEST(SubscriberFirstTree, ZeroRelaysOnConnectedSubscribers) {

@@ -2,15 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "fault/fault.hpp"
 #include "graph/profiles.hpp"
+#include "obs/memory.hpp"
+#include "obs/metrics.hpp"
+#include "pubsub/mailbox.hpp"
 #include "pubsub/metrics.hpp"
 #include "pubsub/multipath.hpp"
 #include "select/protocol.hpp"
+#include "sim/workload.hpp"
 
 namespace sel::pubsub {
 namespace {
@@ -124,6 +132,45 @@ TEST_F(EngineTest, SelectHasNearZeroRelayForwards) {
   EXPECT_GT(stats.delivery_rate(), 0.99);
 }
 
+TEST_F(EngineTest, InFlightMessagesShareTheirPublishersTree) {
+  // Messages in flight point at their publisher's cached tree; none holds a
+  // copy. A burst from one publisher may grow tracked message-plane memory
+  // by a record and an in-flight slot per message, and draining it gives
+  // back all but the records.
+  const auto live = [] {
+    const auto v = obs::memory_values();
+    return v.at("mem.overlay.live_bytes") + v.at("mem.pubsub.live_bytes");
+  };
+  // The busiest publisher: its tree is the largest a copy could cost.
+  PeerId publisher = 0;
+  for (PeerId p = 0; p < g_.num_nodes(); ++p) {
+    if (g_.degree(p) > g_.degree(publisher)) publisher = p;
+  }
+  double tree_bytes = 0.0;
+  {
+    const double base = live();
+    const auto tree = ps_->build_tree(publisher);
+    tree_bytes = live() - base;
+  }
+  engine_->publish(publisher, 0.0);  // builds and caches the shared tree
+  engine_->run_all();
+
+  constexpr int kMessages = 100;
+  // A record plus a slot, with room for the slot pool's doubling growth.
+  const double per_message = 2.0 * sizeof(MessageRecord);
+  ASSERT_GT(tree_bytes, per_message) << "a tree copy would not show";
+  const double before = live();
+  for (int i = 0; i < kMessages; ++i) {
+    engine_->publish(publisher, engine_->now_s());
+  }
+  EXPECT_LE(live() - before, kMessages * per_message);
+  engine_->run_all();
+  EXPECT_GE(live(), before);
+  EXPECT_LE(live() - before,
+            static_cast<double>(kMessages * sizeof(MessageRecord)));
+  EXPECT_EQ(engine_->stats().tree_cache_misses, 1u);
+}
+
 TEST_F(EngineTest, RecordLookupOfUnknownIdAborts) {
   EXPECT_DEATH((void)engine_->record(12345), "Precondition");
 }
@@ -204,6 +251,231 @@ TEST_F(ModeEquivalenceTest, SameSeedSameModeIsBitIdentical) {
             b.stats.delivery_latency_s.mean());
   EXPECT_EQ(a.stats.delivery_latency_s.max(),
             b.stats.delivery_latency_s.max());
+}
+
+// -- pinned message-plane fingerprints ------------------------------------
+//
+// The message plane shares one immutable tree per publisher across its
+// in-flight messages and stores events inline. A change there that alters
+// any send order, tie-break, arrival time or delivered set shows up as a
+// different hash, so these fingerprints were printed by the engine that
+// copied the cached tree into every message and scheduled every hop through
+// nested std::function callbacks, and are pinned here: they must never
+// change.
+
+class EngineFingerprint : public EngineTest {
+ protected:
+  /// Order-sensitive 64-bit hash of every message record, the engine's
+  /// aggregate stats and the `runtime.*` event and hop counts of one run.
+  class Hash {
+   public:
+    void mix(std::uint64_t v) { h_ = splitmix64(h_ ^ v); }
+    void mix_bits(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
+    void mix_sorted(const PubsubSet<PeerId>& peers) {
+      std::vector<PeerId> sorted(peers.begin(), peers.end());
+      std::sort(sorted.begin(), sorted.end());
+      mix(sorted.size());
+      for (const PeerId p : sorted) mix(p);
+    }
+    [[nodiscard]] std::uint64_t value() const { return h_; }
+
+   private:
+    std::uint64_t h_ = 0xe9f1a9e5c0deULL;
+  };
+
+  static std::int64_t counter(const char* name) {
+    return obs::MetricsRegistry::global().counter(name).value();
+  }
+
+  /// Counter values before a run; fingerprint() hashes the deltas.
+  struct Counters {
+    std::int64_t events = counter("runtime.events_fired");
+    std::int64_t hops = counter("runtime.hops_sent");
+  };
+
+  static std::uint64_t fingerprint(const NotificationEngine& engine,
+                                   std::span<const MessageId> ids,
+                                   const Counters& before) {
+    Hash h;
+    for (const MessageId id : ids) {
+      const auto& rec = engine.record(id);
+      h.mix(id);
+      h.mix(rec.wanted);
+      h.mix(rec.delivered);
+      h.mix(rec.relay_forwards);
+      h.mix(rec.retries);
+      h.mix(rec.failovers);
+      h.mix(rec.replays);
+      h.mix(rec.duplicates_suppressed);
+      h.mix(rec.completed_at_s.has_value() ? 1 : 0);
+      h.mix_bits(rec.completed_at_s.value_or(0.0));
+      h.mix(rec.delivery_latency_s.count());
+      h.mix_bits(rec.delivery_latency_s.mean());
+      h.mix_bits(rec.delivery_latency_s.max());
+      h.mix_sorted(rec.delivered_to);
+      h.mix_sorted(rec.missed);
+    }
+    const EngineStats& st = engine.stats();
+    for (const std::size_t v :
+         {st.messages_published, st.deliveries, st.wanted, st.relay_forwards,
+          st.tree_cache_hits, st.tree_cache_misses, st.retries,
+          st.retry_exhausted, st.failovers, st.replays,
+          st.duplicates_suppressed, st.missed, st.replay_evicted,
+          st.replay_dropped_crash, st.mailbox_replays}) {
+      h.mix(v);
+    }
+    h.mix(st.delivery_latency_s.count());
+    h.mix_bits(st.delivery_latency_s.mean());
+    h.mix_bits(st.delivery_latency_s.max());
+    h.mix(static_cast<std::uint64_t>(counter("runtime.events_fired") -
+                                     before.events));
+    h.mix(static_cast<std::uint64_t>(counter("runtime.hops_sent") -
+                                     before.hops));
+    return h.value();
+  }
+
+  static runtime::Options tie_seeded() {
+    runtime::Options opts;
+    opts.tie_seed = 0xfeedface;
+    return opts;
+  }
+
+  /// Perfect transfer: a 1,000-peer facebook SELECT overlay and the first
+  /// 2,000 posts of an hour of Jiang traffic, the engine drained up to each
+  /// publish time as perfbench's feed loop does, then to the end. Returns
+  /// the FIFO and the tie-seeded fingerprint.
+  static std::pair<std::uint64_t, std::uint64_t> perfect_stream(
+      std::uint64_t seed) {
+    const auto g =
+        graph::make_dataset_graph(graph::profile_by_name("facebook"), 1000,
+                                  seed);
+    const net::NetworkModel net(g.num_nodes(), seed);
+    core::SelectSystem sys(g, core::SelectParams{}, seed, &net);
+    sys.build();
+    const overlay::PubSubSystem ps(sys);
+    auto posts = sim::PublicationWorkload(g, sim::WorkloadParams{}, seed)
+                     .generate(3600.0, derive_seed(seed, 1));
+    posts.resize(std::min<std::size_t>(posts.size(), 2000));
+    const auto run = [&](runtime::Options opts) {
+      const Counters before;
+      NotificationEngine engine(ps, net);
+      engine.set_runtime_options(opts);
+      std::vector<MessageId> ids;
+      for (const auto& post : posts) {
+        engine.run_until(post.time_s);
+        ids.push_back(engine.publish(post.publisher, post.time_s));
+      }
+      engine.run_all();
+      return fingerprint(engine, ids, before);
+    };
+    return {run({}), run(tie_seeded())};
+  }
+
+  /// ModeEquivalenceTest's drop/dup/spike mix: retries and receiver dedup.
+  static fault::FaultSpec equivalence_mix() {
+    fault::FaultSpec spec;
+    spec.drop = 0.08;
+    spec.duplicate = 0.02;
+    spec.spike = 0.02;
+    spec.spike_factor = 3.0;
+    return spec;
+  }
+
+  /// Heavy loss, stalls and crashes with two sends per hop: exhausted
+  /// retries, failover legs, detours and receiver states drawn at arrival.
+  static fault::FaultSpec failover_mix() {
+    fault::FaultSpec spec = equivalence_mix();
+    spec.drop = 0.25;
+    spec.stall = 0.05;
+    spec.stall_s = 10.0;
+    spec.crash = 0.002;
+    return spec;
+  }
+
+  /// ModeEquivalenceTest's reliable setup (retry and failover armed) with a
+  /// mailbox tier added: three of publisher 0's subscribers are offline
+  /// while the ten messages fly, so their misses are replicated, and they
+  /// collect them on return.
+  std::uint64_t reliable_with_mailbox(runtime::Options opts,
+                                      const fault::FaultSpec& spec,
+                                      std::size_t max_attempts) {
+    fault::FaultPlan plan(spec, 7, g_.num_nodes());
+    const Counters before;
+    NotificationEngine engine(*ps_, *net_);
+    engine.set_runtime_options(opts);
+    engine.set_fault_plan(&plan);
+    RetryPolicy policy;
+    policy.enabled = true;
+    policy.ack_timeout_s = 2.0;
+    policy.max_attempts = max_attempts;
+    engine.set_retry_policy(policy);
+    engine.set_multipath_planner(
+        [this](PeerId b) { return plan_multipath(*sys_, g_, b); });
+    MailboxManager mailbox(engine.event_engine(), *sys_, *net_,
+                           MailboxPolicy{}, 7);
+    mailbox.set_fault_plan(&plan);
+    engine.set_mailbox(&mailbox);
+    const auto subs = ps_->subscribers_of(0);
+    const std::vector<PeerId> away(subs.begin(), subs.begin() + 3);
+    for (const PeerId p : away) sys_->set_peer_online(p, false);
+    std::vector<MessageId> ids;
+    for (PeerId p = 0; p < 10; ++p) {
+      ids.push_back(engine.publish(p, static_cast<double>(p)));
+    }
+    engine.run_all();
+    for (const PeerId p : away) {
+      sys_->set_peer_online(p, true);
+      engine.replay_missed(p, engine.now_s());
+    }
+    engine.run_all();
+    Hash h;
+    h.mix(fingerprint(engine, ids, before));
+    const MailboxStats& mb = mailbox.stats();
+    for (const std::size_t v :
+         {mb.replicated, mb.store_attempts, mb.acks, mb.duplicate_acks,
+          mb.retries, mb.replacements, mb.quorum_writes, mb.quorum_degraded,
+          mb.replays, mb.superseded}) {
+      h.mix(v);
+    }
+    return h.value();
+  }
+
+  static void expect_pinned(std::uint64_t got, std::uint64_t pinned,
+                            const char* what) {
+    EXPECT_EQ(got, pinned) << what << ": 0x" << std::hex << got;
+  }
+};
+
+TEST_F(EngineFingerprint, PerfectStreamSeed1) {
+  const auto [fifo, tie] = perfect_stream(1);
+  expect_pinned(fifo, 0x94ef675b49ef0bffULL, "fifo");
+  expect_pinned(tie, 0x94ef675b49ef0bffULL, "tie seed");
+}
+
+TEST_F(EngineFingerprint, PerfectStreamSeed2) {
+  const auto [fifo, tie] = perfect_stream(2);
+  expect_pinned(fifo, 0xd562eb5f22706901ULL, "fifo");
+  expect_pinned(tie, 0xd562eb5f22706901ULL, "tie seed");
+}
+
+TEST_F(EngineFingerprint, PerfectStreamSeed3) {
+  const auto [fifo, tie] = perfect_stream(3);
+  expect_pinned(fifo, 0x4a40395a58a7fc10ULL, "fifo");
+  expect_pinned(tie, 0x4a40395a58a7fc10ULL, "tie seed");
+}
+
+TEST_F(EngineFingerprint, ReliableWithMailbox) {
+  expect_pinned(reliable_with_mailbox({}, equivalence_mix(), 4),
+                0xb2fd5c20b94e836aULL, "fifo");
+  expect_pinned(reliable_with_mailbox(tie_seeded(), equivalence_mix(), 4),
+                0xb2fd5c20b94e836aULL, "tie seed");
+}
+
+TEST_F(EngineFingerprint, FailoverLadderWithMailbox) {
+  expect_pinned(reliable_with_mailbox({}, failover_mix(), 2),
+                0x23734b9dfcb0e1b2ULL, "fifo");
+  expect_pinned(reliable_with_mailbox(tie_seeded(), failover_mix(), 2),
+                0x7081d3f83910c324ULL, "tie seed");
 }
 
 }  // namespace

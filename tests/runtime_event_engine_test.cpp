@@ -1,20 +1,31 @@
 // EventEngine unit tests: the drain API (run_until / run with its runaway
 // backstop), the event-queue semantics underneath it — time order, FIFO
-// ties, the seeded tie permutation, and callbacks that schedule more — and
-// the heap's `mem.runtime` attribution.
+// ties, the seeded tie permutation, and callbacks that schedule more — the
+// inline callable store, and its `mem.runtime` attribution.
 #include "runtime/event_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
-#include <memory>
+#include <bit>
+#include <cstdint>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "obs/memory.hpp"
 
 namespace sel::runtime {
 namespace {
+
+/// An event that reschedules itself one second later, forever.
+void reschedule_forever(EventEngine& e, double now) {
+  e.schedule(now + 1.0, [&e](double t) { reschedule_forever(e, t); });
+}
+
+double runtime_live_bytes() {
+  return obs::memory_values().at("mem.runtime.live_bytes");
+}
 
 TEST(EventEngine, RunUntilCountsFiredAndAdvancesClock) {
   EventEngine e;
@@ -32,10 +43,7 @@ TEST(EventEngine, RunUntilCountsFiredAndAdvancesClock) {
 
 TEST(EventEngine, RunRespectsBackstop) {
   EventEngine e;
-  std::function<void(double)> forever = [&](double now) {
-    e.schedule(now + 1.0, forever);
-  };
-  e.schedule(0.0, forever);
+  e.schedule(0.0, [&e](double now) { reschedule_forever(e, now); });
   EXPECT_EQ(e.run(25), 25u);
 }
 
@@ -55,17 +63,78 @@ TEST(EventEngine, TieSeedPermutesEqualTimeOrderDeterministically) {
 }
 
 TEST(EventEngine, PendingEventsAreAttributedToRuntimeMemory) {
-  const auto runtime_live = [] {
-    return obs::memory_values().at("mem.runtime.live_bytes");
-  };
-  const double before = runtime_live();
+  const double before = runtime_live_bytes();
   {
     EventEngine e;
     for (int i = 0; i < 64; ++i) e.schedule(1.0 + i, [](double) {});
-    EXPECT_GT(runtime_live(), 0.0);
-    EXPECT_GT(runtime_live(), before);
+    EXPECT_GT(runtime_live_bytes(), 0.0);
+    EXPECT_GT(runtime_live_bytes(), before);
   }
-  EXPECT_EQ(runtime_live(), before);
+  EXPECT_EQ(runtime_live_bytes(), before);
+}
+
+TEST(EventEngine, PendingEventsAreReleasedOnDestructionAndReplacement) {
+  const double before = runtime_live_bytes();
+  int fired = 0;
+  {
+    EventEngine e;
+    for (int i = 0; i < 256; ++i) {
+      e.schedule(1.0 + i, [&fired](double) { ++fired; });
+    }
+    EXPECT_GT(runtime_live_bytes(), before);
+  }
+  EXPECT_EQ(runtime_live_bytes(), before);
+
+  // Replacement, as NotificationEngine::set_runtime_options does it: the
+  // old engine's pending events are released and never fire.
+  EventEngine e;
+  for (int i = 0; i < 256; ++i) {
+    e.schedule(1.0 + i, [&fired](double) { ++fired; });
+  }
+  e = EventEngine(0x5eed);
+  EXPECT_EQ(runtime_live_bytes(), before);
+  EXPECT_TRUE(e.idle());
+  EXPECT_EQ(e.run(), 0u);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(EventEngine, StoreGrowingUnderACallbackKeepsOrderAndCaptures) {
+  // One callback schedules 10,000 events while the store grows under it.
+  // Each carries its index, its time and a checksum of both; each must fire
+  // exactly once, in (time, seq) order, with every capture intact.
+  constexpr std::uint32_t kEvents = 10'000;
+  EventEngine e;
+  struct Fired {
+    std::uint32_t index;
+    double time;
+    bool intact;
+  };
+  std::vector<Fired> fired;
+  const auto checksum = [](std::uint32_t i, double t) {
+    return splitmix64(i ^ std::bit_cast<std::uint64_t>(t));
+  };
+  e.schedule(0.0, [&e, &fired, checksum](double now) {
+    for (std::uint32_t i = 0; i < kEvents; ++i) {
+      const double t = now + static_cast<double>(i % 97) * 0.5;
+      const std::uint64_t check = checksum(i, t);
+      e.schedule(t, [&fired, checksum, i, t, check](double at) {
+        fired.push_back({i, at, at == t && check == checksum(i, t)});
+      });
+    }
+  });
+  EXPECT_EQ(e.run(), kEvents + 1);
+  ASSERT_EQ(fired.size(), kEvents);
+  std::vector<bool> seen(kEvents, false);
+  for (std::size_t k = 0; k < fired.size(); ++k) {
+    EXPECT_TRUE(fired[k].intact) << "event " << fired[k].index;
+    EXPECT_FALSE(seen[fired[k].index]) << "event " << fired[k].index;
+    seen[fired[k].index] = true;
+    if (k > 0) {
+      // Scheduling order is index order, so (time, seq) is (time, index).
+      EXPECT_LT(std::tie(fired[k - 1].time, fired[k - 1].index),
+                std::tie(fired[k].time, fired[k].index));
+    }
+  }
 }
 
 // -- event-queue semantics ----------------------------------------------------
@@ -106,14 +175,19 @@ TEST(EventQueue, ClockAdvancesToEventTime) {
   EXPECT_DOUBLE_EQ(q.now_s(), 5.5);
 }
 
+/// Counts itself, then reschedules one second later until it fired four
+/// times.
+void chain(EventEngine& q, int& fired, double now) {
+  ++fired;
+  if (fired < 4) {
+    q.schedule(now + 1.0, [&q, &fired](double t) { chain(q, fired, t); });
+  }
+}
+
 TEST(EventQueue, CallbacksCanScheduleMore) {
   EventEngine q;
   int fired = 0;
-  std::function<void(double)> chain = [&](double now) {
-    ++fired;
-    if (fired < 4) q.schedule(now + 1.0, chain);
-  };
-  q.schedule(1.0, chain);
+  q.schedule(1.0, [&q, &fired](double now) { chain(q, fired, now); });
   const std::size_t count = q.run();
   EXPECT_EQ(count, 4u);
   EXPECT_DOUBLE_EQ(q.now_s(), 4.0);
@@ -139,10 +213,7 @@ TEST(EventQueue, RunUntilAdvancesClockWithoutEvents) {
 
 TEST(EventQueue, RunAllRespectsBackstop) {
   EventEngine q;
-  std::function<void(double)> forever = [&](double now) {
-    q.schedule(now + 1.0, forever);
-  };
-  q.schedule(0.0, forever);
+  q.schedule(0.0, [&q](double now) { reschedule_forever(q, now); });
   EXPECT_EQ(q.run(100), 100u);
 }
 
@@ -150,13 +221,16 @@ TEST(EventQueue, CallbackStateSurvivesInterleavedPopsAndPushes) {
   // Regression for the const_cast-move out of priority_queue::top(): the
   // callback was moved from the (const) heap top in place, so a pop
   // interleaved with pushes could sift a hollowed-out entry and invoke it.
-  // Each callback owns its payload through a shared_ptr; a hollow
+  // With inline storage the same hazard is a slot reused or grown while its
+  // event fires. Each callback carries a pointer to its payload; a hollow
   // invocation shows up as a null payload or a missing value.
   EventEngine q;
   std::vector<int> fired;
   constexpr int kEvents = 50;
+  std::vector<int> payloads(kEvents);
   for (int i = 0; i < kEvents; ++i) {
-    auto payload = std::make_shared<int>(i);
+    payloads[static_cast<std::size_t>(i)] = i;
+    const int* payload = &payloads[static_cast<std::size_t>(i)];
     q.schedule(static_cast<double>(i % 7),
                [&q, &fired, payload](double now) {
                  ASSERT_NE(payload, nullptr);

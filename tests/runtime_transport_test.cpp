@@ -1,14 +1,12 @@
 // Transport-plane unit tests: the in-process transport contract — arrival
-// scheduling at NetworkModel transfer times and fault fates per hop.
+// times at NetworkModel transfer times, fault fates per hop drawn at send,
+// receiver states drawn when an arrival fires.
 #include "runtime/transport.hpp"
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "fault/fault.hpp"
 #include "net/network_model.hpp"
-#include "runtime/event_engine.hpp"
 
 namespace sel::runtime {
 namespace {
@@ -30,88 +28,64 @@ class InProcTransportTest : public ::testing::Test {
 };
 
 TEST_F(InProcTransportTest, ArrivalLandsAtTransferTime) {
-  EventEngine engine;
-  Transport t(engine, net_);
-  std::vector<Arrival> arrivals;
-  const auto outcome = t.send(
-      hop(1, 0, 1, 0.0), [&arrivals](const Arrival& a) {
-        arrivals.push_back(a);
-      });
+  Transport t(net_);
+  const Message m = hop(1, 0, 1, 2.0);
+  const double expected = net_.transfer_time_s(0, 1, 1000.0, 1);
+  EXPECT_DOUBLE_EQ(t.transfer_time_s(m), expected);
+  const auto outcome = t.send(m);
   EXPECT_FALSE(outcome.dropped);
   EXPECT_EQ(outcome.copies, 1u);
-  const double expected = net_.transfer_time_s(0, 1, 1000.0, 1);
-  EXPECT_DOUBLE_EQ(outcome.arrive_s, expected);
-  // Never synchronous: the completion fires from the event engine.
-  ASSERT_TRUE(arrivals.empty());
-  engine.run();
-  ASSERT_EQ(arrivals.size(), 1u);
-  EXPECT_DOUBLE_EQ(arrivals[0].arrive_s, expected);
-  EXPECT_EQ(arrivals[0].receiver, fault::ReceiveState::kOk);
+  EXPECT_DOUBLE_EQ(outcome.arrive_s, 2.0 + expected);
+  // A caller that cached the transfer time gets the same arrival, bit for
+  // bit.
+  EXPECT_EQ(t.send(m, t.transfer_time_s(m)).arrive_s, outcome.arrive_s);
+  EXPECT_EQ(t.receive(m.msg, m.to, outcome.arrive_s),
+            fault::ReceiveState::kOk);
 }
 
 TEST_F(InProcTransportTest, DroppedHopProducesNoArrival) {
-  EventEngine engine;
   fault::FaultSpec spec;
   spec.drop = 1.0;
   fault::FaultPlan plan(spec, 11, 16);
-  Transport t(engine, net_, &plan);
-  int arrivals = 0;
-  const auto outcome =
-      t.send(hop(1, 0, 1, 0.0), [&arrivals](const Arrival&) { ++arrivals; });
+  Transport t(net_, &plan);
+  const auto outcome = t.send(hop(1, 0, 1, 0.0));
   EXPECT_TRUE(outcome.dropped);
   EXPECT_EQ(outcome.copies, 0u);
   EXPECT_GT(outcome.arrive_s, 0.0);  // when it would have landed
-  EXPECT_EQ(engine.run(), 0u);
-  EXPECT_EQ(arrivals, 0);
 }
 
 TEST_F(InProcTransportTest, DuplicatedHopArrivesTwiceUnlessCollapsed) {
-  EventEngine engine;
   fault::FaultSpec spec;
   spec.duplicate = 1.0;
   fault::FaultPlan plan(spec, 11, 16);
-  Transport t(engine, net_, &plan);
-  int arrivals = 0;
-  const auto outcome =
-      t.send(hop(1, 0, 1, 0.0), [&arrivals](const Arrival&) { ++arrivals; });
-  EXPECT_EQ(outcome.copies, 2u);
-  engine.run();
-  EXPECT_EQ(arrivals, 2);
+  Transport t(net_, &plan);
+  EXPECT_EQ(t.send(hop(1, 0, 1, 0.0)).copies, 2u);
 
-  auto collapsed_hop = hop(2, 0, 1, engine.now_s());
+  auto collapsed_hop = hop(2, 0, 1, 0.0);
   collapsed_hop.collapse_duplicates = true;
-  int collapsed = 0;
-  const auto c = t.send(collapsed_hop,
-                        [&collapsed](const Arrival&) { ++collapsed; });
-  EXPECT_EQ(c.copies, 1u);
-  engine.run();
-  EXPECT_EQ(collapsed, 1);
+  EXPECT_EQ(t.send(collapsed_hop).copies, 1u);
 }
 
 TEST_F(InProcTransportTest, ReceiverStateIsDrawnAtArrival) {
-  EventEngine engine;
   fault::FaultSpec spec;
   spec.stall = 1.0;
   spec.stall_s = 5.0;
   fault::FaultPlan plan(spec, 11, 16);
-  Transport t(engine, net_, &plan);
-  std::vector<Arrival> arrivals;
-  t.send(hop(1, 0, 1, 0.0),
-         [&arrivals](const Arrival& a) { arrivals.push_back(a); });
-  engine.run();
-  ASSERT_EQ(arrivals.size(), 1u);
-  EXPECT_EQ(arrivals[0].receiver, fault::ReceiveState::kStalled);
+  Transport t(net_, &plan);
+  const Message m = hop(1, 0, 1, 0.0);
+  const auto outcome = t.send(m);
+  ASSERT_EQ(outcome.copies, 1u);
+  EXPECT_EQ(t.receive(m.msg, m.to, outcome.arrive_s),
+            fault::ReceiveState::kStalled);
 }
 
 TEST_F(InProcTransportTest, UplinkShareSlowsTransfers) {
-  EventEngine engine;
-  Transport t(engine, net_);
+  Transport t(net_);
   auto shared = hop(1, 0, 1, 0.0);
   shared.uplink_share = 4;
-  const auto slow = t.send(shared, [](const Arrival&) {});
-  const auto fast = t.send(hop(2, 0, 1, 0.0), [](const Arrival&) {});
+  const auto slow = t.send(shared);
+  const auto fast = t.send(hop(2, 0, 1, 0.0));
   EXPECT_GT(slow.arrive_s, fast.arrive_s);
-  engine.run();
 }
 
 }  // namespace
