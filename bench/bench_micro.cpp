@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: LSH indexing,
 // greedy routing, graph generation, common-neighbour counting, gossip
-// rounds, tree construction and the message plane's publish-and-drain loop.
+// rounds, tree construction, the message plane's publish-and-drain loop
+// and the reliable path's planners.
 //
 // The binary writes a RunReport (results/micro.report.json) on exit; the CI
 // perf-smoke job runs it twice and gates with compare_reports.py, so the
-// counter-ticking benchmarks (BM_SelectGossipRound, BM_EngineFeedDrain) pin
-// their iteration counts — the `select.*`, `pubsub.*` and `runtime.*`
-// counters must be bit-identical between same-flag runs.
+// counter-ticking benchmarks (BM_SelectGossipRound, BM_EngineFeedDrain,
+// BM_ReliablePlanners) pin their iteration counts — the `select.*`,
+// `pubsub.*`, `runtime.*` and `bench.planners.*` counters must be
+// bit-identical between same-flag runs.
 #include <benchmark/benchmark.h>
 
 #include "baselines/symphony.hpp"
@@ -22,6 +24,8 @@
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
 #include "pubsub/engine.hpp"
+#include "pubsub/mailbox.hpp"
+#include "pubsub/multipath.hpp"
 #include "select/protocol.hpp"
 #include "sim/workload.hpp"
 
@@ -337,6 +341,72 @@ void BM_EngineFeedDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineFeedDrain)
     ->Iterations(kEngineFeedIterations)
+    ->Unit(benchmark::kMillisecond);
+
+constexpr int kReliablePlannerIterations = 5;  // pinned: exact CI counters
+
+// The reliable path's two planners on a built 1,000-peer facebook SELECT
+// overlay with every tenth peer offline (three maintenance rounds give the
+// CMA values a spread): multipath plans for 40 fixed publishers, then
+// three mailbox placement rankings for each of 200 fixed subscribers on a
+// fresh manager per iteration. The hop sum and a ranking checksum are
+// counted into bench.planners.* so CI gates both exactly.
+void BM_ReliablePlanners(benchmark::State& state) {
+  const auto g = graph::make_dataset_graph(
+      graph::profile_by_name("facebook"), 1000, 1);
+  const net::NetworkModel net(g.num_nodes(), 1);
+  core::SelectSystem sys(g, core::SelectParams{}, 1, &net);
+  sys.build();
+  const auto n = static_cast<overlay::PeerId>(g.num_nodes());
+  Rng rng(6);
+  for (overlay::PeerId p = 0; p < n; ++p) {
+    if (rng.chance(0.1)) sys.set_peer_online(p, false);
+  }
+  for (int round = 0; round < 3; ++round) sys.maintenance_round();
+  std::vector<overlay::PeerId> publishers;
+  while (publishers.size() < 40) {
+    const auto p = static_cast<overlay::PeerId>(rng.below(n));
+    if (sys.peer_online(p)) publishers.push_back(p);
+  }
+  std::vector<overlay::PeerId> subscribers;
+  for (int i = 0; i < 200; ++i) {
+    subscribers.push_back(static_cast<overlay::PeerId>(rng.below(n)));
+  }
+  auto& hops = obs::MetricsRegistry::global().counter("bench.planners.hops");
+  auto& checksum = obs::MetricsRegistry::global().counter(
+      "bench.planners.ranking_checksum");
+  runtime::EventEngine queue;
+  for (auto _ : state) {
+    SEL_TRACE_SCOPE("bench.reliable_planners");
+    std::int64_t hop_sum = 0;
+    for (const overlay::PeerId p : publishers) {
+      for (const auto& paths : pubsub::plan_multipath(sys, g, p).paths) {
+        hop_sum += static_cast<std::int64_t>(paths.primary.size() - 1);
+        if (!paths.backup.empty()) {
+          hop_sum += static_cast<std::int64_t>(paths.backup.size() - 1);
+        }
+      }
+    }
+    pubsub::MailboxManager mailbox(queue, sys, net, pubsub::MailboxPolicy{},
+                                   1);
+    mailbox.set_availability_fn(
+        [&sys](overlay::PeerId p) { return sys.cma_of(p); });
+    std::uint64_t h = 0;
+    for (int pass = 0; pass < 3; ++pass) {
+      for (const overlay::PeerId s : subscribers) {
+        for (const overlay::PeerId r : mailbox.placement_ranking(s)) {
+          h = splitmix64(h ^ r);
+        }
+      }
+    }
+    hops.add(hop_sum);
+    // 40 bits, so the per-run sum stays exact in a JSON double.
+    checksum.add(static_cast<std::int64_t>(h >> 24));
+    benchmark::DoNotOptimize(h);
+  }
+}
+BENCHMARK(BM_ReliablePlanners)
+    ->Iterations(kReliablePlannerIterations)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -32,6 +32,10 @@ template <typename T>
 void ring_push(std::vector<T>& ring, std::size_t capacity, std::int64_t total,
                T value) {
   if (static_cast<std::size_t>(total) < capacity) {
+    // Reserved whole on first use: growing by doubling holds the old and
+    // the new buffer at once, a peak-RSS spike the size of the ring. Pages
+    // of the reservation become resident only as entries fill them.
+    if (ring.capacity() < capacity) ring.reserve(capacity);
     ring.push_back(std::move(value));
   } else {
     ring[static_cast<std::size_t>(total) % capacity] = std::move(value);

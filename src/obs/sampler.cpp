@@ -69,12 +69,41 @@ void RoundSampler::sample(std::string_view label, std::uint64_t round,
     reg.counter("obs.timeseries_dropped").add(1);
     return;
   }
-  points_.push_back(std::move(point));
+  StoredPoint stored;
+  stored.label = intern(point.label);
+  stored.count = static_cast<std::uint32_t>(point.values.size());
+  stored.round = point.round;
+  stored.ts_us = point.ts_us;
+  stored.first = values_.size();
+  for (const auto& [name, value] : point.values) {
+    value_names_.push_back(intern(name));
+    values_.push_back(value);
+  }
+  points_.push_back(stored);
+}
+
+std::uint32_t RoundSampler::intern(const std::string& name) {
+  const auto [it, inserted] = name_ids_.try_emplace(
+      name, static_cast<std::uint32_t>(names_.size()));
+  if (inserted) names_.push_back(name);
+  return it->second;
 }
 
 std::vector<TimeSeriesPoint> RoundSampler::snapshot() const {
   std::lock_guard lock(mu_);
-  return points_;
+  std::vector<TimeSeriesPoint> out;
+  out.reserve(points_.size());
+  for (const StoredPoint& stored : points_) {
+    TimeSeriesPoint& point = out.emplace_back();
+    point.label = names_[stored.label];
+    point.round = stored.round;
+    point.ts_us = stored.ts_us;
+    for (std::size_t i = stored.first; i < stored.first + stored.count; ++i) {
+      point.values.emplace_hint(point.values.end(), names_[value_names_[i]],
+                                values_[i]);
+    }
+  }
+  return out;
 }
 
 std::uint64_t RoundSampler::rounds_to_stable_ids() const {
@@ -91,7 +120,11 @@ double RoundSampler::stable_epsilon() const {
 void RoundSampler::reset() {
   std::lock_guard lock(mu_);
   prev_counters_.clear();
+  names_.clear();
+  name_ids_.clear();
   points_.clear();
+  value_names_.clear();
+  values_.clear();
   movement_samples_ = 0;
   stable_after_ = 0;
 }

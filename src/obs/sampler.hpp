@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -48,6 +49,7 @@ class RoundSampler {
   void sample(std::string_view label, std::uint64_t round,
               std::map<std::string, double> gauges = {});
 
+  /// The stored points, rebuilt with their names and labels.
   [[nodiscard]] std::vector<TimeSeriesPoint> snapshot() const;
 
   /// Rounds until id movement stayed below epsilon: 0 when every sampled
@@ -64,9 +66,28 @@ class RoundSampler {
   static RoundSampler& global();
 
  private:
+  /// A stored point: names and labels are interned, and its values are
+  /// the entries [first, first + count) of value_names_ and values_, in
+  /// name order.
+  struct StoredPoint {
+    std::uint32_t label = 0;
+    std::uint32_t count = 0;
+    std::uint64_t round = 0;
+    std::int64_t ts_us = 0;
+    std::size_t first = 0;
+  };
+
+  /// Id of `name` in names_, adding it on first use.
+  std::uint32_t intern(const std::string& name);
+
   mutable std::mutex mu_;
   std::map<std::string, std::int64_t> prev_counters_;
-  std::vector<TimeSeriesPoint> points_;
+  std::vector<std::string> names_;
+  std::map<std::string, std::uint32_t> name_ids_;
+  std::vector<StoredPoint> points_;
+  /// Deques grow without copying what they hold.
+  std::deque<std::uint32_t> value_names_;
+  std::deque<double> values_;
   std::uint64_t movement_samples_ = 0;  ///< samples carrying "id_movement"
   std::uint64_t stable_after_ = 0;      ///< rounds until movement stayed < eps
   double epsilon_ = -1.0;               ///< < 0 = read env on first use

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <unordered_set>
 
 #include "check/overlay_checks.hpp"
 
@@ -34,7 +33,9 @@ void RingSubstrate::set_id(PeerId p, net::OverlayId id) {
   peer(p).id = id;
 }
 
-void RingSubstrate::set_online(PeerId p, bool online) { peer(p).online = online; }
+void RingSubstrate::set_online(PeerId p, bool online) {
+  peer(p).online = online;
+}
 
 void RingSubstrate::rebuild_ring(bool online_only) {
   std::vector<PeerId> order;
@@ -136,24 +137,6 @@ bool RingSubstrate::neighbors_of_contains(PeerId a, PeerId b) const {
   return pa.succ == b || pa.pred == b || linked(a, b);
 }
 
-void RingSubstrate::for_each_neighbor(
-    PeerId p, const std::function<void(PeerId)>& fn) const {
-  const auto& pr = peer(p);
-  // Small neighbour sets (K + 2): linear dedup beats hashing.
-  std::vector<PeerId> seen;
-  seen.reserve(pr.out_links.size() + pr.in_links.size() + 2);
-  auto visit = [&seen, &fn](PeerId q) {
-    if (q == kInvalidPeer) return;
-    if (std::find(seen.begin(), seen.end(), q) != seen.end()) return;
-    seen.push_back(q);
-    fn(q);
-  };
-  visit(pr.succ);
-  visit(pr.pred);
-  for (const PeerId q : pr.out_links) visit(q);
-  for (const PeerId q : pr.in_links) visit(q);
-}
-
 std::vector<PeerId> RingSubstrate::neighbor_list(PeerId p) const {
   std::vector<PeerId> out;
   for_each_neighbor(p, [&out](PeerId q) { out.push_back(q); });
@@ -180,7 +163,11 @@ RouteResult RingSubstrate::greedy_route(PeerId src, PeerId dst,
   // dead end or the TTL: fail at once.
   if (opts.require_online && !peer(dst).online) return result;
 
-  std::unordered_set<PeerId> visited{src};
+  // The visited set is the path itself: a few dozen peers at most.
+  const auto visited = [&result](PeerId q) {
+    return std::find(result.path.begin(), result.path.end(), q) !=
+           result.path.end();
+  };
   PeerId current = src;
   const net::OverlayId target = peer(dst).id;
 
@@ -191,6 +178,23 @@ RouteResult RingSubstrate::greedy_route(PeerId src, PeerId dst,
       return false;
     }
     return true;
+  };
+
+  // Lookahead claims: from the reverse index of the gossip snapshots when
+  // routing on them (overlay/lookahead.hpp), else from live neighbour state.
+  const LookaheadCache* cache = opts.lookahead ? opts.lookahead_cache : nullptr;
+  if (cache != nullptr) cache->begin_route(dst);
+  auto one_hop_from_dst = [&](PeerId w) {
+    return cache != nullptr ? cache->snapshot_holds_target(w)
+                            : neighbors_of_contains(w, dst);
+  };
+  auto two_hops_from_dst = [&](PeerId w) {
+    if (cache != nullptr) return cache->target_two_snapshots_away(w, usable);
+    bool found = false;
+    for_each_neighbor(w, [&](PeerId x) {
+      if (!found && usable(x) && neighbors_of_contains(x, dst)) found = true;
+    });
+    return found;
   };
 
   while (result.path.size() <= max_hops) {
@@ -209,39 +213,18 @@ RouteResult RingSubstrate::greedy_route(PeerId src, PeerId dst,
       // guarantees delivery in two hops from here. With a cache, the claim
       // comes from the gossip snapshot and may be stale — the route then
       // simply continues from w.
-      auto set_contains = [this, &opts](PeerId via, PeerId target) {
-        return opts.lookahead_cache != nullptr
-                   ? opts.lookahead_cache->cached_contains(via, target)
-                   : neighbors_of_contains(via, target);
-      };
       for_each_neighbor(current, [&](PeerId w) {
         if (next != kInvalidPeer) return;
-        if (!usable(w) || visited.contains(w)) return;
-        if (set_contains(w, dst)) next = w;
+        if (!usable(w) || visited(w)) return;
+        if (one_hop_from_dst(w)) next = w;
       });
       if (next == kInvalidPeer && opts.lookahead_depth >= 2) {
-        // Depth 2: a neighbour w one of whose neighbours x connects to dst
-        // (guaranteed 3 hops). Scan w's (cached) neighbour list.
+        // Depth 2: a neighbour w one of whose usable neighbours x connects
+        // to dst (guaranteed 3 hops).
         for_each_neighbor(current, [&](PeerId w) {
           if (next != kInvalidPeer) return;
-          if (!usable(w) || visited.contains(w)) return;
-          if (opts.lookahead_cache != nullptr) {
-            for (const PeerId x : opts.lookahead_cache->snapshot(w)) {
-              if (!usable(x)) continue;
-              if (opts.lookahead_cache->cached_contains(x, dst)) {
-                next = w;
-                return;
-              }
-            }
-          } else {
-            for (const PeerId x : neighbor_list(w)) {
-              if (!usable(x)) continue;
-              if (neighbors_of_contains(x, dst)) {
-                next = w;
-                return;
-              }
-            }
-          }
+          if (!usable(w) || visited(w)) return;
+          if (two_hops_from_dst(w)) next = w;
         });
       }
     }
@@ -255,7 +238,7 @@ RouteResult RingSubstrate::greedy_route(PeerId src, PeerId dst,
       double best_cw = std::numeric_limits<double>::infinity();
       const double here = net::ring_distance(peer(current).id, target);
       for_each_neighbor(current, [&](PeerId w) {
-        if (!usable(w) || visited.contains(w)) return;
+        if (!usable(w) || visited(w)) return;
         const double d = net::ring_distance(peer(w).id, target);
         const double cw = net::clockwise_distance(peer(w).id, target);
         if (d < best || (d == best && cw < best_cw)) {
@@ -270,7 +253,6 @@ RouteResult RingSubstrate::greedy_route(PeerId src, PeerId dst,
     }
 
     if (next == kInvalidPeer) return result;  // dead end
-    visited.insert(next);
     result.path.push_back(next);
     current = next;
     if (current == dst) {

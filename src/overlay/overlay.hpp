@@ -14,8 +14,8 @@
 // written so each peer only reads what the real protocol could know.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -93,7 +93,9 @@ class RingSubstrate {
   explicit RingSubstrate(std::size_t num_peers);
 
   [[nodiscard]] std::size_t num_peers() const noexcept { return peers_.size(); }
-  [[nodiscard]] std::size_t joined_count() const noexcept { return joined_count_; }
+  [[nodiscard]] std::size_t joined_count() const noexcept {
+    return joined_count_;
+  }
 
   // -- membership -----------------------------------------------------------
   /// Marks the peer as part of the overlay with the given identifier.
@@ -146,10 +148,29 @@ class RingSubstrate {
   /// True when b is reachable from a in one hop (ring or long link).
   [[nodiscard]] bool neighbors_of_contains(PeerId a, PeerId b) const;
 
-  /// Invokes fn for every one-hop neighbour of p: succ, pred, out- and
-  /// in-links (deduplicated).
-  void for_each_neighbor(PeerId p,
-                         const std::function<void(PeerId)>& fn) const;
+  /// Invokes fn for every one-hop neighbour of p, once each, in the order
+  /// succ, pred, out-links, in-links. No allocation: a link table holds no
+  /// duplicates (the checked `overlay.links.duplicate` invariant), so a
+  /// peer can repeat only as succ/pred or as both an out- and an in-link.
+  template <class Fn>
+  void for_each_neighbor(PeerId p, Fn&& fn) const {
+    const auto& pr = peer(p);
+    const auto on_ring = [&pr](PeerId q) {
+      return q == pr.succ || q == pr.pred;
+    };
+    const auto linked_out = [&pr](PeerId q) {
+      return std::find(pr.out_links.begin(), pr.out_links.end(), q) !=
+             pr.out_links.end();
+    };
+    if (pr.succ != kInvalidPeer) fn(pr.succ);
+    if (pr.pred != kInvalidPeer && pr.pred != pr.succ) fn(pr.pred);
+    for (const PeerId q : pr.out_links) {
+      if (!on_ring(q)) fn(q);
+    }
+    for (const PeerId q : pr.in_links) {
+      if (!on_ring(q) && !linked_out(q)) fn(q);
+    }
+  }
 
   /// Materialized neighbour list (deduplicated, deterministic order).
   [[nodiscard]] std::vector<PeerId> neighbor_list(PeerId p) const;
@@ -205,7 +226,9 @@ class RingSubstrate {
     LinkVector in_links;
   };
 
-  void bump_links(Peer& pr) { pr.link_version = pr.neighbor_version = ++clock_; }
+  void bump_links(Peer& pr) {
+    pr.link_version = pr.neighbor_version = ++clock_;
+  }
   void bump_neighbors(Peer& pr) { pr.neighbor_version = ++clock_; }
 
   [[nodiscard]] const Peer& peer(PeerId p) const {

@@ -95,6 +95,18 @@ obs::Gauge& pending_gauge() {
 constexpr std::uint64_t kPlacementSalt = 0x3a11b0c501;
 constexpr std::uint64_t kJitterSalt = 0x3a11b0c502;
 
+/// The subscriber's half of the rendezvous hash, shared by every candidate.
+std::uint64_t placement_key(std::uint64_t seed, PeerId subscriber) {
+  return splitmix64(splitmix64(seed ^ splitmix64(kPlacementSalt)) ^
+                    splitmix64(subscriber));
+}
+
+/// Pure rendezvous draw u01(seed, subscriber, candidate) in [0, 1).
+double placement_draw(std::uint64_t key, PeerId p) {
+  return static_cast<double>(splitmix64(key ^ splitmix64(p)) >> 11) *
+         0x1.0p-53;
+}
+
 }  // namespace
 
 MailboxPolicy MailboxPolicy::from_env() {
@@ -140,6 +152,41 @@ bool MailboxManager::peer_dead(PeerId p) const {
   return fault_ != nullptr && fault_->crashed(p);
 }
 
+bool MailboxManager::scores_bounded() const {
+  // placement_score(a, u, bias) <= placement_score_bound(u) needs a weight
+  // of at most 1: a CMA <= 1 and a non-negative bias (NaN fails both).
+  if (!(policy_.bias >= 0.0)) return false;
+  if (!availability_) return true;
+  const std::size_t n = overlay_->num_peers();
+  for (PeerId p = 0; p < n; ++p) {
+    if (!(availability_(p) <= 1.0)) return false;
+  }
+  return true;
+}
+
+std::span<const PeerId> MailboxManager::draw_order(PeerId subscriber,
+                                                   std::uint64_t key) const {
+  const std::size_t n = overlay_->num_peers();
+  if (draw_slot_.empty()) draw_slot_.assign(n, kNoDrawOrder);
+  const std::size_t depth = std::min(kDrawOrderDepth, n);
+  if (draw_slot_[subscriber] == kNoDrawOrder) {
+    struct Drawn {
+      double u;
+      PeerId peer;
+    };
+    std::vector<Drawn> all(n);
+    for (PeerId p = 0; p < n; ++p) all[p] = {placement_draw(key, p), p};
+    std::partial_sort(all.begin(), all.begin() + depth, all.end(),
+                      [](const Drawn& a, const Drawn& b) {
+                        if (a.u != b.u) return a.u > b.u;
+                        return a.peer < b.peer;
+                      });
+    draw_slot_[subscriber] = static_cast<std::uint32_t>(draws_.size());
+    for (std::size_t i = 0; i < depth; ++i) draws_.push_back(all[i].peer);
+  }
+  return {draws_.data() + draw_slot_[subscriber], depth};
+}
+
 std::vector<PeerId> MailboxManager::placement_ranking(
     PeerId subscriber) const {
   // Two ranked sections: the subscriber's overlay neighborhood (replicas a
@@ -155,14 +202,7 @@ std::vector<PeerId> MailboxManager::placement_ranking(
     if (a.score != b.score) return a.score > b.score;
     return a.peer < b.peer;
   };
-  // Pure rendezvous draw u01(seed, subscriber, candidate); the
-  // subscriber's half of the hash is shared by every candidate.
-  const std::uint64_t key = splitmix64(
-      splitmix64(seed_ ^ splitmix64(kPlacementSalt)) ^ splitmix64(subscriber));
-  const auto u01_of = [key](PeerId p) {
-    return static_cast<double>(splitmix64(key ^ splitmix64(p)) >> 11) *
-           0x1.0p-53;
-  };
+  const std::uint64_t key = placement_key(seed_, subscriber);
 
   std::vector<PeerId> near = overlay_->neighbors(subscriber);
   std::sort(near.begin(), near.end());
@@ -170,41 +210,69 @@ std::vector<PeerId> MailboxManager::placement_ranking(
   std::vector<Scored> neighborhood;
   for (const PeerId p : near) {
     if (p == subscriber || peer_dead(p)) continue;
-    neighborhood.push_back(
-        {core::placement_score(availability_of(p), u01_of(p), policy_.bias),
-         p});
+    const double score = core::placement_score(
+        availability_of(p), placement_draw(key, p), policy_.bias);
+    neighborhood.push_back({score, p});
   }
   std::sort(neighborhood.begin(), neighborhood.end(), by_score);
 
   // The best `pool` of everyone else, kept as a heap whose front is the
-  // worst entry. With a CMA ≤ 1 and a non-negative bias a score is at most
-  // placement_score_bound(u), and peers arrive in ascending id, so a later
-  // peer loses every tie: a draw whose bound cannot beat the front is
-  // skipped unscored. The result equals a full sort cut to `pool`.
+  // worst entry.
   const std::size_t pool = policy_.fallback_pool;
   const std::size_t n = overlay_->num_peers();
   std::vector<Scored> fallback;
   fallback.reserve(std::min(pool, n));
-  auto next_near = near.begin();
-  for (PeerId p = 0; pool > 0 && p < n; ++p) {
-    while (next_near != near.end() && *next_near < p) ++next_near;
-    if (next_near != near.end() && *next_near == p) continue;
-    if (p == subscriber || peer_dead(p)) continue;
-    const double u = u01_of(p);
-    const double a = availability_of(p);
-    const bool full = fallback.size() == pool;
-    if (full && a <= 1.0 && policy_.bias >= 0.0 &&
-        core::placement_score_bound(u) <= fallback.front().score) {
-      continue;
-    }
-    const Scored s{core::placement_score(a, u, policy_.bias), p};
-    if (!full) {
+  const auto offer = [&](const Scored& s) {
+    if (fallback.size() < pool) {
       fallback.push_back(s);
       std::push_heap(fallback.begin(), fallback.end(), by_score);
     } else if (by_score(s, fallback.front())) {
       std::pop_heap(fallback.begin(), fallback.end(), by_score);
       fallback.back() = s;
       std::push_heap(fallback.begin(), fallback.end(), by_score);
+    }
+  };
+
+  // Draw-order walk. When every score is at most placement_score_bound(u),
+  // a full pool whose worst score beats the bound of the next draw cannot
+  // gain any later draw: those have a smaller u, and the cached order
+  // continues into the peers outside it. Running out of cached draws, or
+  // an unbounded score, falls back to the scan below.
+  bool exact = false;
+  if (pool > 0 && scores_bounded()) {
+    for (const PeerId p : draw_order(subscriber, key)) {
+      const double u = placement_draw(key, p);
+      if (fallback.size() == pool &&
+          core::placement_score_bound(u) < fallback.front().score) {
+        exact = true;
+        break;
+      }
+      if (p == subscriber || peer_dead(p) ||
+          std::binary_search(near.begin(), near.end(), p)) {
+        continue;
+      }
+      offer({core::placement_score(availability_of(p), u, policy_.bias), p});
+    }
+  }
+
+  // Full scan in ascending peer id. With a CMA <= 1 and a non-negative
+  // bias a later peer loses every tie, so a draw whose bound cannot beat
+  // the front is skipped unscored. The result equals a full sort cut to
+  // `pool`.
+  if (!exact) {
+    fallback.clear();
+    auto next_near = near.begin();
+    for (PeerId p = 0; pool > 0 && p < n; ++p) {
+      while (next_near != near.end() && *next_near < p) ++next_near;
+      if (next_near != near.end() && *next_near == p) continue;
+      if (p == subscriber || peer_dead(p)) continue;
+      const double u = placement_draw(key, p);
+      const double a = availability_of(p);
+      if (fallback.size() == pool && a <= 1.0 && policy_.bias >= 0.0 &&
+          core::placement_score_bound(u) <= fallback.front().score) {
+        continue;
+      }
+      offer({core::placement_score(a, u, policy_.bias), p});
     }
   }
   std::sort_heap(fallback.begin(), fallback.end(), by_score);

@@ -15,11 +15,13 @@
 // churn. Candidates come from the subscriber's overlay neighborhood first
 // (ring + long links — replicas the returning subscriber can reach
 // cheaply), then a bounded rendezvous fallback pool over the rest of the
-// network. Peers sharing a correlated-failure domain with the subscriber,
-// the source, or an already-chosen replica are skipped while alternatives
-// exist ("Socially-Aware DHTs for Decentralized OSNs": placement must be
-// availability- *and* locality-diverse), so one crash burst cannot take out
-// a whole replica set.
+// network. That pool is filled by walking a per-subscriber cache of the
+// best draws until no later draw can enter it, or else by a bounded scan
+// of every peer. Peers sharing a correlated-failure domain with the
+// subscriber, the source, or an already-chosen replica are skipped while
+// alternatives exist ("Socially-Aware DHTs for Decentralized OSNs":
+// placement must be availability- *and* locality-diverse), so one crash
+// burst cannot take out a whole replica set.
 //
 // Write protocol. Each replica slot runs a store→ack exchange on the
 // engine's virtual clock: the store request takes a real transfer time,
@@ -49,6 +51,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -197,6 +200,15 @@ class MailboxManager {
   };
 
   [[nodiscard]] double availability_of(overlay::PeerId p) const;
+  /// True when every placement score is at most placement_score_bound of
+  /// its draw: a non-negative bias and every availability <= 1 (one pass).
+  [[nodiscard]] bool scores_bounded() const;
+  /// The kDrawOrderDepth peers (all, when fewer) with the highest
+  /// rendezvous draw for `subscriber` (`key` is its half of the hash), in
+  /// (u desc, peer asc) order. Computed once per subscriber: the draw
+  /// never changes.
+  [[nodiscard]] std::span<const overlay::PeerId> draw_order(
+      overlay::PeerId subscriber, std::uint64_t key) const;
   [[nodiscard]] bool peer_dead(overlay::PeerId p) const;
   /// Domain-diverse slot assignment: next usable candidate from the
   /// entry's ranking, or kInvalidPeer when exhausted.
@@ -225,6 +237,15 @@ class MailboxManager {
   std::uint64_t seed_;
   fault::FaultPlan* fault_ = nullptr;  ///< not owned
   std::function<double(overlay::PeerId)> availability_;
+
+  /// Draw-order cache behind placement_ranking(): draw_slot_[s] is the
+  /// start of s's kDrawOrderDepth peers in draws_, or kNoDrawOrder.
+  static constexpr std::size_t kDrawOrderDepth = 64;
+  static constexpr std::uint32_t kNoDrawOrder = 0xffffffff;
+  mutable obs::AccountedVector<std::uint32_t, obs::Subsystem::kPubsub>
+      draw_slot_;
+  mutable obs::AccountedVector<overlay::PeerId, obs::Subsystem::kPubsub>
+      draws_;
 
   /// Entries in creation order — the deterministic iteration spine for
   /// replay and anti-entropy. Resolved entries are tombstoned in place.

@@ -100,7 +100,7 @@ class SelectSystem final : public overlay::RingOverlay {
     cma_[p].update(responsive);
   }
 
-  // -- introspection ------------------------------------------------------------
+  // -- introspection ----------------------------------------------------------
   [[nodiscard]] const SelectParams& params() const noexcept { return params_; }
   [[nodiscard]] std::size_t k() const noexcept { return k_; }
   [[nodiscard]] double cma_of(overlay::PeerId p) const {
@@ -117,6 +117,12 @@ class SelectSystem final : public overlay::RingOverlay {
   [[nodiscard]] std::size_t last_round_link_changes() const noexcept {
     return last_link_changes_;
   }
+  /// True when nothing relink(p) reads moved since its last run, so the
+  /// next create_links(p) skips it: p's bitmaps, and the link_version of p
+  /// and of every friend (which covers their link tables and joined flags).
+  /// relinked_at is read before that run's own link changes, so a run that
+  /// changed a link is never current.
+  [[nodiscard]] bool links_current(overlay::PeerId p) const;
   /// The gossip-maintained L_p snapshots used for lookahead routing.
   [[nodiscard]] const overlay::LookaheadCache& lookahead() const noexcept {
     return lookahead_;
@@ -161,12 +167,6 @@ class SelectSystem final : public overlay::RingOverlay {
   /// Algs. 5-6: rebuilds p's LSH index and reassigns long links unless
   /// links_current(p). Returns the number of link changes made.
   std::size_t create_links(overlay::PeerId p);
-
-  /// True when nothing relink(p) reads moved since its last run: p's
-  /// bitmaps, and the link_version of p and of every friend (which covers
-  /// their link tables and joined flags). relinked_at is read before that
-  /// run's own link changes, so a run that changed a link is never current.
-  [[nodiscard]] bool links_current(overlay::PeerId p) const;
 
   /// The LSH path of create_links, always recomputed.
   std::size_t relink(overlay::PeerId p);

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <unordered_set>
 #include <vector>
 
+#include "common/flat_set.hpp"
+#include "common/rng.hpp"
 #include "graph/profiles.hpp"
 #include "pubsub/metrics.hpp"
 #include "select/protocol.hpp"
@@ -169,6 +174,222 @@ TEST(SelectLookahead, RoutingStaysReliableWithCachedLookahead) {
   const auto hops = pubsub::measure_hops(ps, 300, 5);
   EXPECT_DOUBLE_EQ(hops.success_rate(), 1.0);
   EXPECT_LT(hops.hops.mean(), 3.0);
+}
+
+// -- reverse-index routing against the snapshot scans ---------------------
+//
+// greedy_route answers its lookahead questions from the cache's reverse
+// index. This reference is the route as it was before the index: depth 1
+// binary-searches each neighbour's snapshot for dst, depth 2 searches the
+// snapshot of every usable entry of each neighbour's snapshot, and the
+// visited set is a hash set. Neighbours come from a linear-dedup walk of
+// succ, pred, out- and in-links, the visit order for_each_neighbor keeps.
+std::vector<PeerId> deduped_neighbors(const RingSubstrate& ov, PeerId p) {
+  std::vector<PeerId> seen;
+  auto visit = [&seen](PeerId q) {
+    if (q != kInvalidPeer &&
+        std::find(seen.begin(), seen.end(), q) == seen.end()) {
+      seen.push_back(q);
+    }
+  };
+  visit(ov.successor(p));
+  visit(ov.predecessor(p));
+  for (const PeerId q : ov.out_links(p)) visit(q);
+  for (const PeerId q : ov.in_links(p)) visit(q);
+  return seen;
+}
+
+RouteResult snapshot_scan_route(const RingSubstrate& ov, PeerId src,
+                                PeerId dst, const RouteOptions& opts) {
+  RouteResult result;
+  if (!ov.joined(src) || !ov.joined(dst)) return result;
+  std::size_t max_hops = opts.max_hops;
+  if (max_hops == 0) {
+    const double n =
+        std::max<double>(2.0, static_cast<double>(ov.joined_count()));
+    max_hops = static_cast<std::size_t>(4.0 * std::log2(n)) + 32;
+  }
+  result.path.push_back(src);
+  if (src == dst) {
+    result.success = true;
+    result.status = RouteStatus::kOk;
+    return result;
+  }
+  if (opts.require_online && !ov.online(dst)) return result;
+  const LookaheadCache& cache = *opts.lookahead_cache;
+  std::unordered_set<PeerId> visited{src};
+  PeerId current = src;
+  const net::OverlayId target = ov.id(dst);
+  auto usable = [&](PeerId q) {
+    if (q == kInvalidPeer || !ov.joined(q)) return false;
+    if (opts.require_online && !ov.online(q)) return false;
+    return opts.avoid == nullptr || q == dst || !opts.avoid->contains(q);
+  };
+  while (result.path.size() <= max_hops) {
+    if (ov.neighbors_of_contains(current, dst) && usable(dst)) {
+      result.path.push_back(dst);
+      result.success = true;
+      result.status = RouteStatus::kOk;
+      return result;
+    }
+    PeerId next = kInvalidPeer;
+    const auto neighbors = deduped_neighbors(ov, current);
+    if (opts.lookahead) {
+      for (const PeerId w : neighbors) {
+        if (usable(w) && !visited.contains(w) &&
+            cache.cached_contains(w, dst)) {
+          next = w;
+          break;
+        }
+      }
+      if (next == kInvalidPeer && opts.lookahead_depth >= 2) {
+        for (const PeerId w : neighbors) {
+          if (!usable(w) || visited.contains(w)) continue;
+          const auto snap = cache.snapshot(w);
+          if (std::any_of(snap.begin(), snap.end(), [&](PeerId x) {
+                return usable(x) && cache.cached_contains(x, dst);
+              })) {
+            next = w;
+            break;
+          }
+        }
+      }
+    }
+    if (next == kInvalidPeer) {
+      double best = std::numeric_limits<double>::infinity();
+      double best_cw = std::numeric_limits<double>::infinity();
+      const double here = net::ring_distance(ov.id(current), target);
+      for (const PeerId w : neighbors) {
+        if (!usable(w) || visited.contains(w)) continue;
+        const double d = net::ring_distance(ov.id(w), target);
+        const double cw = net::clockwise_distance(ov.id(w), target);
+        if (d < best || (d == best && cw < best_cw)) {
+          best = d;
+          best_cw = cw;
+          next = w;
+        }
+      }
+      if (next != kInvalidPeer && !opts.allow_detour && best >= here) {
+        next = kInvalidPeer;
+      }
+    }
+    if (next == kInvalidPeer) return result;
+    visited.insert(next);
+    result.path.push_back(next);
+    current = next;
+    if (current == dst) {
+      result.success = true;
+      result.status = RouteStatus::kOk;
+      return result;
+    }
+  }
+  return result;
+}
+
+/// Routes every (src, dst) pair through `route` and the reference, plainly
+/// and avoiding the intermediates of the plain route; returns the number of
+/// pairs whose paths or statuses differ, plus the peers whose neighbour
+/// list differs from the reference walk.
+template <class Route, class RouteAvoiding>
+std::size_t count_mismatches(const RingSubstrate& ov, RouteOptions opts,
+                             const Route& route,
+                             const RouteAvoiding& route_avoiding) {
+  std::size_t mismatches = 0;
+  const auto n = static_cast<PeerId>(ov.num_peers());
+  for (PeerId src = 0; src < n; ++src) {
+    if (ov.neighbor_list(src) != deduped_neighbors(ov, src)) ++mismatches;
+    for (PeerId dst = 0; dst < n; ++dst) {
+      opts.avoid = nullptr;
+      const RouteResult got = route(src, dst);
+      const RouteResult want = snapshot_scan_route(ov, src, dst, opts);
+      if (got.status != want.status || got.path != want.path) ++mismatches;
+      if (want.path.size() <= 2) continue;
+      const FlatSet<PeerId> avoid(want.path.begin() + 1, want.path.end() - 1);
+      opts.avoid = &avoid;
+      const RouteResult got_avoiding = route_avoiding(src, dst, avoid);
+      const RouteResult want_avoiding =
+          snapshot_scan_route(ov, src, dst, opts);
+      if (got_avoiding.status != want_avoiding.status ||
+          got_avoiding.path != want_avoiding.path) {
+        ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(LookaheadRouting, ReverseIndexMatchesSnapshotScans) {
+  const auto g = graph::make_dataset_graph(
+      graph::profile_by_name("facebook"), 300, 11);
+  core::SelectSystem sys(g, core::SelectParams{}, 11);
+  sys.build();
+  auto& ov = sys.overlay();
+  const auto n = static_cast<PeerId>(ov.num_peers());
+
+  // Freshly built, through the system's own routes and gossip snapshots.
+  const auto sys_route = [&sys](PeerId a, PeerId b) { return sys.route(a, b); };
+  const auto sys_avoiding = [&sys](PeerId a, PeerId b,
+                                   const FlatSet<PeerId>& avoid) {
+    return sys.route_avoiding(a, b, avoid);
+  };
+  const RouteOptions sys_opts = sys.route_options();
+  EXPECT_EQ(count_mismatches(ov, sys_opts, sys_route, sys_avoiding), 0u)
+      << "freshly built";
+
+  // Stale L_p: a cache of its own, then random link churn, then only some
+  // snapshots refreshed.
+  LookaheadCache cache(ov);
+  cache.refresh_all();
+  RouteOptions opts = sys_opts;
+  opts.lookahead_cache = &cache;
+  const auto own_route = [&ov, &opts](PeerId a, PeerId b) {
+    RouteOptions o = opts;
+    o.avoid = nullptr;
+    return ov.greedy_route(a, b, o);
+  };
+  const auto own_avoiding = [&ov, &opts](PeerId a, PeerId b,
+                                         const FlatSet<PeerId>& avoid) {
+    RouteOptions o = opts;
+    o.avoid = &avoid;
+    return ov.greedy_route(a, b, o);
+  };
+  Rng rng(11);
+  const auto churn_links = [&](int changes) {
+    for (int i = 0; i < changes; ++i) {
+      const auto a = static_cast<PeerId>(rng.below(n));
+      if (rng.chance(0.5) || ov.out_degree(a) == 0) {
+        ov.add_long_link(a, static_cast<PeerId>(rng.below(n)));
+      } else {
+        ov.remove_long_link(a, ov.out_links(a)[rng.below(ov.out_degree(a))]);
+      }
+    }
+  };
+  churn_links(400);
+  for (PeerId p = 0; p < n; ++p) {
+    if (rng.chance(0.5)) cache.refresh(p);
+  }
+  std::size_t stale = 0;
+  for (PeerId p = 0; p < n; ++p) stale += cache.stale_entries(p);
+  ASSERT_GT(stale, 0u);
+  EXPECT_EQ(count_mismatches(ov, opts, own_route, own_avoiding), 0u)
+      << "stale snapshots";
+
+  // Right after a snapshot change: the next route must see the new index.
+  churn_links(400);
+  for (PeerId p = 0; p < n; ++p) {
+    if (rng.chance(0.5)) cache.refresh(p);
+  }
+  EXPECT_EQ(count_mismatches(ov, opts, own_route, own_avoiding), 0u)
+      << "routes right after a snapshot change";
+
+  // 10% of peers offline, through the system's routes again.
+  for (PeerId p = 0; p < n; ++p) {
+    if (rng.chance(0.1)) sys.set_peer_online(p, false);
+  }
+  EXPECT_EQ(count_mismatches(ov, sys_opts, sys_route, sys_avoiding), 0u)
+      << "10% offline";
+  EXPECT_EQ(count_mismatches(ov, opts, own_route, own_avoiding), 0u)
+      << "10% offline, stale snapshots";
 }
 
 }  // namespace

@@ -140,6 +140,14 @@ TEST(RingSubstrate, NeighborListDeduplicatesAndIncludesRing) {
   EXPECT_NE(std::find(nbrs.begin(), nbrs.end(), 4u), nbrs.end());
   EXPECT_NE(std::find(nbrs.begin(), nbrs.end(), 3u), nbrs.end());
   EXPECT_NE(std::find(nbrs.begin(), nbrs.end(), 2u), nbrs.end());
+  EXPECT_EQ(nbrs, (std::vector<PeerId>{1, 4, 3, 2}));  // visit order
+  // A peer linked both ways, and a two-peer ring whose succ is its pred:
+  // each is visited once.
+  ov.add_long_link(3, 0);
+  EXPECT_EQ(ov.neighbor_list(0), (std::vector<PeerId>{1, 4, 3, 2}));
+  RingSubstrate pair = ring_of(2);
+  pair.add_long_link(1, 0);
+  EXPECT_EQ(pair.neighbor_list(0), (std::vector<PeerId>{1}));
 }
 
 TEST(RingSubstrate, NeighborsOfContainsChecksRingAndLinks) {

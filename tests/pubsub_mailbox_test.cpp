@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -83,21 +84,24 @@ TEST_F(MailboxTest, PlacementFavorsHighAvailabilityPeers) {
   EXPECT_EQ(ranking.front(), target);
 }
 
+// The documented rendezvous draw of (seed, subscriber, candidate) under the
+// mailbox placement salt.
+double draw_u01(std::uint64_t seed, PeerId sub, PeerId p) {
+  std::uint64_t h = splitmix64(seed ^ splitmix64(0x3a11b0c501));
+  h = splitmix64(h ^ splitmix64(sub));
+  h = splitmix64(h ^ splitmix64(p));
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
 // Brute-force reference for placement_ranking(): score every candidate,
 // sort each section fully by (score desc, peer asc) and cut the fallback
-// section to the pool. The draw is the documented rendezvous hash of
-// (seed, subscriber, candidate) under the mailbox placement salt.
+// section to the pool.
 std::vector<PeerId> full_scan_ranking(
     const overlay::Overlay& ov, PeerId sub, std::uint64_t seed,
     const MailboxPolicy& policy,
     const std::function<double(PeerId)>& availability,
     const fault::FaultPlan* plan) {
-  const auto u01 = [&](PeerId p) {
-    std::uint64_t h = splitmix64(seed ^ splitmix64(0x3a11b0c501));
-    h = splitmix64(h ^ splitmix64(sub));
-    h = splitmix64(h ^ splitmix64(p));
-    return static_cast<double>(h >> 11) * 0x1.0p-53;
-  };
+  const auto u01 = [&](PeerId p) { return draw_u01(seed, sub, p); };
   struct Scored {
     double score;
     PeerId peer;
@@ -178,6 +182,101 @@ TEST_F(MailboxTest, PlacementMatchesFullScanReference) {
               << ", subscriber " << s;
         }
       }
+    }
+  }
+
+  // Each exit of the draw-order walk: it stops early in the cases above;
+  // below it runs out of cached draws or is never taken.
+  const auto mixed = availabilities[3].second;
+  const auto expect_reference = [&](const MailboxPolicy& policy,
+                                    const std::function<double(PeerId)>& a,
+                                    fault::FaultPlan* faults, PeerId s,
+                                    const char* label) {
+    MailboxManager mb(q, *sys_, *net_, policy, 42);
+    mb.set_availability_fn(a);
+    mb.set_fault_plan(faults);
+    EXPECT_EQ(mb.placement_ranking(s),
+              full_scan_ranking(*sys_, s, 42, policy, a, faults))
+        << label << ", subscriber " << s;
+  };
+  // The 64 best draws of `s` by (u desc, peer asc), as the walk caches them.
+  const auto best_draws = [&](PeerId s) {
+    std::vector<std::pair<double, PeerId>> draws;
+    for (PeerId p = 0; p < g_.num_nodes(); ++p) {
+      draws.emplace_back(draw_u01(42, s, p), p);
+    }
+    std::sort(draws.begin(), draws.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
+    draws.resize(64);
+    return draws;
+  };
+  const MailboxPolicy defaults;
+
+  // Every cached draw is the subscriber, a neighbour or crashed: the walk
+  // runs out without a full pool.
+  for (const PeerId s : {sub, PeerId{150}}) {
+    fault::FaultPlan crashed(fault::FaultSpec{}, 42, g_.num_nodes());
+    const auto neighbors = sys_->overlay().neighbor_list(s);
+    for (const auto& [u, p] : best_draws(s)) {
+      if (p != s && std::find(neighbors.begin(), neighbors.end(), p) ==
+                        neighbors.end()) {
+        crashed.force_crash(p);
+      }
+    }
+    expect_reference(defaults, mixed, &crashed, s, "best 64 draws excluded");
+    expect_reference(defaults, nullptr, &crashed, s,
+                     "best 64 draws excluded, availability unset");
+  }
+
+  // One NaN availability makes the scores unbounded: the walk is not
+  // taken. A NaN score is not ordered, so the expected ranking is the full
+  // scan itself, forced by an availability above 1 on the subscriber, who
+  // is never scored. The NaN peer has the lowest id outside the cached
+  // draws: the scan meets it before its pool fills, a walk never would.
+  for (const PeerId s : {sub, PeerId{150}}) {
+    const auto draws = best_draws(s);
+    const auto neighbors = sys_->overlay().neighbor_list(s);
+    PeerId nan_peer = 0;
+    while (nan_peer == s ||
+           std::find(neighbors.begin(), neighbors.end(), nan_peer) !=
+               neighbors.end() ||
+           std::any_of(draws.begin(), draws.end(), [&](const auto& d) {
+             return d.second == nan_peer;
+           })) {
+      ++nan_peer;
+    }
+    const std::function<double(PeerId)> one_nan = [nan_peer](PeerId p) {
+      return p == nan_peer ? std::numeric_limits<double>::quiet_NaN() : 1.0;
+    };
+    const std::function<double(PeerId)> forced_scan = [&](PeerId p) {
+      return p == s ? 2.0 : one_nan(p);
+    };
+    MailboxManager nan_mb(q, *sys_, *net_, defaults, 42);
+    nan_mb.set_availability_fn(one_nan);
+    MailboxManager scan_mb(q, *sys_, *net_, defaults, 42);
+    scan_mb.set_availability_fn(forced_scan);
+    EXPECT_EQ(nan_mb.placement_ranking(s), scan_mb.placement_ranking(s))
+        << "one NaN availability, subscriber " << s;
+  }
+
+  // A negative bias lifts scores above their draw: the walk is not taken.
+  MailboxPolicy negative_bias;
+  negative_bias.bias = -1.0;
+  for (const PeerId s : {sub, PeerId{0}, PeerId{299}}) {
+    expect_reference(negative_bias, mixed, nullptr, s, "bias -1");
+    expect_reference(negative_bias, nullptr, &plan, s,
+                     "bias -1, availability unset");
+  }
+
+  // A pool larger than the cached draws can never fill from them.
+  for (const std::size_t pool : {std::size_t{65}, std::size_t{100}}) {
+    MailboxPolicy large;
+    large.fallback_pool = pool;
+    for (const PeerId s : {sub, PeerId{150}}) {
+      expect_reference(large, mixed, &plan, s, "pool above 64");
+      expect_reference(large, nullptr, nullptr, s,
+                       "pool above 64, availability unset");
     }
   }
 }

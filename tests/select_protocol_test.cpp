@@ -321,6 +321,38 @@ TEST(SelectGatedRecompute, SkipsStayExactUnderLinkChurnAndLateJoins) {
                                << ": " << capture.violations().front().detail;
 }
 
+// relink reads relinked_at before its own link changes, so a run that
+// changed a link leaves its peer not current and the next create_links
+// recomputes. Reading it after the changes would hide them from the gate.
+TEST(SelectGatedRecompute, ChangingRelinkLeavesItsPeerNotCurrent) {
+  const auto g = fb_graph(300, 21);
+  SelectSystem sys(g, SelectParams{}, 21);
+  sys.build();
+  auto& ov = sys.overlay();
+  const auto n = static_cast<PeerId>(g.num_nodes());
+  PeerId p = 0;
+  while (p < n && ov.out_degree(p) == 0) ++p;
+  ASSERT_LT(p, n);
+  // Only p takes part in the next rounds: with every other peer offline no
+  // gossip exchange or other relink moves a version after p's relink.
+  for (PeerId q = 0; q < n; ++q) {
+    if (q != p) sys.set_peer_online(q, false);
+  }
+  sys.run_round();
+  sys.run_round();
+  ASSERT_TRUE(sys.links_current(p));
+
+  ov.remove_long_link(p, ov.out_links(p).front());
+  EXPECT_FALSE(sys.links_current(p));
+  const std::uint64_t before = ov.link_version(p);
+  sys.run_round();
+  ASSERT_GT(ov.link_version(p), before) << "relink(p) changed no link";
+  EXPECT_FALSE(sys.links_current(p))
+      << "a relink that changed a link left its peer current";
+  sys.run_round();  // the recompute finds nothing left to change
+  EXPECT_TRUE(sys.links_current(p));
+}
+
 // -- pinned behaviour fingerprints ---------------------------------------
 //
 // Construction recomputes its derived state (friendship bitmaps, L_p
