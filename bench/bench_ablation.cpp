@@ -68,7 +68,7 @@ int main() {
           core::SelectSystem sys(g, variant.params, seed);
           sys.build();
           const overlay::PubSubSystem ps(sys);
-          const auto hops = pubsub::measure_hops(ps, 250, seed);
+          const auto hops = pubsub::measure_hops(sys, 250, seed);
           const auto publishers = bench::workload_publishers(g, 20, seed);
           const auto relays = pubsub::measure_relays(ps, publishers);
 

@@ -31,8 +31,7 @@ int main() {
           params.k_links = k;
           core::SelectSystem sys(g, params, seed);
           sys.build();
-          const overlay::PubSubSystem ps(sys);
-          const auto hops = pubsub::measure_hops(ps, 250, seed);
+          const auto hops = pubsub::measure_hops(sys, 250, seed);
           return sim::MetricMap{{"hops", hops.hops.mean()},
                                 {"success", hops.success_rate()}};
         });

@@ -16,26 +16,25 @@ int main() {
 
   const auto sizes = bench::default_sizes();
   const std::size_t trials = trial_count(2);
+  const auto systems = baselines::overlay_names(/*paper_only=*/true);
   CsvWriter csv(bench::output_path("fig2_hops.csv"),
                 {"dataset", "n", "system", "hops", "ci95", "success_rate"});
 
   for (const auto& profile : graph::all_profiles()) {
     std::printf("--- %s ---\n", std::string(profile.name).c_str());
     std::vector<std::string> header{"n"};
-    for (const auto name : baselines::all_system_names()) {
-      header.emplace_back(name);
-    }
+    for (const auto& name : systems) header.emplace_back(name);
     TablePrinter table(header);
     for (const std::size_t n : sizes) {
       std::vector<std::string> row{std::to_string(n)};
-      for (const auto name : baselines::all_system_names()) {
+      for (const auto& name : systems) {
         const auto summary = sim::run_trials(
             trials, derive_seed(0xF16'2, n),
             [&](std::uint64_t seed) {
               const auto g = graph::make_dataset_graph(profile, n, seed);
-              auto sys = baselines::make_system(name, g, {.seed = seed});
-              sys->build();
-              const auto hops = pubsub::measure_hops(*sys, 300, seed);
+              auto ov = baselines::make_overlay(name, g, {.seed = seed});
+              ov->build();
+              const auto hops = pubsub::measure_hops(*ov, 300, seed);
               return sim::MetricMap{
                   {"hops", hops.hops.mean()},
                   {"success", hops.success_rate()},
@@ -43,7 +42,7 @@ int main() {
             });
         row.push_back(fmt(summary.mean("hops")));
         csv.row(std::vector<std::string>{
-            std::string(profile.name), std::to_string(n), std::string(name),
+            std::string(profile.name), std::to_string(n), name,
             fmt(summary.mean("hops"), 4), fmt(summary.ci95("hops"), 4),
             fmt(summary.mean("success"), 4)});
       }

@@ -19,25 +19,25 @@ int main() {
                 {"dataset", "n", "system", "relays_per_path",
                  "relays_per_tree", "coverage"});
 
+  const auto systems = baselines::overlay_names(/*paper_only=*/true);
   for (const auto& profile : graph::all_profiles()) {
     std::printf("--- %s ---\n", std::string(profile.name).c_str());
     std::vector<std::string> header{"n"};
-    for (const auto name : baselines::all_system_names()) {
-      header.emplace_back(name);
-    }
+    for (const auto& name : systems) header.emplace_back(name);
     TablePrinter table(header);
     for (const std::size_t n : sizes) {
       std::vector<std::string> row{std::to_string(n)};
-      for (const auto name : baselines::all_system_names()) {
+      for (const auto& name : systems) {
         const auto summary = sim::run_trials(
             trials, derive_seed(0xF16'3, n),
             [&](std::uint64_t seed) {
               const auto g = graph::make_dataset_graph(profile, n, seed);
-              auto sys = baselines::make_system(name, g, {.seed = seed});
-              sys->build();
+              auto ov = baselines::make_overlay(name, g, {.seed = seed});
+              ov->build();
               const auto publishers =
                   bench::workload_publishers(g, 25, seed);
-              const auto relays = pubsub::measure_relays(*sys, publishers);
+              const auto relays = pubsub::measure_relays(
+                  overlay::PubSubSystem(*ov), publishers);
               return sim::MetricMap{
                   {"per_path", relays.relays_per_path.mean()},
                   {"per_tree", relays.relays_per_tree.mean()},
@@ -46,7 +46,7 @@ int main() {
             });
         row.push_back(fmt(summary.mean("per_path")));
         csv.row(std::vector<std::string>{
-            std::string(profile.name), std::to_string(n), std::string(name),
+            std::string(profile.name), std::to_string(n), name,
             fmt(summary.mean("per_path"), 4),
             fmt(summary.mean("per_tree"), 4),
             fmt(summary.mean("coverage"), 4)});

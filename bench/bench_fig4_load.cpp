@@ -32,15 +32,16 @@ int main() {
     std::printf("--- %s (N=%zu) ---\n", std::string(profile.name).c_str(), n);
     TablePrinter table({"system", "top-10% deg share", "gini",
                         "relay fwd share", "fwd/delivery"});
-    for (const auto name : baselines::all_system_names()) {
+    for (const auto& name : baselines::overlay_names(/*paper_only=*/true)) {
       const auto summary = sim::run_trials(
           trials, derive_seed(0xF16'4, n),
           [&](std::uint64_t seed) {
             const auto g = graph::make_dataset_graph(profile, n, seed);
-            auto sys = baselines::make_system(name, g, {.seed = seed});
-            sys->build();
+            auto ov = baselines::make_overlay(name, g, {.seed = seed});
+            ov->build();
             const auto publishers = bench::workload_publishers(g, 40, seed);
-            const auto load = pubsub::measure_load(*sys, publishers);
+            const auto load =
+                pubsub::measure_load(overlay::PubSubSystem(*ov), publishers);
             return sim::MetricMap{
                 {"top", load.top_decile_share},
                 {"gini", load.gini},
@@ -50,13 +51,13 @@ int main() {
                 {"d9", load.share_by_degree_decile.back()},
             };
           });
-      table.add_row({std::string(name),
+      table.add_row({name,
                      fmt(summary.mean("top"), 1) + "%",
                      fmt(summary.mean("gini")),
                      fmt(summary.mean("relay_share"), 3),
                      fmt(summary.mean("fwd_per_delivery"))});
       csv.row(std::vector<std::string>{
-          std::string(profile.name), std::string(name),
+          std::string(profile.name), name,
           fmt(summary.mean("top"), 3), fmt(summary.mean("gini"), 4),
           fmt(summary.mean("relay_share"), 4),
           fmt(summary.mean("fwd_per_delivery"), 4),

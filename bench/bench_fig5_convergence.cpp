@@ -31,10 +31,10 @@ int main() {
             trials, derive_seed(0xF16'5, n),
             [&](std::uint64_t seed) {
               const auto g = graph::make_dataset_graph(profile, n, seed);
-              auto sys = baselines::make_system(name, g, {.seed = seed});
-              sys->build();
+              auto ov = baselines::make_overlay(name, g, {.seed = seed});
+              ov->build();
               return sim::MetricMap{
-                  {"iters", static_cast<double>(sys->build_iterations())}};
+                  {"iters", static_cast<double>(ov->build_iterations())}};
             });
         row.push_back(fmt(summary.mean("iters"), 1));
         csv.row(std::vector<std::string>{

@@ -41,12 +41,13 @@ int main() {
             [&](std::uint64_t seed) {
               const auto g = graph::make_dataset_graph(profile, n, seed);
               net::NetworkModel net(g.num_nodes(), seed);
-              auto sys = baselines::make_system(name, g, {.seed = seed, .net = &net});
-              sys->build();
+              auto ov = baselines::make_overlay(name, g,
+                                                {.seed = seed, .net = &net});
+              ov->build();
               const auto publishers =
                   bench::workload_publishers(g, 15, seed);
-              const auto latency =
-                  pubsub::measure_latency(*sys, net, publishers);
+              const auto latency = pubsub::measure_latency(
+                  overlay::PubSubSystem(*ov), net, publishers);
               return sim::MetricMap{
                   {"tree_s", latency.per_tree_s.mean()},
                   {"sub_s", latency.per_subscriber_s.mean()},

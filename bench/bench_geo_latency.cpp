@@ -38,16 +38,17 @@ int main() {
                 g.num_nodes(), seed, net::default_bandwidth_mix(), 40.0, 0.5,
                 net::GeoParams{.regions = 6,
                                .inter_region_extra_ms = extra_ms});
-            auto sys = baselines::make_system(name, g, {.seed = seed, .net = &net});
-            sys->build();
+            auto ov = baselines::make_overlay(name, g,
+                                              {.seed = seed, .net = &net});
+            ov->build();
+            const overlay::PubSubSystem ps(*ov);
             const auto publishers = bench::workload_publishers(g, 12, seed);
-            const auto latency =
-                pubsub::measure_latency(*sys, net, publishers);
+            const auto latency = pubsub::measure_latency(ps, net, publishers);
             // Fraction of tree edges crossing regions.
             std::size_t cross = 0;
             std::size_t edges = 0;
             for (const auto b : publishers) {
-              const auto tree = sys->build_tree(b);
+              const auto tree = ps.build_tree(b);
               for (const auto node : tree.nodes()) {
                 for (const auto child : tree.children(node)) {
                   ++edges;

@@ -1,7 +1,7 @@
-// Overlay comparison matrix: every overlay in the registry — SELECT, the
-// five paper baselines, and the structured-overlay zoo (Kelips, Kademlia,
-// socially-aware DHT, centrality-weighted SELECT) — measured through the
-// one `overlay::Overlay` interface on the same graph and workload.
+// Overlay comparison matrix: every overlay in the factory table — SELECT,
+// the four paper baselines, the random-mesh control, the socially-aware DHT
+// and centrality-weighted SELECT — measured through the one
+// `overlay::Overlay` interface on the same graph and workload.
 //
 // Columns per system:
 //   build_ms     wall time to construct the overlay (instrumentation only)
@@ -15,12 +15,12 @@
 //   avail@churn  delivery availability with 20% of peers offline after
 //                maintenance rounds (Fig. 6 condition)
 //
-// Adding an overlay to the registry adds a row here; no harness edits.
+// Adding an overlay to the factory table adds a row here; no harness edits.
 #include <queue>
 
+#include "baselines/factory.hpp"
 #include "bench/bench_common.hpp"
 #include "obs/time.hpp"
-#include "overlay/registry.hpp"
 #include "pubsub/metrics.hpp"
 
 namespace {
@@ -92,7 +92,7 @@ StretchResult measure_stretch(const Overlay& ov, std::size_t pairs,
 int main() {
   using namespace sel;
   bench::print_banner(
-      "overlay matrix — every registered overlay, one interface",
+      "overlay matrix — every overlay, one interface",
       "comparison platform for SELECT vs structured-overlay baselines",
       "SELECT: ~1-2 hops, relay ratio ~0, stretch ~1; DHTs: log-N hops, "
       "relay-heavy");
@@ -114,20 +114,19 @@ int main() {
   TablePrinter table({"system", "build_ms", "iters", "hops", "success",
                       "relays/path", "coverage", "stretch", "avail@churn"});
 
-  auto& registry = overlay::OverlayRegistry::instance();
   auto& metrics = obs::MetricsRegistry::global();
-  const auto names = registry.names();
-  std::printf("registered overlays: %zu\n\n", names.size());
+  const auto names = baselines::overlay_names();
+  std::printf("overlays: %zu\n\n", names.size());
 
   for (const auto& name : names) {
-    auto ov = registry.create(name, g, {.seed = seed});
+    auto ov = baselines::make_overlay(name, g, {.seed = seed});
 
     const auto t0 = obs::wall_now();
     ov->build();
     const double build_ms = obs::ms_between(t0, obs::wall_now());
 
     const overlay::PubSubSystem ps(*ov);
-    const auto hops = pubsub::measure_hops(ps, lookups, seed);
+    const auto hops = pubsub::measure_hops(*ov, lookups, seed);
     const auto relays = pubsub::measure_relays(ps, publishers);
     const auto stretch = measure_stretch(*ov, stretch_pairs, seed);
 
@@ -144,7 +143,7 @@ int main() {
     const double avail = pubsub::measure_availability(ps, publishers)
                              .availability();
 
-    // Per-overlay counter families (pre-registered by the registry): the
+    // Per-overlay counter families (pre-registered by make_overlay): the
     // expected report pins these, so the CI smoke job catches routing
     // regressions in any single overlay.
     const std::string prefix = "overlay." + name;

@@ -42,11 +42,12 @@ int main() {
             }
             const double clustering = graph::clustering_coefficient(
                 g, std::min<std::size_t>(n, 400), seed);
-            auto sys = baselines::make_system(name, g, {.seed = seed});
-            sys->build();
-            const auto hops = pubsub::measure_hops(*sys, 250, seed);
+            auto ov = baselines::make_overlay(name, g, {.seed = seed});
+            ov->build();
+            const auto hops = pubsub::measure_hops(*ov, 250, seed);
             const auto publishers = bench::workload_publishers(g, 20, seed);
-            const auto relays = pubsub::measure_relays(*sys, publishers);
+            const auto relays = pubsub::measure_relays(
+                overlay::PubSubSystem(*ov), publishers);
             return sim::MetricMap{
                 {"clustering", clustering},
                 {"hops", hops.hops.mean()},

@@ -69,27 +69,28 @@ int main(int argc, char** argv) {
   }
 
   net::NetworkModel net(g.num_nodes(), seed);
-  auto sys = baselines::make_system(system, g, {.seed = seed, .net = &net});
-  std::printf("building %s overlay...\n", std::string(sys->name()).c_str());
-  sys->build();
-  if (sys->build_iterations() > 0) {
-    std::printf("converged in %zu iterations\n", sys->build_iterations());
+  auto ov = baselines::make_overlay(system, g, {.seed = seed, .net = &net});
+  std::printf("building %s overlay...\n", std::string(ov->name()).c_str());
+  ov->build();
+  if (ov->build_iterations() > 0) {
+    std::printf("converged in %zu iterations\n", ov->build_iterations());
   }
 
+  overlay::PubSubSystem ps(*ov);
   pubsub::InterestModel interest(interest_p, seed);
   if (interest_p < 1.0) {
-    sys->set_interest_function(&interest);
+    ps.set_interest_function(&interest);
     std::printf("interest function active: f(s,b)=true with p=%.2f\n",
                 interest_p);
   }
 
-  const auto hops = pubsub::measure_hops(*sys, 500, seed);
+  const auto hops = pubsub::measure_hops(*ov, 500, seed);
   sim::PublicationWorkload workload(g, sim::WorkloadParams{}, seed);
   const auto pubs64 = workload.sample_publishers(30, seed + 1);
   std::vector<overlay::PeerId> publishers(pubs64.begin(), pubs64.end());
-  const auto relays = pubsub::measure_relays(*sys, publishers);
-  const auto load = pubsub::measure_load(*sys, publishers);
-  const auto latency = pubsub::measure_latency(*sys, net, publishers);
+  const auto relays = pubsub::measure_relays(ps, publishers);
+  const auto load = pubsub::measure_load(ps, publishers);
+  const auto latency = pubsub::measure_latency(ps, net, publishers);
 
   std::printf("\nmetrics (%zu social lookups, %zu publishers):\n",
               hops.attempted, publishers.size());
@@ -105,8 +106,7 @@ int main(int argc, char** argv) {
   std::printf("  tree latency         %.2fs avg\n", latency.per_tree_s.mean());
 
   if (save_path[0] != '\0') {
-    const auto* ring =
-        dynamic_cast<const overlay::RingOverlay*>(&sys->overlay());
+    const auto* ring = dynamic_cast<const overlay::RingOverlay*>(ov.get());
     if (ring == nullptr) {
       std::fprintf(stderr, "--save: %s is not a ring-based system\n",
                    system.c_str());

@@ -41,12 +41,12 @@ int main(int argc, char** argv) {
               tree.relay_nodes(subs).size());
 
   // 4. Paper metrics on this overlay.
-  const auto hops = sel::pubsub::measure_hops(ps, 500, seed);
+  const auto hops = sel::pubsub::measure_hops(select, 500, seed);
   std::printf("social lookups: %.2f hops on average (%.0f%% delivered)\n",
               hops.hops.mean(), 100.0 * hops.success_rate());
 
   // 5. Compare against Symphony on the same workload.
-  auto symphony = sel::baselines::make_system("symphony", g, {.seed = seed});
+  auto symphony = sel::baselines::make_overlay("symphony", g, {.seed = seed});
   symphony->build();
   const auto sym_hops = sel::pubsub::measure_hops(*symphony, 500, seed);
   std::printf("symphony: %.2f hops on average (%.0f%% delivered)\n",

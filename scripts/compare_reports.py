@@ -96,12 +96,11 @@ def round_aggregates(rounds):
         label = r.get("label", "?")
         a = agg.setdefault(
             label,
-            {"rounds": 0, "compute_ms": 0.0, "barrier_ms": 0.0,
-             "deliver_ms": 0.0, "messages": 0},
+            {"rounds": 0, "compute_ms": 0.0, "deliver_ms": 0.0,
+             "messages": 0},
         )
         a["rounds"] += 1
         a["compute_ms"] += r.get("compute_ms", 0.0)
-        a["barrier_ms"] += r.get("barrier_ms", 0.0)
         a["deliver_ms"] += r.get("deliver_ms", 0.0)
         a["messages"] += r.get("messages", 0)
     flat = {}

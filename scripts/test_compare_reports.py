@@ -39,8 +39,8 @@ def make_report(deliveries, compute_ms, memory=None):
             "spans": {"select.round": {"count": 10, "total_ns": 5000000}},
             "rounds": [
                 {"label": "select.round", "round": r,
-                 "compute_ms": compute_ms, "barrier_ms": 0.0,
-                 "deliver_ms": 0.1, "messages": 20}
+                 "compute_ms": compute_ms, "deliver_ms": 0.1,
+                 "messages": 20}
                 for r in range(10)
             ],
         },

@@ -50,8 +50,6 @@ class OmenSystem final : public overlay::RingOverlay {
   /// budget left unconnected — exactly the subscriber-first composition.
   [[nodiscard]] overlay::Capabilities capabilities() const override {
     overlay::Capabilities c = RingOverlay::capabilities();
-    c.iterative_build = true;
-    c.churn_maintenance = true;
     c.subscriber_first_tree = true;
     return c;
   }

@@ -39,11 +39,6 @@ class VitisSystem final : public overlay::RingOverlay {
   [[nodiscard]] std::size_t build_iterations() const override {
     return rounds_run_;
   }
-  [[nodiscard]] overlay::Capabilities capabilities() const override {
-    overlay::Capabilities c = RingOverlay::capabilities();
-    c.iterative_build = true;
-    return c;
-  }
 
   /// One gossip round; returns the number of cluster-link changes.
   std::size_t run_round();

@@ -197,9 +197,6 @@ struct RoundSample {
   std::string label;
   std::uint64_t round = 0;
   double compute_ms = 0.0;  ///< peer work (the gossip/relink loop)
-  /// Idle time waiting on other workers. Report schema: the round loop is
-  /// sequential, so "select.round" records 0.
-  double barrier_ms = 0.0;
   double deliver_ms = 0.0;  ///< ring rebuild
   std::uint64_t messages = 0;
 };

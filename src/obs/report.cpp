@@ -42,7 +42,6 @@ json::Value snapshot_to_json(const Snapshot& snap) {
     round.emplace("label", r.label);
     round.emplace("round", r.round);
     round.emplace("compute_ms", r.compute_ms);
-    round.emplace("barrier_ms", r.barrier_ms);
     round.emplace("deliver_ms", r.deliver_ms);
     round.emplace("messages", r.messages);
     rounds.emplace_back(std::move(round));
@@ -88,7 +87,6 @@ Snapshot snapshot_from_json(const json::Value& v) {
     s.label = r.at("label").as_string();
     s.round = static_cast<std::uint64_t>(r.at("round").as_int64());
     s.compute_ms = r.at("compute_ms").as_double();
-    s.barrier_ms = r.at("barrier_ms").as_double();
     s.deliver_ms = r.at("deliver_ms").as_double();
     s.messages = static_cast<std::uint64_t>(r.at("messages").as_int64());
     snap.rounds.push_back(std::move(s));

@@ -3,14 +3,15 @@
 // `Overlay` is deliberately small: join/build, point-to-point lookup
 // (`route`), one-hop neighbourhood enumeration, churn hooks, and a
 // capability descriptor. Dissemination (subscriber sets, tree building,
-// interest functions) lives in `overlay::PubSubSystem` (system.hpp), which
-// *composes over* any Overlay instead of being inherited into each system —
-// adding a new overlay means implementing this interface only.
+// interest functions) lives in `overlay::PubSubSystem` (system.hpp), a
+// read-only view that *composes over* any Overlay instead of being
+// inherited into each system — adding a new overlay means implementing this
+// interface and adding a row to the table in baselines/factory.cpp.
 //
 // `RingOverlay` is the shared base for overlays that route greedily on the
 // RingSubstrate id space (SELECT, Symphony, Vitis, OMen, the random mesh,
-// the socially-aware DHT). Bayeux (prefix routing), Kelips (affinity
-// groups) and Kademlia (XOR buckets) implement Overlay directly.
+// the socially-aware DHT). Bayeux (prefix routing) implements Overlay
+// directly.
 #pragma once
 
 #include <cstddef>
@@ -35,12 +36,6 @@ struct Capabilities {
   /// neighbors() is symmetric: b ∈ neighbors(a) ⇔ a ∈ neighbors(b)
   /// (links model TCP connections usable in both directions).
   bool symmetric_neighbors = false;
-  /// build() iterates to convergence; build_iterations() is meaningful
-  /// (Fig. 5 only plots such systems).
-  bool iterative_build = false;
-  /// maintenance_round() actively repairs the topology under churn
-  /// (vs only tracking liveness).
-  bool churn_maintenance = false;
   /// Dissemination should prefer subscriber-first trees over this
   /// overlay's links (SELECT Sec. III-E, OMen topic-connected overlays);
   /// otherwise trees merge per-subscriber routes.
@@ -96,7 +91,7 @@ class Overlay {
   [[nodiscard]] virtual bool peer_online(PeerId p) const = 0;
 
   /// Runs one maintenance round under churn (recovery/mending). Default:
-  /// nothing (capabilities().churn_maintenance is false then).
+  /// nothing — the overlay only tracks liveness.
   virtual void maintenance_round() {}
 
   [[nodiscard]] virtual std::size_t num_peers() const {

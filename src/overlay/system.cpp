@@ -8,7 +8,8 @@ namespace sel::overlay {
 FlatSet<PeerId> PubSubSystem::subscribers_of(PeerId publisher) const {
   // neighbors() is CSR-ascending, so these inserts are appends.
   FlatSet<PeerId> subs;
-  for (const graph::NodeId friend_id : social().neighbors(publisher)) {
+  const graph::SocialGraph& g = overlay_->social();
+  for (const graph::NodeId friend_id : g.neighbors(publisher)) {
     if (interest_ != nullptr && !interest_->interested(friend_id, publisher)) {
       continue;
     }

@@ -2,16 +2,14 @@
 // dissemination-tree construction, composed over *any* Overlay
 // (overlay/routing.hpp) rather than inherited into each system.
 //
-// A PubSubSystem wraps one Overlay (owning or borrowing) and derives the
+// A PubSubSystem is a read-only view over one Overlay and derives the
 // pub/sub behaviour from the overlay's capabilities: a native tree when
 // the protocol defines one (Bayeux rendezvous roots), a subscriber-first
 // tree when the overlay's links make that profitable (SELECT, OMen), and a
-// per-subscriber route merge otherwise. The evaluation harnesses only use
-// this class, so every figure compares all systems symmetrically.
+// per-subscriber route merge otherwise. Every harness builds its trees and
+// subscriber sets through this class, so every figure compares all systems
+// symmetrically.
 #pragma once
-
-#include <memory>
-#include <string_view>
 
 #include "common/flat_set.hpp"
 #include "graph/social_graph.hpp"
@@ -31,48 +29,12 @@ class InterestFunction {
 
 class PubSubSystem {
  public:
-  /// Borrows an overlay owned elsewhere (tests/benches that construct the
-  /// concrete type directly). The overlay must outlive this object.
-  explicit PubSubSystem(Overlay& ov) : overlay_(&ov) {}
-
-  /// Takes ownership (factory-made systems).
-  explicit PubSubSystem(std::unique_ptr<Overlay> ov)
-      : owned_(std::move(ov)), overlay_(owned_.get()) {}
-
-  // -- forwarded routing surface ---------------------------------------------
-  [[nodiscard]] std::string_view name() const { return overlay_->name(); }
-  [[nodiscard]] const graph::SocialGraph& social() const {
-    return overlay_->social();
-  }
-  [[nodiscard]] Capabilities capabilities() const {
-    return overlay_->capabilities();
-  }
-  void build() { overlay_->build(); }
-  [[nodiscard]] std::size_t build_iterations() const {
-    return overlay_->build_iterations();
-  }
-  [[nodiscard]] RouteResult route(PeerId from, PeerId to) const {
-    return overlay_->route(from, to);
-  }
-  [[nodiscard]] RouteResult route_avoiding(
-      PeerId from, PeerId to, const FlatSet<PeerId>& avoid) const {
-    return overlay_->route_avoiding(from, to, avoid);
-  }
-  void set_peer_online(PeerId p, bool online) {
-    overlay_->set_peer_online(p, online);
-  }
-  [[nodiscard]] bool peer_online(PeerId p) const {
-    return overlay_->peer_online(p);
-  }
-  void maintenance_round() { overlay_->maintenance_round(); }
-  [[nodiscard]] std::size_t num_peers() const {
-    return overlay_->num_peers();
-  }
+  /// Borrows the overlay, which must outlive this view; callers route,
+  /// build and churn through the overlay itself.
+  explicit PubSubSystem(const Overlay& ov) : overlay_(&ov) {}
 
   [[nodiscard]] const Overlay& overlay() const noexcept { return *overlay_; }
-  [[nodiscard]] Overlay& overlay() noexcept { return *overlay_; }
 
-  // -- dissemination ---------------------------------------------------------
   /// The subscriber set S_b of a publisher: its social friends, filtered by
   /// the interest function when one is installed (f ≡ true otherwise,
   /// matching the paper's evaluation). Ascending-ordered so every loop over
@@ -93,8 +55,7 @@ class PubSubSystem {
   }
 
  private:
-  std::unique_ptr<Overlay> owned_;
-  Overlay* overlay_;
+  const Overlay* overlay_;
   const InterestFunction* interest_ = nullptr;
 };
 

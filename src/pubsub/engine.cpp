@@ -241,7 +241,7 @@ MessageId NotificationEngine::publish(PeerId publisher, double time_s) {
   rec.publish_time_s = time_s;
   for (Pos p = 0; p < entry->tree.node_count(); ++p) {
     if (entry->subscribed[p] != 0 &&
-        sys_->peer_online(entry->tree.peer_at(p))) {
+        sys_->overlay().peer_online(entry->tree.peer_at(p))) {
       ++rec.wanted;
     }
   }
@@ -268,7 +268,7 @@ MessageId NotificationEngine::publish(PeerId publisher, double time_s) {
   // get the message queued for replay on their return.
   if (retry_.enabled && retry_.replay) {
     for (const PeerId s : flight.tree->subscribers) {
-      if (!sys_->peer_online(s)) mark_missed(id, s, time_s);
+      if (!sys_->overlay().peer_online(s)) mark_missed(id, s, time_s);
     }
   }
   flight.pending_events = 1;  // the initial forward below
@@ -346,7 +346,8 @@ void NotificationEngine::forward(Slot slot, Pos node, double start_s) {
       // trees, so this matches tree.relay_nodes()).
       hop.relay = entry.subscribed[child] == 0 &&
                   !tree.children_at(child).empty();
-      hop.delivered = entry.subscribed[child] != 0 && sys_->peer_online(m.to);
+      hop.delivered = entry.subscribed[child] != 0 &&
+                      sys_->overlay().peer_online(m.to);
       hop.send_s = start_s;
       hop.arrive_s = outcome.arrive_s;
       obs::ProvenanceTracer::global().record_hop(hop);
@@ -359,7 +360,7 @@ void NotificationEngine::arrive(Slot slot, Pos node, double now_s) {
   const TreeEntry& entry = *flight.tree;
   auto& r = record_of(flight.id);
   if (entry.subscribed[node] != 0 &&
-      sys_->peer_online(entry.tree.peer_at(node))) {
+      sys_->overlay().peer_online(entry.tree.peer_at(node))) {
     ++r.delivered;
     ++stats_.deliveries;
     deliveries_counter().add(1);
@@ -488,7 +489,7 @@ void NotificationEngine::deliver_hop(Slot slot, Pos to, std::uint32_t attempt,
   // advance in deterministic event order.
   const bool responsive =
       transport_.receive(flight.id, peer, now_s) == fault::ReceiveState::kOk &&
-      sys_->peer_online(peer);
+      sys_->overlay().peer_online(peer);
   if (!responsive) {
     handle_hop_failure(slot, to, attempt, send_s, now_s);
     return;
@@ -615,7 +616,7 @@ void NotificationEngine::lost_subtree(Slot slot, Pos dead, double now_s) {
     if (plan != nullptr) {
       // No precomputed disjoint backup: ask the overlay for a fresh route
       // that detours around the relay the failure detector declared dead.
-      auto detour = sys_->route_avoiding(rec.publisher, s, avoid);
+      auto detour = sys_->overlay().route_avoiding(rec.publisher, s, avoid);
       if (detour.success && detour.path.size() >= 2) {
         start_route(slot, Route{std::move(detour.path), /*detour=*/true},
                     now_s);
@@ -701,7 +702,7 @@ void NotificationEngine::deliver_failover_hop(Slot slot, std::uint32_t route,
   const bool last = hop + 2 == r.hops.size();
   const bool responsive =
       transport_.receive(flight.id, to, now_s) == fault::ReceiveState::kOk &&
-      sys_->peer_online(to);
+      sys_->overlay().peer_online(to);
   if (!responsive) {
     failover_hop_failure(slot, route, hop, attempt, send_s, now_s);
     return;
@@ -756,7 +757,8 @@ void NotificationEngine::failover_hop_failure(Slot slot, std::uint32_t route,
   // store-and-forward replay.
   if (!detour && to != subscriber && retry_.enabled && retry_.failover) {
     const FlatSet<PeerId> avoid{to};
-    auto fresh = sys_->route_avoiding(rec.publisher, subscriber, avoid);
+    auto fresh =
+        sys_->overlay().route_avoiding(rec.publisher, subscriber, avoid);
     if (fresh.success && fresh.path.size() >= 2) {
       start_route(slot, Route{std::move(fresh.path), /*detour=*/true}, now_s);
       return;

@@ -10,10 +10,10 @@ namespace sel::pubsub {
 
 using overlay::PeerId;
 
-HopMetrics measure_hops(const overlay::PubSubSystem& sys, std::size_t lookups,
+HopMetrics measure_hops(const overlay::Overlay& ov, std::size_t lookups,
                         std::uint64_t seed) {
   HopMetrics metrics;
-  const auto& g = sys.social();
+  const auto& g = ov.social();
   const std::size_t n = g.num_nodes();
   if (n == 0) return metrics;
   Rng rng(seed);
@@ -32,7 +32,7 @@ HopMetrics measure_hops(const overlay::PubSubSystem& sys, std::size_t lookups,
     const auto nbrs = g.neighbors(from);
     const PeerId to = nbrs[rng.below(nbrs.size())];
     ++metrics.attempted;
-    const overlay::RouteResult r = sys.route(from, to);
+    const overlay::RouteResult r = ov.route(from, to);
     if (r.success) {
       ++metrics.delivered;
       metrics.hops.add(static_cast<double>(r.hops()));
@@ -74,7 +74,7 @@ RelayMetrics measure_relays(const overlay::PubSubSystem& sys,
 LoadMetrics measure_load(const overlay::PubSubSystem& sys,
                          const std::vector<PeerId>& publishers) {
   LoadMetrics metrics;
-  const auto& g = sys.social();
+  const auto& g = sys.overlay().social();
   const std::size_t n = g.num_nodes();
   if (n == 0) return metrics;
 
@@ -168,11 +168,12 @@ AvailabilityMetrics measure_availability(
     const overlay::PubSubSystem& sys, const std::vector<PeerId>& publishers) {
   AvailabilityMetrics metrics;
   for (const PeerId b : publishers) {
-    if (!sys.peer_online(b)) continue;
+    if (!sys.overlay().peer_online(b)) continue;
     const auto subscribers = sys.subscribers_of(b);
     const overlay::DisseminationTree tree = sys.build_tree(b);
     for (const PeerId s : subscribers) {
-      if (!sys.peer_online(s)) continue;  // offline users don't expect delivery
+      // Offline users don't expect delivery.
+      if (!sys.overlay().peer_online(s)) continue;
       ++metrics.wanted;
       if (tree.contains(s)) ++metrics.delivered;
     }

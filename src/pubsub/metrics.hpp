@@ -1,5 +1,5 @@
 // Pub/sub evaluation metrics (paper Sec. IV-B), computed uniformly over any
-// PubSubSystem:
+// overlay (lookups) or its PubSubSystem view (trees):
 //   - number of hops per social lookup            (Fig. 2)
 //   - number of relay nodes per routing path/tree (Fig. 3)
 //   - percentage of messages forwarded per degree (Fig. 4, load balance)
@@ -31,8 +31,8 @@ struct HopMetrics {
   }
 };
 
-/// Routes `lookups` randomly sampled (user, friend) pairs through the system.
-[[nodiscard]] HopMetrics measure_hops(const overlay::PubSubSystem& sys,
+/// Routes `lookups` randomly sampled (user, friend) pairs through the overlay.
+[[nodiscard]] HopMetrics measure_hops(const overlay::Overlay& ov,
                                       std::size_t lookups, std::uint64_t seed);
 
 // ---------------------------------------------------------------------------

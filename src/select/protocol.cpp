@@ -243,12 +243,12 @@ bool SelectSystem::run_round() {
     rounds_counter().add(1);
     link_reassignments_counter().add(static_cast<std::int64_t>(link_changes));
     // Round telemetry: the gossip/relink peer loop is the compute phase; the
-    // ring rebuild is the delivery/synchronization phase (no barrier — the
-    // loop is sequential). One gossip exchange moves two routing tables.
+    // ring rebuild is the delivery/synchronization phase. One gossip
+    // exchange moves two routing tables.
     const std::uint64_t tel_round = telemetry_round_++;
     const auto t_end = obs::wall_now();
     obs::MetricsRegistry::global().add_round(obs::RoundSample{
-        "select.round", tel_round, obs::ms_between(t_start, t_compute), 0.0,
+        "select.round", tel_round, obs::ms_between(t_start, t_compute),
         obs::ms_between(t_compute, t_end),
         static_cast<std::uint64_t>(exchanges * 2)});
     // Phase timeline for the Perfetto exporter.

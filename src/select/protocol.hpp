@@ -53,8 +53,6 @@ class SelectSystem final : public overlay::RingOverlay {
 
   [[nodiscard]] overlay::Capabilities capabilities() const override {
     overlay::Capabilities c = RingOverlay::capabilities();
-    c.iterative_build = true;
-    c.churn_maintenance = true;
     c.subscriber_first_tree = true;  // Sec. III-E dissemination
     return c;
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/symphony.hpp"
 #include "graph/profiles.hpp"
 #include "select/protocol.hpp"
@@ -15,37 +17,41 @@ graph::SocialGraph small_graph(std::uint64_t seed) {
 }
 
 TEST(Factory, ListsThePaperComparisonOrder) {
-  const auto& names = all_system_names();
+  const auto names = overlay_names(/*paper_only=*/true);
   ASSERT_EQ(names.size(), 5u);
   EXPECT_EQ(names[0], "select");
   EXPECT_EQ(names[1], "symphony");
   EXPECT_EQ(names[2], "bayeux");
   EXPECT_EQ(names[3], "vitis");
   EXPECT_EQ(names[4], "omen");
+  // The full table extends the paper set, which stays in front.
+  const auto all = overlay_names();
+  ASSERT_GT(all.size(), names.size());
+  EXPECT_TRUE(std::equal(names.begin(), names.end(), all.begin()));
 }
 
 TEST(Factory, EveryListedNameConstructs) {
   const auto g = small_graph(1);
-  for (const auto name : all_system_names()) {
-    auto sys = make_system(name, g, {.seed = 1});
-    ASSERT_NE(sys, nullptr);
-    EXPECT_EQ(sys->name(), name);
-    EXPECT_EQ(&sys->social(), &g);
+  for (const auto& name : overlay_names()) {
+    auto ov = make_overlay(name, g, {.seed = 1});
+    ASSERT_NE(ov, nullptr);
+    EXPECT_EQ(ov->name(), name);
+    EXPECT_EQ(&ov->social(), &g);
   }
 }
 
 TEST(Factory, RandomControlConstructs) {
   const auto g = small_graph(2);
-  auto sys = make_system("random", g, {.seed = 2});
-  ASSERT_NE(sys, nullptr);
-  EXPECT_EQ(sys->name(), "random");
+  auto ov = make_overlay("random", g, {.seed = 2});
+  ASSERT_NE(ov, nullptr);
+  EXPECT_EQ(ov->name(), "random");
 }
 
 TEST(Factory, KOverridePropagates) {
   const auto g = small_graph(3);
-  auto sys = make_system("symphony", g, {.seed = 3, .k_links = 4});
-  sys->build();
-  const auto* symphony = dynamic_cast<const SymphonySystem*>(&sys->overlay());
+  auto ov = make_overlay("symphony", g, {.seed = 3, .k_links = 4});
+  ov->build();
+  const auto* symphony = dynamic_cast<const SymphonySystem*>(ov.get());
   ASSERT_NE(symphony, nullptr);
   for (overlay::PeerId p = 0; p < g.num_nodes(); ++p) {
     EXPECT_LE(symphony->overlay().out_degree(p), 4u);
@@ -55,15 +61,15 @@ TEST(Factory, KOverridePropagates) {
 TEST(Factory, SelectUsesProvidedNetworkModel) {
   const auto g = small_graph(4);
   net::NetworkModel net(g.num_nodes(), 99);
-  auto sys = make_system("select", g, {.seed = 4, .net = &net});
-  sys->build();  // must not crash; bandwidth decisions read `net`
-  EXPECT_EQ(sys->name(), "select");
+  auto ov = make_overlay("select", g, {.seed = 4, .net = &net});
+  ov->build();  // must not crash; bandwidth decisions read `net`
+  EXPECT_EQ(ov->name(), "select");
 }
 
 TEST(Factory, SeparateInstancesAreIndependent) {
   const auto g = small_graph(5);
-  auto a = make_system("select", g, {.seed = 5});
-  auto b = make_system("select", g, {.seed = 5});
+  auto a = make_overlay("select", g, {.seed = 5});
+  auto b = make_overlay("select", g, {.seed = 5});
   a->build();
   b->build();
   a->set_peer_online(0, false);

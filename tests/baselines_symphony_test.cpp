@@ -59,8 +59,7 @@ TEST(Symphony, AllLookupsSucceed) {
   const auto g = test_graph(512, 5);
   SymphonySystem sys(g, SymphonyParams{}, 5);
   sys.build();
-  const overlay::PubSubSystem ps(sys);
-  const auto hops = pubsub::measure_hops(ps, 300, 5);
+  const auto hops = pubsub::measure_hops(sys, 300, 5);
   EXPECT_DOUBLE_EQ(hops.success_rate(), 1.0);
 }
 
@@ -72,10 +71,8 @@ TEST(Symphony, HopsGrowWithNetworkSize) {
   const auto big_g = test_graph(4096, 6);
   SymphonySystem big_sys(big_g, SymphonyParams{}, 6);
   big_sys.build();
-  const overlay::PubSubSystem small_ps(small_sys);
-  const overlay::PubSubSystem big_ps(big_sys);
-  const double small_hops = pubsub::measure_hops(small_ps, 200, 6).hops.mean();
-  const double big_hops = pubsub::measure_hops(big_ps, 200, 6).hops.mean();
+  const double small_hops = pubsub::measure_hops(small_sys, 200, 6).hops.mean();
+  const double big_hops = pubsub::measure_hops(big_sys, 200, 6).hops.mean();
   EXPECT_GT(big_hops, small_hops);
 }
 

@@ -27,8 +27,7 @@ TEST(Vitis, AllLookupsSucceed) {
   const auto g = test_graph(400, 2);
   VitisSystem sys(g, VitisParams{}, 2);
   sys.build();
-  const overlay::PubSubSystem ps(sys);
-  const auto hops = pubsub::measure_hops(ps, 300, 2);
+  const auto hops = pubsub::measure_hops(sys, 300, 2);
   EXPECT_DOUBLE_EQ(hops.success_rate(), 1.0);
 }
 

@@ -133,7 +133,7 @@ TEST(ObsRegistry, SnapshotContainsAllInstrumentKinds) {
   reg.gauge("g.one").set(1.5);
   reg.histogram("h.one", {1.0}).observe(0.5);
   reg.span("s.one").record_ns(1000);
-  reg.add_round({"test.round", 0, 1.0, 0.25, 0.5, 42});
+  reg.add_round({"test.round", 0, 1.0, 0.5, 42});
 
   const Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counter("c.one"), 5);
@@ -153,7 +153,7 @@ TEST(ObsRegistry, ResetZeroesEverythingButKeepsHandles) {
   auto& c = reg.counter("c.reset");
   c.add(9);
   reg.gauge("g.reset").set(3.0);
-  reg.add_round({"r", 1, 0.0, 0.0, 0.0, 1});
+  reg.add_round({"r", 1, 0.0, 0.0, 1});
   reg.reset();
   EXPECT_EQ(c.value(), 0);
   const Snapshot snap = reg.snapshot();
@@ -203,8 +203,8 @@ TEST(ObsReport, JsonRoundTripPreservesEverything) {
   reg.gauge("select.run.n").set(1000.0);
   reg.histogram("pubsub.delivery_latency_s", {0.1, 1.0}).observe(0.05);
   reg.span("select.build").record_ns(5'000'000);
-  reg.add_round({"select.round", 0, 12.5, 0.0, 3.25, 400});
-  reg.add_round({"select.round", 1, 11.0, 0.0, 3.0, 380});
+  reg.add_round({"select.round", 0, 12.5, 3.25, 400});
+  reg.add_round({"select.round", 1, 11.0, 3.0, 380});
 
   RunReport report;
   report.experiment = "unit_test";
@@ -275,7 +275,7 @@ TEST(ObsWiring, SelectBuildPopulatesProtocolTelemetry) {
 TEST(ObsReport, RoundCapDropsInsteadOfGrowing) {
   MetricsRegistry reg;
   for (std::size_t i = 0; i < MetricsRegistry::kMaxRounds + 5; ++i) {
-    reg.add_round({"r", i, 0.0, 0.0, 0.0, 0});
+    reg.add_round({"r", i, 0.0, 0.0, 0});
   }
   const Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.rounds.size(), MetricsRegistry::kMaxRounds);

@@ -1,7 +1,7 @@
-// Overlay-conformance suite: every overlay in the registry is held to the
-// same routing-concept contract (DESIGN.md §18). Registering a new overlay
-// is enough to put it under this net — the suite enumerates
-// OverlayRegistry::names() at instantiation time.
+// Overlay-conformance suite: every overlay in the factory table is held to
+// the same routing-concept contract (DESIGN.md §18). Adding a row to the
+// table is enough to put an overlay under this net — the suite enumerates
+// baselines::overlay_names() at instantiation time.
 //
 // Contract checked here:
 //   - build() joins everyone: route(a, b) round-trips for friend pairs,
@@ -12,16 +12,19 @@
 //   - churn: routes to offline targets fail, successful routes never
 //     traverse offline intermediates, maintenance_round() keeps online
 //     friend pairs deliverable;
-//   - same seed ⇒ identical topology and identical routes.
+//   - same seed ⇒ identical topology and identical routes;
+//   - topology and routes match a pinned per-overlay fingerprint.
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/flat_set.hpp"
 #include "common/rng.hpp"
+#include "baselines/factory.hpp"
 #include "graph/profiles.hpp"
-#include "overlay/registry.hpp"
 
 namespace sel::overlay {
 namespace {
@@ -31,8 +34,7 @@ class OverlayConformance : public ::testing::TestWithParam<std::string> {
   void SetUp() override {
     graph_ = graph::make_dataset_graph(graph::profile_by_name("facebook"),
                                        200, 7);
-    sys_ = OverlayRegistry::instance().create(GetParam(), graph_,
-                                              {.seed = 7});
+    sys_ = baselines::make_overlay(GetParam(), graph_, {.seed = 7});
     sys_->build();
   }
 
@@ -186,8 +188,7 @@ TEST_P(OverlayConformance, ChurnContractUnderMaintenance) {
 }
 
 TEST_P(OverlayConformance, SameSeedSameTopologySameRoutes) {
-  auto twin = OverlayRegistry::instance().create(GetParam(), graph_,
-                                                 {.seed = 7});
+  auto twin = baselines::make_overlay(GetParam(), graph_, {.seed = 7});
   twin->build();
   EXPECT_EQ(sys_->build_iterations(), twin->build_iterations());
   for (PeerId p = 0; p < sys_->num_peers(); p += 5) {
@@ -202,9 +203,45 @@ TEST_P(OverlayConformance, SameSeedSameTopologySameRoutes) {
   }
 }
 
+// -- pinned topology fingerprints -----------------------------------------
+//
+// One order-sensitive 64-bit hash per overlay over every peer's neighbors()
+// and the status and path of a fixed sample of friend-pair routes. The
+// values were printed by the implementation that built overlays through a
+// self-registering registry and are pinned here, so a refactor that touches
+// any overlay's topology or routing shows up: they must never change.
+TEST_P(OverlayConformance, TopologyAndRoutesMatchPinnedFingerprint) {
+  static const std::map<std::string, std::uint64_t> kPinned = {
+      {"select", 0x7e476d76aadda9e4ULL},
+      {"symphony", 0xf61e612d5deba7f1ULL},
+      {"bayeux", 0xf98cb7f111db3f5aULL},
+      {"vitis", 0xaf73a5bbe26aca24ULL},
+      {"omen", 0xddfc4abf379dafd6ULL},
+      {"random", 0xcf0eefaa8280847bULL},
+      {"social_dht", 0x3870cafe3aea523aULL},
+      {"select_centrality", 0x9afc32f15dedf165ULL},
+  };
+  std::uint64_t h = 0x0e11a7f1a9e5ULL;
+  auto mix = [&h](std::uint64_t v) { h = splitmix64(h ^ v); };
+  for (PeerId p = 0; p < sys_->num_peers(); ++p) {
+    const auto nb = sys_->neighbors(p);
+    mix(nb.size());
+    for (const PeerId q : nb) mix(q);
+  }
+  for (const auto& [from, to] : friend_pairs(60, 6)) {
+    const RouteResult r = sys_->route(from, to);
+    mix(static_cast<std::uint64_t>(r.status));
+    mix(r.path.size());
+    for (const PeerId q : r.path) mix(q);
+  }
+  const auto pin = kPinned.find(GetParam());
+  ASSERT_NE(pin, kPinned.end()) << GetParam() << ": 0x" << std::hex << h;
+  EXPECT_EQ(h, pin->second) << GetParam() << ": 0x" << std::hex << h;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Registry, OverlayConformance,
-    ::testing::ValuesIn(OverlayRegistry::instance().names()),
+    ::testing::ValuesIn(baselines::overlay_names()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       // gtest parameter names must be alphanumeric.
       std::string name = info.param;

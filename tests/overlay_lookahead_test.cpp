@@ -170,8 +170,7 @@ TEST(SelectLookahead, RoutingStaysReliableWithCachedLookahead) {
       graph::profile_by_name("facebook"), 400, 5);
   core::SelectSystem sys(g, core::SelectParams{}, 5);
   sys.build();
-  const overlay::PubSubSystem ps(sys);
-  const auto hops = pubsub::measure_hops(ps, 300, 5);
+  const auto hops = pubsub::measure_hops(sys, 300, 5);
   EXPECT_DOUBLE_EQ(hops.success_rate(), 1.0);
   EXPECT_LT(hops.hops.mean(), 3.0);
 }

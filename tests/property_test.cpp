@@ -61,7 +61,7 @@ TEST_P(SelectInvariants, LinkSymmetryHolds) {
 }
 
 TEST_P(SelectInvariants, AllSocialLookupsDeliver) {
-  const auto hops = pubsub::measure_hops(overlay::PubSubSystem(*sys_), 150, 99);
+  const auto hops = pubsub::measure_hops(*sys_, 150, 99);
   EXPECT_DOUBLE_EQ(hops.success_rate(), 1.0);
   EXPECT_LT(hops.hops.mean(), 4.0);
 }
@@ -110,16 +110,16 @@ TEST_P(BaselineInvariants, BuildRouteAndChurnHooks) {
   const auto& [name, seed] = GetParam();
   const auto g = graph::make_dataset_graph(
       graph::profile_by_name("facebook"), 300, seed);
-  auto sys = baselines::make_system(name, g, {.seed = seed});
-  sys->build();
-  const auto hops = pubsub::measure_hops(*sys, 100, seed);
+  auto ov = baselines::make_overlay(name, g, {.seed = seed});
+  ov->build();
+  const auto hops = pubsub::measure_hops(*ov, 100, seed);
   EXPECT_GT(hops.success_rate(), 0.9) << name;
   // Churn hooks must be consistent.
-  sys->set_peer_online(3, false);
-  EXPECT_FALSE(sys->peer_online(3));
-  sys->set_peer_online(3, true);
-  EXPECT_TRUE(sys->peer_online(3));
-  sys->maintenance_round();  // must not crash for any system
+  ov->set_peer_online(3, false);
+  EXPECT_FALSE(ov->peer_online(3));
+  ov->set_peer_online(3, true);
+  EXPECT_TRUE(ov->peer_online(3));
+  ov->maintenance_round();  // must not crash for any system
 }
 
 INSTANTIATE_TEST_SUITE_P(

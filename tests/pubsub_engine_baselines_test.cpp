@@ -1,6 +1,6 @@
 // The NotificationEngine is system-agnostic: it must run unchanged over
-// every PubSubSystem, and its relative results must mirror the static
-// metrics (SELECT beats Bayeux on relay traffic, etc.).
+// every overlay's PubSubSystem view, and its relative results must mirror
+// the static metrics (SELECT beats Bayeux on relay traffic, etc.).
 #include <gtest/gtest.h>
 
 #include "baselines/factory.hpp"
@@ -18,9 +18,10 @@ TEST_P(EngineOverSystem, DeliversThroughAnySystem) {
   const auto g = graph::make_dataset_graph(
       graph::profile_by_name("facebook"), 250, 41);
   net::NetworkModel net(g.num_nodes(), 41);
-  auto sys = baselines::make_system(GetParam(), g, {.seed = 41, .net = &net});
-  sys->build();
-  NotificationEngine engine(*sys, net);
+  auto ov = baselines::make_overlay(GetParam(), g, {.seed = 41, .net = &net});
+  ov->build();
+  const overlay::PubSubSystem ps(*ov);
+  NotificationEngine engine(ps, net);
   for (PeerId p = 0; p < 5; ++p) engine.publish(p, 0.0);
   engine.run_all();
   const auto& stats = engine.stats();
@@ -38,9 +39,10 @@ TEST(EngineComparison, SelectGeneratesLessRelayTrafficThanBayeux) {
       graph::profile_by_name("facebook"), 300, 43);
   net::NetworkModel net(g.num_nodes(), 43);
   auto run = [&](const char* name) {
-    auto sys = baselines::make_system(name, g, {.seed = 43, .net = &net});
-    sys->build();
-    NotificationEngine engine(*sys, net);
+    auto ov = baselines::make_overlay(name, g, {.seed = 43, .net = &net});
+    ov->build();
+    const overlay::PubSubSystem ps(*ov);
+    NotificationEngine engine(ps, net);
     for (PeerId p = 0; p < 10; ++p) engine.publish(p * 7, 0.0);
     engine.run_all();
     const auto& s = engine.stats();
@@ -55,9 +57,10 @@ TEST(EngineComparison, SelectCompletesTreesFasterThanRandom) {
       graph::profile_by_name("facebook"), 250, 47);
   net::NetworkModel net(g.num_nodes(), 47);
   auto completion = [&](const char* name) {
-    auto sys = baselines::make_system(name, g, {.seed = 47, .net = &net});
-    sys->build();
-    NotificationEngine engine(*sys, net);
+    auto ov = baselines::make_overlay(name, g, {.seed = 47, .net = &net});
+    ov->build();
+    const overlay::PubSubSystem ps(*ov);
+    NotificationEngine engine(ps, net);
     RunningStats done;
     for (PeerId p = 0; p < 8; ++p) {
       const double start = engine.now_s();

@@ -68,8 +68,7 @@ class LineSystem final : public overlay::Overlay {
 
 TEST(MeasureHops, LineNeighborsAreOneHop) {
   LineSystem sys(20);
-  const overlay::PubSubSystem ps(sys);
-  const auto metrics = measure_hops(ps, 200, 1);
+  const auto metrics = measure_hops(sys, 200, 1);
   EXPECT_EQ(metrics.attempted, 200u);
   EXPECT_EQ(metrics.delivered, 200u);
   // Social lookups on a line go to direct neighbours: exactly 1 hop.
@@ -78,8 +77,7 @@ TEST(MeasureHops, LineNeighborsAreOneHop) {
 
 TEST(MeasureHops, EmptyGraphYieldsNothing) {
   LineSystem sys(0);
-  const overlay::PubSubSystem ps(sys);
-  const auto metrics = measure_hops(ps, 50, 1);
+  const auto metrics = measure_hops(sys, 50, 1);
   EXPECT_EQ(metrics.attempted, 0u);
   EXPECT_DOUBLE_EQ(metrics.success_rate(), 0.0);
 }

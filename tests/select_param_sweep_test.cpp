@@ -39,8 +39,7 @@ TEST_P(SelectParamSweep, BuildsRoutesAndRespectsBudgets) {
     ASSERT_LE(sys.overlay().out_degree(p), k);
     ASSERT_LE(sys.overlay().in_degree(p), k);
   }
-  const overlay::PubSubSystem ps(sys);
-  const auto hops = pubsub::measure_hops(ps, 150, 77);
+  const auto hops = pubsub::measure_hops(sys, 150, 77);
   EXPECT_GT(hops.success_rate(), 0.98);
   EXPECT_LT(hops.hops.mean(), 5.0);
 }
@@ -77,8 +76,7 @@ TEST(SelectSmallWorlds, TinyNetworksWork) {
         graph::profile_by_name("slashdot"), n, 79);
     SelectSystem sys(g, SelectParams{}, 79);
     sys.build();
-    const overlay::PubSubSystem ps(sys);
-    const auto hops = pubsub::measure_hops(ps, 50, 79);
+    const auto hops = pubsub::measure_hops(sys, 50, 79);
     EXPECT_GT(hops.success_rate(), 0.9) << "n=" << n;
   }
 }

@@ -180,8 +180,7 @@ TEST(SelectRouting, SocialLookupsSucceedWithFewHops) {
   const auto g = fb_graph(500, 10);
   SelectSystem sys(g, SelectParams{}, 10);
   sys.build();
-  const overlay::PubSubSystem ps(sys);
-  const auto hops = pubsub::measure_hops(ps, 300, 10);
+  const auto hops = pubsub::measure_hops(sys, 300, 10);
   EXPECT_DOUBLE_EQ(hops.success_rate(), 1.0);
   EXPECT_LT(hops.hops.mean(), 3.0);  // paper: friends 1-2 hops away
 }
@@ -229,8 +228,7 @@ TEST(SelectAblation, RandomLinksStillBuildUsableOverlay) {
   no_lsh.enable_lsh_selection = false;
   SelectSystem sys(g, no_lsh, 13);
   sys.build();
-  const overlay::PubSubSystem ps(sys);
-  const auto hops = pubsub::measure_hops(ps, 200, 13);
+  const auto hops = pubsub::measure_hops(sys, 200, 13);
   EXPECT_GT(hops.success_rate(), 0.95);
 }
 
