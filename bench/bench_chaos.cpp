@@ -10,8 +10,8 @@
 // regressions (two same-seed runs are bit-identical).
 //
 // Knobs: SEL_FAULT overrides the default chaos mix (drop=0.05,dup=0.01,
-// spike=0.02,stall=0.01,crash=0.001); SEL_RETRY* tune the recovery ladder
-// for the reliable row.
+// spike=0.02,stall=0.01,crash=0.001). The reliable row runs the default
+// recovery ladder with a 2 s base ack timeout.
 //
 // `--adversarial` (ISSUE 9) escalates to the durability tier: the fault mix
 // gains byzantine mailbox acceptors and correlated crash bursts
@@ -74,16 +74,16 @@ SoakRow run_soak(const sel::graph::SocialGraph& g,
   // peers, placed by the recovery layer's CMA (paper Sec. III-F).
   std::optional<pubsub::MailboxManager> mailbox;
   if (reliable && use_mailbox) {
-    mailbox.emplace(engine.event_engine(), sys, net,
-                    pubsub::MailboxPolicy::from_env(), seed);
+    mailbox.emplace(engine.event_engine(), sys, net, pubsub::MailboxPolicy{},
+                    seed);
     mailbox->set_fault_plan(&plan);
     mailbox->set_availability_fn(
         [&sys](overlay::PeerId p) { return sys.cma_of(p); });
     engine.set_mailbox(&*mailbox);
   }
-  pubsub::RetryPolicy policy = pubsub::RetryPolicy::from_env();
+  pubsub::RetryPolicy policy;
   policy.enabled = reliable;
-  policy.ack_timeout_s = std::min(policy.ack_timeout_s, 2.0);
+  policy.ack_timeout_s = 2.0;
   engine.set_retry_policy(policy);
   if (reliable) {
     engine.set_multipath_planner([&](overlay::PeerId b) {

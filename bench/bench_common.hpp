@@ -72,9 +72,9 @@ inline void print_banner(const char* experiment, const char* paper_ref,
 }
 
 /// Emits `<csv stem>.report.json` next to the harness CSV: run metadata
-/// (scale, trials, git describe, extras like seed/N) plus a full snapshot of
-/// the global metrics registry — counters, spans and per-round telemetry
-/// accumulated over the whole run. `scripts/compare_reports.py` diffs two.
+/// (scale, trials, git describe, extras like seed/N), a full snapshot of
+/// the global metrics registry accumulated over the whole run, and the
+/// per-round time series. `scripts/compare_reports.py` diffs two.
 inline void write_run_report(
     const std::string& experiment, const std::string& csv_path,
     std::map<std::string, std::string> extra = {}) {

@@ -9,7 +9,8 @@ Usage:
         --fail-on select.round.compute_ms_per_round=0.25
 
 Prints metric-by-metric deltas for counters, gauges and spans, plus aggregate
-round-telemetry comparisons (total/mean phase times, message volume).
+round-telemetry comparisons (round count and total/mean phase times, from the
+timeseries points that carry `compute_ms`).
 
 Without --fail-on the exit code is always 0 (reporting mode). Each
 --fail-on METRIC=TOLERANCE names a flat metric (counter, gauge, span as
@@ -20,10 +21,11 @@ exceeds its tolerance — or which is missing from either report — makes the
 script exit 1, so CI can gate on it.
 
 --allow-missing downgrades the missing-key case to a warning (exit stays 0
-for that metric): use it when gating a schema-v3 candidate (which carries
-the `memory` section) against a v2 baseline that predates it, without
-giving up the gate on the metrics both schemas share. A metric missing from
-BOTH reports still fails — that is a typo in the gate, not a schema skew.
+for that metric): use it when gating across a schema change (a v2 report
+has no `memory` section; before v4, a round's phase times were not in its
+timeseries point), without giving up the gate on the metrics both schemas
+share. A metric missing from BOTH reports still fails — that is a typo in
+the gate, not a schema skew.
 Run scripts/test_compare_reports.py for the self-test.
 """
 
@@ -90,19 +92,18 @@ def diff_section(title, a, b, min_rel, transform=None):
         print(f"  {name:<{width}}  {va:>{wa}}  ->  {vb:>{wb}}  {delta}")
 
 
-def round_aggregates(rounds):
+def round_aggregates(timeseries):
+    """Per-label totals over the timeseries points that carry phase times."""
     agg = {}
-    for r in rounds:
-        label = r.get("label", "?")
-        a = agg.setdefault(
-            label,
-            {"rounds": 0, "compute_ms": 0.0, "deliver_ms": 0.0,
-             "messages": 0},
-        )
+    for point in timeseries:
+        values = point.get("values", {})
+        if "compute_ms" not in values:
+            continue
+        a = agg.setdefault(point.get("label", "?"),
+                           {"rounds": 0, "compute_ms": 0.0, "deliver_ms": 0.0})
         a["rounds"] += 1
-        a["compute_ms"] += r.get("compute_ms", 0.0)
-        a["deliver_ms"] += r.get("deliver_ms", 0.0)
-        a["messages"] += r.get("messages", 0)
+        a["compute_ms"] += values["compute_ms"]
+        a["deliver_ms"] += values.get("deliver_ms", 0.0)
     flat = {}
     for label, a in agg.items():
         for key, val in a.items():
@@ -122,7 +123,7 @@ def flat_metrics(doc):
     for name, span in m.get("spans", {}).items():
         flat[f"span.{name}.total_ms"] = span.get("total_ns", 0) / 1e6
         flat[f"span.{name}.count"] = span.get("count", 0)
-    flat.update(round_aggregates(m.get("rounds", [])))
+    flat.update(round_aggregates(doc.get("timeseries", [])))
     # Schema v3: flat end-of-run memory section (mem.* keys). Overrides the
     # gauge of the same name — the section is written last, so it is the
     # authoritative end-of-run value.
@@ -190,8 +191,8 @@ def main():
                          "TOLERANCE (a fraction; repeatable)")
     ap.add_argument("--allow-missing", action="store_true",
                     help="a --fail-on metric missing from one report is a "
-                         "warning, not a failure (schema v2 -> v3 "
-                         "transitions); missing from both still fails")
+                         "warning, not a failure (schema transitions); "
+                         "missing from both still fails")
     args = ap.parse_args()
     thresholds = parse_fail_on(args.fail_on)
 
@@ -212,8 +213,8 @@ def main():
                  {k: v["total_ns"] for k, v in mb.get("spans", {}).items()},
                  args.min_rel, transform=lambda ns: round(ns / 1e6, 3))
     diff_section("round telemetry (aggregated per label)",
-                 round_aggregates(ma.get("rounds", [])),
-                 round_aggregates(mb.get("rounds", [])), args.min_rel)
+                 round_aggregates(a.get("timeseries", [])),
+                 round_aggregates(b.get("timeseries", [])), args.min_rel)
     print()
 
     if thresholds:

@@ -5,6 +5,7 @@ Builds two synthetic run reports, then asserts the exit codes:
   * no --fail-on            -> 0 (reporting mode never gates)
   * within tolerance        -> 0
   * beyond tolerance        -> 1
+  * round aggregates (select.round.*) come from timeseries points
   * metric missing          -> 1
   * metric missing with --allow-missing (v2 baseline vs v3 candidate) -> 0
   * metric missing from BOTH reports, even with --allow-missing       -> 1
@@ -37,14 +38,13 @@ def make_report(deliveries, compute_ms, memory=None):
             "gauges": {"select.rounds_to_stable_ids": 7.0},
             "histograms": {},
             "spans": {"select.round": {"count": 10, "total_ns": 5000000}},
-            "rounds": [
-                {"label": "select.round", "round": r,
-                 "compute_ms": compute_ms, "deliver_ms": 0.1,
-                 "messages": 20}
-                for r in range(10)
-            ],
         },
-        "timeseries": [],
+        "timeseries": [
+            {"label": "select.round", "round": r, "ts_us": 1000 * r,
+             "values": {"compute_ms": compute_ms, "deliver_ms": 0.1,
+                        "exchanges": 10.0}}
+            for r in range(10)
+        ],
     }
     if memory is not None:
         report["schema_version"] = 3
@@ -91,6 +91,14 @@ def main():
             [base, cand,
              "--fail-on", "select.round.compute_ms_per_round=0.1"])
         check("round aggregate regression gates", code, 1, out)
+
+        # The aggregate comes from the timeseries points: a 30% rise passes
+        # a 50% tolerance, which a metric missing from both would not.
+        code, out = run(
+            [base, cand,
+             "--fail-on", "select.round.compute_ms_per_round=0.5",
+             "--fail-on", "select.round.rounds=0"])
+        check("round aggregate within tolerance passes", code, 0, out)
 
         code, out = run([base, cand, "--fail-on", "no.such.metric=0.5"])
         check("missing metric gates", code, 1, out)

@@ -130,23 +130,12 @@ const std::vector<EnvKnob>& env_knobs() {
       {"SEL_OBS", "observability master switch (off disables all telemetry)"},
       {"SEL_CHECK", "invariant checking level: off | cheap | full"},
       {"SEL_TRACE_SAMPLE", "provenance tracing: sample 1-in-N publishes"},
-      {"SEL_STABLE_EPS", "round sampler: id-movement stability threshold"},
       {"SEL_FAULT",
        "fault plan, e.g. drop=0.05,dup=0.01,spike=0.02,stall=0.01,crash=1e-3"},
-      {"SEL_RETRY", "reliability layer master switch (on enables retries)"},
-      {"SEL_RETRY_MAX", "total send attempts per hop (default 4)"},
-      {"SEL_RETRY_TIMEOUT_S", "base ack timeout, seconds (default 5)"},
-      {"SEL_RETRY_BACKOFF", "exponential backoff factor per retry (default 2)"},
-      {"SEL_RETRY_JITTER", "+/- jitter fraction on each timeout (default 0.2)"},
-      {"SEL_REPLAY_CAP",
-       "store-and-forward queue bound, oldest evicted (0 = unbounded)"},
       {"SEL_MAILBOX",
        "replicated-mailbox durability tier master switch (chaos drivers)"},
-      {"SEL_MAILBOX_K", "mailbox replicas per queued message (default 3)"},
       {"SEL_MEM_BUDGET",
        "soft memory budget for tracked bytes, e.g. 512m (k/m/g suffixes)"},
-      {"SEL_MEM_PROFILE",
-       "per-round memory sampling in reports (same as --mem-profile)"},
       {"SELECT_BENCH_SCALE", "experiment network-size multiplier"},
       {"SELECT_TRIALS", "independent trials per data point"},
       {"SELECT_LOG", "log level: error | warn | info | debug"},

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 #include "common/env.hpp"
 #include "obs/metrics.hpp"
@@ -21,10 +20,8 @@ void raise_peak(std::atomic<std::int64_t>& peak, std::int64_t v) noexcept {
   }
 }
 
-thread_local Subsystem t_scope = Subsystem::kOther;
-
 constexpr std::array<const char*, kSubsystemCount> kNames = {
-    "graph", "overlay", "pubsub", "runtime", "other"};
+    "graph", "overlay", "pubsub", "runtime"};
 
 /// "12.3MiB"-style rendering for breakdown dumps.
 std::string human_bytes(std::int64_t bytes) {
@@ -46,7 +43,7 @@ std::atomic<std::size_t> g_peer_count{0};
 
 const char* subsystem_name(Subsystem s) noexcept {
   const auto i = static_cast<std::size_t>(s);
-  return i < kSubsystemCount ? kNames[i] : "other";
+  return i < kSubsystemCount ? kNames[i] : "unknown";
 }
 
 // -- MemTracker --------------------------------------------------------------
@@ -108,12 +105,6 @@ MemTracker& MemTracker::global() noexcept {
   static MemTracker tracker;
   return tracker;
 }
-
-// -- MemScope ----------------------------------------------------------------
-
-MemScope::MemScope(Subsystem s) noexcept : prev_(t_scope) { t_scope = s; }
-MemScope::~MemScope() { t_scope = prev_; }
-Subsystem MemScope::current() noexcept { return t_scope; }
 
 // -- RSS ---------------------------------------------------------------------
 
@@ -207,38 +198,6 @@ std::string memory_breakdown() {
   out += " rss=";
   out += human_bytes(read_rss().rss_bytes);
   return out;
-}
-
-// -- per-round profiling -----------------------------------------------------
-
-namespace {
-
-/// Scans /proc/self/cmdline for an exact `--mem-profile` argument, so every
-/// harness gets the flag without touching its own main(). NUL-separated.
-bool cmdline_has_mem_profile() {
-  std::FILE* f = std::fopen("/proc/self/cmdline", "re");
-  if (f == nullptr) return false;
-  char buf[4096];
-  const std::size_t n = std::fread(buf, 1, sizeof(buf), f);
-  std::fclose(f);
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (buf[i] == '\0') {
-      if (std::string_view(buf + start, i - start) == "--mem-profile") {
-        return true;
-      }
-      start = i + 1;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-bool mem_profile_enabled() {
-  static const bool on =
-      env::get_bool("SEL_MEM_PROFILE", false) || cmdline_has_mem_profile();
-  return on;
 }
 
 std::map<std::string, double> memory_values() {

@@ -7,13 +7,12 @@
 //      Subsystem, updated by the tagged allocator below. Charges and
 //      discharges are relaxed atomics (one add + one CAS-max per
 //      allocation), cheap enough for container hot paths.
-//   2. Accounted<T, S> — a std::allocator drop-in that attributes every
-//      allocation to subsystem S (or, for S = kDynamic, to the subsystem
-//      named by the innermost MemScope active at allocation time). The tag
-//      is baked into the allocator *instance*, and the allocator propagates
-//      on copy/move/swap, so bytes are always discharged against the same
-//      subsystem they were charged to — attribution sums to zero after a
-//      full alloc/free round-trip (asserted by obs_memory_test).
+//   2. Tagged<T, S> — a stateless std::allocator drop-in that attributes
+//      every allocation to the subsystem S of its type. Every instance of
+//      one Tagged type is interchangeable, so bytes are always discharged
+//      against the subsystem they were charged to — attribution sums to
+//      zero after a full alloc/free round-trip (asserted by
+//      obs_memory_test).
 //   3. An RSS poller reading /proc/self/status (VmRSS / VmHWM). Like the
 //      wall clock in obs/time.hpp, the /proc read is fenced into obs/ —
 //      resident-set bytes never feed back into protocol behaviour, they are
@@ -23,10 +22,6 @@
 // tracked bytes exceed it, budget_exceeded() reports the overrun and
 // check/memory_checks.hpp turns that into a SEL_CHECK violation carrying a
 // per-subsystem breakdown. 0 (default) disables the budget.
-//
-// `--mem-profile` (any harness) or SEL_MEM_PROFILE=on enables per-round
-// memory sampling: obs/sampler.hpp folds mem.* values into every
-// timeseries point when mem_profile_enabled() is true.
 #pragma once
 
 #include <array>
@@ -36,7 +31,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 namespace sel::obs {
@@ -49,9 +43,8 @@ enum class Subsystem : std::uint8_t {
   kOverlay = 1,  ///< ring/long-link peer state + dissemination trees
   kPubsub = 2,   ///< in-flight dissemination + store-and-forward buffers
   kRuntime = 3,  ///< event engine's pending-event heap
-  kOther = 4,    ///< MemScope-tagged allocations outside the named owners
 };
-inline constexpr std::size_t kSubsystemCount = 5;
+inline constexpr std::size_t kSubsystemCount = 4;
 
 /// Stable lowercase name ("graph", "overlay", ...) used in gauge keys.
 [[nodiscard]] const char* subsystem_name(Subsystem s) noexcept;
@@ -85,85 +78,40 @@ class MemTracker {
   Cell total_{};
 };
 
-/// RAII subsystem tag for allocations made through Accounted<T> (the
-/// dynamic-tag form). Scopes nest; the innermost wins. Thread-local.
-class MemScope {
- public:
-  explicit MemScope(Subsystem s) noexcept;
-  ~MemScope();
-  MemScope(const MemScope&) = delete;
-  MemScope& operator=(const MemScope&) = delete;
-
-  /// Innermost active scope on this thread; kOther when none.
-  [[nodiscard]] static Subsystem current() noexcept;
-
- private:
-  Subsystem prev_;
-};
-
-namespace detail {
-/// Sentinel template tag: resolve the subsystem from MemScope at
-/// allocation time instead of the template parameter.
-inline constexpr std::uint8_t kDynamicTag = 0xFF;
-}  // namespace detail
-
-/// Tagged counting allocator. With an explicit Subsystem the tag is a
-/// compile-time constant; Accounted<T> (default tag) captures
-/// MemScope::current() at construction. The tag lives in the allocator
-/// instance and propagates with the container's memory on copy/move/swap,
-/// so deallocate() always credits the subsystem that allocate() debited.
-template <typename T, std::uint8_t Tag = detail::kDynamicTag>
-class Accounted {
+/// Counting allocator that charges subsystem S. Stateless: the subsystem
+/// is part of the type, so any two instances compare equal and
+/// deallocate() credits the subsystem that allocate() debited. Spelled
+/// with the enum at call sites: AccountedVector<NodeId, Subsystem::kGraph>.
+template <typename T, Subsystem S>
+class Tagged {
  public:
   using value_type = T;
-  /// Non-type template parameters defeat allocator_traits' default rebind;
-  /// spell it out.
+  /// A non-type template parameter defeats allocator_traits' default
+  /// rebind; spell it out.
   template <typename U>
   struct rebind {
-    using other = Accounted<U, Tag>;
+    using other = Tagged<U, S>;
   };
-  using propagate_on_container_copy_assignment = std::true_type;
-  using propagate_on_container_move_assignment = std::true_type;
-  using propagate_on_container_swap = std::true_type;
-  using is_always_equal = std::false_type;
 
-  Accounted() noexcept
-      : tag_(Tag == detail::kDynamicTag
-                 ? static_cast<std::uint8_t>(MemScope::current())
-                 : Tag) {}
-  explicit Accounted(Subsystem s) noexcept
-      : tag_(static_cast<std::uint8_t>(s)) {}
+  Tagged() noexcept = default;
+  /// Rebind conversion; implicit, as the allocator requirements demand.
   template <typename U>
-  Accounted(const Accounted<U, Tag>& other) noexcept  // NOLINT(google-explicit-constructor): allocator rebind
-      : tag_(other.tag()) {}
+  Tagged(const Tagged<U, S>& /*rebound*/) noexcept {}  // NOLINT
 
   T* allocate(std::size_t n) {
-    MemTracker::global().charge(subsystem(), n * sizeof(T));
+    MemTracker::global().charge(S, n * sizeof(T));
     return std::allocator<T>{}.allocate(n);
   }
   void deallocate(T* p, std::size_t n) noexcept {
-    MemTracker::global().discharge(subsystem(), n * sizeof(T));
+    MemTracker::global().discharge(S, n * sizeof(T));
     std::allocator<T>{}.deallocate(p, n);
   }
 
-  [[nodiscard]] Subsystem subsystem() const noexcept {
-    return static_cast<Subsystem>(tag_);
-  }
-  [[nodiscard]] std::uint8_t tag() const noexcept { return tag_; }
-
   template <typename U>
-  [[nodiscard]] bool operator==(const Accounted<U, Tag>& other) const noexcept {
-    return tag_ == other.tag();
+  [[nodiscard]] bool operator==(const Tagged<U, S>& /*rhs*/) const noexcept {
+    return true;
   }
-
- private:
-  std::uint8_t tag_;
 };
-
-/// Convenience aliases for the heavy owners. The enum spelling keeps call
-/// sites readable: AccountedVector<NodeId, Subsystem::kGraph>.
-template <typename T, Subsystem S>
-using Tagged = Accounted<T, static_cast<std::uint8_t>(S)>;
 
 template <typename T, Subsystem S>
 using AccountedVector = std::vector<T, Tagged<T, S>>;
@@ -205,16 +153,11 @@ void set_peer_count(std::size_t n) noexcept;
 /// violation and handy for logs. Live bytes per subsystem plus rss.
 [[nodiscard]] std::string memory_breakdown();
 
-// -- per-round profiling -----------------------------------------------------
-
-/// True when --mem-profile was passed on the command line (scanned from
-/// /proc/self/cmdline once) or SEL_MEM_PROFILE is truthy. Gates per-round
-/// mem sampling in obs/sampler.cpp.
-[[nodiscard]] bool mem_profile_enabled();
+// -- report values -----------------------------------------------------------
 
 /// Current mem.* values as a flat name→value map (tracked subsystems + RSS
-/// + bytes-per-peer). Used by the sampler, the report memory section and
-/// the budget dump. Deterministic iteration (std::map).
+/// + bytes-per-peer). Used by the report memory section. Deterministic
+/// iteration (std::map).
 [[nodiscard]] std::map<std::string, double> memory_values();
 
 }  // namespace sel::obs

@@ -12,13 +12,6 @@ namespace detail {
 
 bool read_env_enabled() { return env::get_bool("SEL_OBS", true); }
 
-std::size_t thread_slot() noexcept {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return slot;
-}
-
 namespace {
 
 /// Relaxed CAS add for atomic<double> (fetch_add on floating atomics is
@@ -164,24 +157,6 @@ Span& MetricsRegistry::span(std::string_view name) {
   return *it->second;
 }
 
-void MetricsRegistry::add_round(RoundSample sample) {
-  std::lock_guard lock(mu_);
-  if (rounds_.size() >= kMaxRounds) {
-    auto it = counters_.find("obs.rounds_dropped");
-    if (it == counters_.end()) {
-      it = counters_
-               .emplace("obs.rounds_dropped",
-                        std::unique_ptr<Counter>(  // NOLINT(modernize-make-unique)
-                            new Counter("obs.rounds_dropped")))
-               .first;
-    }
-    // Direct shard write: we already hold the registry mutex.
-    it->second->shards_[0].v.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  rounds_.push_back(std::move(sample));
-}
-
 Snapshot MetricsRegistry::snapshot() const {
   std::lock_guard lock(mu_);
   Snapshot snap;
@@ -202,7 +177,6 @@ Snapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, s] : spans_) {
     snap.spans.push_back({name, s->count(), s->total_ns()});
   }
-  snap.rounds = rounds_;
   return snap;
 }
 
@@ -222,7 +196,6 @@ void MetricsRegistry::reset() {
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
   for (auto& [name, s] : spans_) s->reset();
-  rounds_.clear();
 }
 
 namespace {
@@ -233,7 +206,7 @@ namespace {
 /// obs_metrics_test asserts exact snapshot sizes.
 void preregister_builtin_families(MetricsRegistry& reg) {
   for (const char* sub :
-       {"graph", "overlay", "pubsub", "runtime", "other", "tracked"}) {
+       {"graph", "overlay", "pubsub", "runtime", "tracked"}) {
     reg.gauge(std::string("mem.") + sub + ".live_bytes");
     reg.gauge(std::string("mem.") + sub + ".peak_bytes");
   }

@@ -3,25 +3,26 @@
 // The registry hands out stable references to named counters, gauges,
 // histograms and tracing spans. Hot-path updates are designed to be cheap
 // enough for per-message/per-exchange call sites:
-//   - counters are sharded across cache-line-padded atomics (one shard per
-//     thread slot), so increments from different threads never contend;
-//     an increment is a single relaxed fetch_add;
+//   - a counter increment is a single relaxed fetch_add on one atomic;
 //   - gauges are one relaxed atomic store;
 //   - histograms use fixed bucket bounds chosen at registration, so observe()
 //     is a small linear scan plus a relaxed add;
 //   - every update is a no-op when observability is disabled (SEL_OBS=off),
 //     costing one predictable branch.
 //
+// The program runs on one thread, so the instruments are sized for one
+// writer; the atomics (and the registry mutex) keep concurrent use from
+// std::thread well-defined, at the cost of contention if that ever happens.
+//
 // Naming convention: `subsystem.metric` (e.g. `select.gossip_exchanges`,
 // `pubsub.relay_forwards`, `runtime.events_fired`). Handles are meant to be
 // looked up once (static local at the call site) and reused; registration
 // takes a mutex, updates never do.
 //
-// Snapshots merge the shards into plain structs that the RunReport emitter
-// (obs/report.hpp) serializes to JSON.
+// Snapshots copy the instruments into plain structs that the RunReport
+// emitter (obs/report.hpp) serializes to JSON.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -36,9 +37,6 @@ namespace sel::obs {
 namespace detail {
 /// Parses SEL_OBS once ("off"/"0"/"false" disable; anything else enables).
 [[nodiscard]] bool read_env_enabled();
-
-/// Small dense per-thread slot id used to pick a counter shard.
-[[nodiscard]] std::size_t thread_slot() noexcept;
 }  // namespace detail
 
 /// True unless SEL_OBS=off (cached after the first call).
@@ -47,24 +45,16 @@ namespace detail {
   return e;
 }
 
-/// Shards per counter. Power of two; 16 covers typical pool widths without
-/// bloating snapshot cost.
-inline constexpr std::size_t kCounterShards = 16;
-
-/// Monotonic named counter. Increments are relaxed atomic adds on a
-/// per-thread shard; value() sums the shards.
+/// Monotonic named counter. An increment is one relaxed atomic add.
 class Counter {
  public:
   void add(std::int64_t delta = 1) noexcept {
     if (!enabled()) return;
-    shards_[detail::thread_slot() & (kCounterShards - 1)].v.fetch_add(
-        delta, std::memory_order_relaxed);
+    v_.fetch_add(delta, std::memory_order_relaxed);
   }
 
   [[nodiscard]] std::int64_t value() const noexcept {
-    std::int64_t sum = 0;
-    for (const auto& s : shards_) sum += s.v.load(std::memory_order_relaxed);
-    return sum;
+    return v_.load(std::memory_order_relaxed);
   }
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -72,15 +62,10 @@ class Counter {
  private:
   friend class MetricsRegistry;
   explicit Counter(std::string name) : name_(std::move(name)) {}
-  void reset() noexcept {
-    for (auto& s : shards_) s.v.store(0, std::memory_order_relaxed);
-  }
+  void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
 
-  struct alignas(64) Cell {
-    std::atomic<std::int64_t> v{0};
-  };
   std::string name_;
-  std::array<Cell, kCounterShards> shards_{};
+  std::atomic<std::int64_t> v_{0};
 };
 
 /// Last-write-wins named value (e.g. `run.n`, `run.seed`).
@@ -150,26 +135,19 @@ class Histogram {
 };
 
 /// Accumulated wall-time for a labelled phase; fed by ScopedSpan
-/// (obs/trace.hpp). Sharded like Counter so parallel sections can trace.
+/// (obs/trace.hpp). One relaxed add per field per recorded scope.
 class Span {
  public:
   void record_ns(std::int64_t ns) noexcept {
-    const std::size_t slot = detail::thread_slot() & (kCounterShards - 1);
-    shards_[slot].ns.fetch_add(ns, std::memory_order_relaxed);
-    shards_[slot].count.fetch_add(1, std::memory_order_relaxed);
+    ns_.fetch_add(ns, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
   }
 
   [[nodiscard]] std::int64_t total_ns() const noexcept {
-    std::int64_t sum = 0;
-    for (const auto& s : shards_) sum += s.ns.load(std::memory_order_relaxed);
-    return sum;
+    return ns_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::int64_t count() const noexcept {
-    std::int64_t sum = 0;
-    for (const auto& s : shards_) {
-      sum += s.count.load(std::memory_order_relaxed);
-    }
-    return sum;
+    return count_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
@@ -177,28 +155,13 @@ class Span {
   friend class MetricsRegistry;
   explicit Span(std::string name) : name_(std::move(name)) {}
   void reset() noexcept {
-    for (auto& s : shards_) {
-      s.ns.store(0, std::memory_order_relaxed);
-      s.count.store(0, std::memory_order_relaxed);
-    }
+    ns_.store(0, std::memory_order_relaxed);
+    count_.store(0, std::memory_order_relaxed);
   }
 
-  struct alignas(64) Cell {
-    std::atomic<std::int64_t> ns{0};
-    std::atomic<std::int64_t> count{0};
-  };
   std::string name_;
-  std::array<Cell, kCounterShards> shards_{};
-};
-
-/// One protocol round, as recorded by its producer. `label` names the
-/// producer ("select.round").
-struct RoundSample {
-  std::string label;
-  std::uint64_t round = 0;
-  double compute_ms = 0.0;  ///< peer work (the gossip/relink loop)
-  double deliver_ms = 0.0;  ///< ring rebuild
-  std::uint64_t messages = 0;
+  std::atomic<std::int64_t> ns_{0};
+  std::atomic<std::int64_t> count_{0};
 };
 
 // -- snapshots ---------------------------------------------------------------
@@ -235,7 +198,6 @@ struct Snapshot {
   std::vector<GaugeSnapshot> gauges;
   std::vector<HistogramSnapshot> histograms;
   std::vector<SpanSnapshot> spans;
-  std::vector<RoundSample> rounds;
 
   /// Counter value by name (0 when absent) — convenience for tests/tools.
   [[nodiscard]] std::int64_t counter(std::string_view name) const noexcept;
@@ -259,21 +221,14 @@ class MetricsRegistry {
   Histogram& histogram(std::string_view name, std::vector<double> bounds = {});
   Span& span(std::string_view name);
 
-  /// Appends one round of protocol telemetry. Bounded: after kMaxRounds
-  /// samples further rounds are counted in `obs.rounds_dropped` instead of
-  /// stored, so unbounded simulations cannot grow the registry forever.
-  void add_round(RoundSample sample);
-
-  static constexpr std::size_t kMaxRounds = 20'000;
-
   [[nodiscard]] Snapshot snapshot() const;
 
   /// Counter-only snapshot: what the per-round sampler (obs/sampler.hpp)
-  /// needs each round, without copying histograms or round telemetry.
+  /// needs each round, without copying histograms or spans.
   [[nodiscard]] std::vector<CounterSnapshot> counters_snapshot() const;
 
-  /// Zeroes every instrument and clears round telemetry (instrument handles
-  /// stay valid). Benches call this between independent runs.
+  /// Zeroes every instrument (instrument handles stay valid). Benches call
+  /// this between independent runs.
   void reset();
 
   /// Process-wide registry used by SEL_TRACE_SCOPE and the wired-in
@@ -287,7 +242,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::map<std::string, std::unique_ptr<Span>, std::less<>> spans_;
-  std::vector<RoundSample> rounds_;
 };
 
 }  // namespace sel::obs

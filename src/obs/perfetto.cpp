@@ -1,6 +1,7 @@
 #include "obs/perfetto.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <string>
@@ -130,10 +131,16 @@ void add_provenance(json::Value::Array& events,
   }
 }
 
-void add_rounds(json::Value::Array& events,
-                const std::vector<PhaseEvent>& phases,
-                const std::vector<TimeSeriesPoint>& timeseries) {
-  if (phases.empty() && timeseries.empty()) return;
+/// Milliseconds under `key` in a point, as whole microseconds; 0 when the
+/// point does not carry it.
+std::int64_t point_us(const TimeSeriesPoint& point, const char* key) {
+  const auto it = point.values.find(key);
+  return it == point.values.end() ? 0 : std::llround(it->second * 1e3);
+}
+
+void add_timeseries(json::Value::Array& events,
+                    const std::vector<TimeSeriesPoint>& timeseries) {
+  if (timeseries.empty()) return;
   add_process_name(events, kRoundsPid, "rounds");
   std::map<std::string, std::int64_t> tids;
   const auto tid_for = [&events, &tids](const std::string& label) {
@@ -145,14 +152,26 @@ void add_rounds(json::Value::Array& events,
     return tid;
   };
 
-  for (const auto& ph : phases) {
-    auto e = event_base("X", "rounds", ph.phase, ph.ts_us, kRoundsPid,
-                        tid_for(ph.label));
-    e.emplace("dur", ph.dur_us);
+  // Phase slices: a round runs compute, then deliver, and is sampled right
+  // after, so its deliver slice ends where the point is stamped.
+  const auto add_phase = [&events](const TimeSeriesPoint& point,
+                                   std::int64_t tid, const char* phase,
+                                   std::int64_t ts, std::int64_t dur) {
+    auto e = event_base("X", "rounds", phase, ts, kRoundsPid, tid);
+    e.emplace("dur", dur);
     json::Value::Object args;
-    args.emplace("round", ph.round);
+    args.emplace("round", point.round);
     e.emplace("args", std::move(args));
     events.emplace_back(std::move(e));
+  };
+  for (const auto& point : timeseries) {
+    if (!point.values.contains("compute_ms")) continue;
+    const std::int64_t tid = tid_for(point.label);
+    const std::int64_t compute_us = point_us(point, "compute_ms");
+    const std::int64_t deliver_us = point_us(point, "deliver_ms");
+    const std::int64_t deliver_ts = point.ts_us - deliver_us;
+    add_phase(point, tid, "compute", deliver_ts - compute_us, compute_us);
+    add_phase(point, tid, "deliver", deliver_ts, deliver_us);
   }
 
   // Per-round metric series as counter tracks (Perfetto plots each args
@@ -191,12 +210,11 @@ void add_span_totals(json::Value::Array& events, const Snapshot& metrics) {
 }  // namespace
 
 json::Value build_trace_json(const ProvenanceTracer::Snapshot& provenance,
-                             const std::vector<PhaseEvent>& phases,
                              const std::vector<TimeSeriesPoint>& timeseries,
                              const Snapshot& metrics) {
   json::Value::Array events;
   add_provenance(events, provenance);
-  add_rounds(events, phases, timeseries);
+  add_timeseries(events, timeseries);
   add_span_totals(events, metrics);
 
   json::Value::Object doc;
@@ -212,7 +230,6 @@ json::Value build_trace_json(const ProvenanceTracer::Snapshot& provenance,
 
 json::Value build_trace_json() {
   return build_trace_json(ProvenanceTracer::global().snapshot(),
-                          TraceBuffer::global().events(),
                           RoundSampler::global().snapshot(),
                           MetricsRegistry::global().snapshot());
 }

@@ -1,7 +1,7 @@
 // Perfetto / Chrome Trace Event Format exporter.
 //
 // Serializes the global trace state — per-message provenance
-// (obs/provenance.hpp), protocol-round phase events (TraceBuffer) and
+// (obs/provenance.hpp), the per-round time series (obs/sampler.hpp) and
 // aggregate SEL_TRACE_SCOPE span totals — into the JSON Trace Event Format
 // understood by ui.perfetto.dev and chrome://tracing.
 //
@@ -10,9 +10,10 @@
 //                       dissemination; hop slices (sim time, µs) linked
 //                       parent→child with flow events (ph "s"/"f")
 //   pid 2 "rounds"      one track per producer label ("select.round",
-//                       ...); compute/deliver slices with wall-clock
-//                       timestamps, plus per-round counter series (ph "C")
-//                       from the round sampler
+//                       ...); per-round counter series (ph "C") from the
+//                       round sampler, plus compute/deliver slices for
+//                       points that carry `compute_ms`/`deliver_ms` (the
+//                       deliver slice ends at the point's wall-clock ts)
 //   pid 3 "span totals" aggregate SEL_TRACE_SCOPE spans laid out
 //                       end-to-end (their individual begin times are not
 //                       recorded — only totals)
@@ -34,7 +35,6 @@ namespace sel::obs {
 /// Builds the trace document from explicit snapshots (unit-testable).
 [[nodiscard]] json::Value build_trace_json(
     const ProvenanceTracer::Snapshot& provenance,
-    const std::vector<PhaseEvent>& phases,
     const std::vector<TimeSeriesPoint>& timeseries, const Snapshot& metrics);
 
 /// Builds the trace document from the process-wide recorders.

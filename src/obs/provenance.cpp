@@ -1,6 +1,7 @@
 #include "obs/provenance.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/env.hpp"
 
@@ -44,14 +45,10 @@ void ring_push(std::vector<T>& ring, std::size_t capacity, std::int64_t total,
 
 }  // namespace
 
-std::int64_t wall_us(std::chrono::steady_clock::time_point tp) noexcept {
-  return std::chrono::duration_cast<std::chrono::microseconds>(tp -
-                                                               trace_epoch())
-      .count();
-}
-
 std::int64_t wall_now_us() noexcept {
-  return wall_us(std::chrono::steady_clock::now());
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - trace_epoch())
+      .count();
 }
 
 // -- ProvenanceTracer --------------------------------------------------------
@@ -69,14 +66,13 @@ TraceId ProvenanceTracer::begin_publish(std::uint64_t msg,
   if (static_cast<std::size_t>(seen) % sample_every_ != 0) return 0;
   const TraceId id = next_trace_++;
   ring_push(publishes_, kMaxPublishes, publishes_sampled_,
-            PublishRecord{id, msg, publisher, kind, time_s, wall_now_us()});
+            PublishRecord{id, msg, publisher, kind, time_s});
   ++publishes_sampled_;
   return id;
 }
 
 void ProvenanceTracer::record_hop(HopRecord hop) {
   if (!enabled()) return;
-  hop.wall_ts_us = wall_now_us();
   std::lock_guard lock(mu_);
   ring_push(hops_, kMaxHops, hops_recorded_, hop);
   ++hops_recorded_;
@@ -117,36 +113,6 @@ void ProvenanceTracer::set_sample_every(std::size_t n) {
 ProvenanceTracer& ProvenanceTracer::global() {
   static ProvenanceTracer tracer;
   return tracer;
-}
-
-// -- TraceBuffer -------------------------------------------------------------
-
-void TraceBuffer::add(const PhaseEvent& event) {
-  if (!enabled()) return;
-  std::lock_guard lock(mu_);
-  ring_push(events_, kMaxEvents, recorded_, event);
-  ++recorded_;
-}
-
-std::vector<PhaseEvent> TraceBuffer::events() const {
-  std::lock_guard lock(mu_);
-  return unroll_ring(events_, kMaxEvents, recorded_);
-}
-
-std::int64_t TraceBuffer::recorded() const noexcept {
-  std::lock_guard lock(mu_);
-  return recorded_;
-}
-
-void TraceBuffer::reset() {
-  std::lock_guard lock(mu_);
-  events_.clear();
-  recorded_ = 0;
-}
-
-TraceBuffer& TraceBuffer::global() {
-  static TraceBuffer buffer;
-  return buffer;
 }
 
 }  // namespace sel::obs

@@ -1,19 +1,14 @@
-// Causal message provenance + timestamped trace events.
+// Causal message provenance, the per-message recorder behind the Perfetto
+// exporter (obs/perfetto.hpp).
 //
-// Two bounded, process-wide recorders feed the Perfetto exporter
-// (obs/perfetto.hpp):
-//
-//   ProvenanceTracer — assigns sampled publishes a trace id and records
-//   every hop of the dissemination (publisher → tree edges →
-//   subscriber/relay) as parent-linked events carrying peer ids, hop depth,
-//   relay/delivered flags and sim + wall timestamps. Sampling is 1-in-N
-//   publishes (SEL_TRACE_SAMPLE, default 64; the first publish is always
-//   sampled so short runs still produce a trace). Storage is a fixed-size
-//   ring buffer: old records are overwritten, never reallocated, so an
-//   unbounded run cannot grow the tracer.
-//
-//   TraceBuffer — generic (label, phase, [ts, ts+dur]) wall-clock events
-//   for protocol-round phases, same ring-buffer bound.
+// ProvenanceTracer assigns sampled publishes a trace id and records every
+// hop of the dissemination (publisher → tree edges → subscriber/relay) as
+// parent-linked events carrying peer ids, hop depth, relay/delivered flags
+// and sim timestamps. Sampling is 1-in-N publishes (SEL_TRACE_SAMPLE,
+// default 64; the first publish is always sampled so short runs still
+// produce a trace). Storage is a fixed-size ring buffer: old records are
+// overwritten, never reallocated, so an unbounded run cannot grow the
+// tracer.
 //
 // Cost contract: with SEL_OBS=off every entry point is a single predictable
 // branch (measured by BM_Trace* in bench_micro). When enabled, an unsampled
@@ -21,7 +16,6 @@
 // (sampled volume is tiny by construction).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -30,11 +24,7 @@
 
 namespace sel::obs {
 
-/// Microseconds of `tp` since the process trace epoch (first use).
-[[nodiscard]] std::int64_t wall_us(
-    std::chrono::steady_clock::time_point tp) noexcept;
-
-/// Microseconds since the process trace epoch.
+/// Microseconds since the process trace epoch (first use).
 [[nodiscard]] std::int64_t wall_now_us() noexcept;
 
 /// Identifies one traced dissemination; 0 = untraced (publish not sampled).
@@ -49,7 +39,6 @@ struct PublishRecord {
   std::uint32_t publisher = 0;  ///< root peer
   TraceKind kind = TraceKind::kPublish;
   double publish_s = 0.0;  ///< sim time
-  std::int64_t wall_ts_us = 0;
 };
 
 /// One tree edge of a traced dissemination. Parent linkage is implicit:
@@ -66,7 +55,6 @@ struct HopRecord {
   bool failover = false;     ///< hop rides a multipath backup route
   double send_s = 0.0;       ///< sim time the parent started the transfer
   double arrive_s = 0.0;     ///< sim time the hop completes
-  std::int64_t wall_ts_us = 0;
 };
 
 class ProvenanceTracer {
@@ -112,38 +100,6 @@ class ProvenanceTracer {
   std::int64_t hops_recorded_ = 0;
   std::vector<PublishRecord> publishes_;  ///< ring, capacity kMaxPublishes
   std::vector<HopRecord> hops_;           ///< ring, capacity kMaxHops
-};
-
-/// One timed phase of a protocol round, wall-clock stamped.
-/// `label`/`phase` must be string literals (stored as pointers).
-struct PhaseEvent {
-  const char* label = "";  ///< track, e.g. "select.round"
-  const char* phase = "";  ///< slice name: "compute" | "deliver"
-  std::uint64_t round = 0;
-  std::int64_t ts_us = 0;
-  std::int64_t dur_us = 0;
-};
-
-class TraceBuffer {
- public:
-  static constexpr std::size_t kMaxEvents = 1u << 16;
-
-  /// Appends an event (ring overwrite past the cap). SEL_OBS=off: a single
-  /// branch.
-  void add(const PhaseEvent& event);
-
-  /// Oldest-first copy of the buffered events.
-  [[nodiscard]] std::vector<PhaseEvent> events() const;
-  [[nodiscard]] std::int64_t recorded() const noexcept;
-
-  void reset();
-
-  static TraceBuffer& global();
-
- private:
-  mutable std::mutex mu_;
-  std::int64_t recorded_ = 0;
-  std::vector<PhaseEvent> events_;  ///< ring, capacity kMaxEvents
 };
 
 }  // namespace sel::obs

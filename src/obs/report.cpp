@@ -36,22 +36,11 @@ json::Value snapshot_to_json(const Snapshot& snap) {
     span.emplace("total_ns", s.total_ns);
     spans.emplace(s.name, std::move(span));
   }
-  json::Value::Array rounds;
-  for (const auto& r : snap.rounds) {
-    json::Value::Object round;
-    round.emplace("label", r.label);
-    round.emplace("round", r.round);
-    round.emplace("compute_ms", r.compute_ms);
-    round.emplace("deliver_ms", r.deliver_ms);
-    round.emplace("messages", r.messages);
-    rounds.emplace_back(std::move(round));
-  }
   json::Value::Object out;
   out.emplace("counters", std::move(counters));
   out.emplace("gauges", std::move(gauges));
   out.emplace("histograms", std::move(histograms));
   out.emplace("spans", std::move(spans));
-  out.emplace("rounds", std::move(rounds));
   return json::Value(std::move(out));
 }
 
@@ -81,15 +70,6 @@ Snapshot snapshot_from_json(const json::Value& v) {
   for (const auto& [name, val] : v.at("spans").as_object()) {
     snap.spans.push_back(
         {name, val.at("count").as_int64(), val.at("total_ns").as_int64()});
-  }
-  for (const auto& r : v.at("rounds").as_array()) {
-    RoundSample s;
-    s.label = r.at("label").as_string();
-    s.round = static_cast<std::uint64_t>(r.at("round").as_int64());
-    s.compute_ms = r.at("compute_ms").as_double();
-    s.deliver_ms = r.at("deliver_ms").as_double();
-    s.messages = static_cast<std::uint64_t>(r.at("messages").as_int64());
-    snap.rounds.push_back(std::move(s));
   }
   return snap;
 }

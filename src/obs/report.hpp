@@ -1,8 +1,9 @@
 // RunReport: a JSON artifact describing one run — metadata (experiment name,
-// profile, N, seed, rounds, git describe, scale/trials/threads) plus a full
-// metrics snapshot (counters, gauges, histograms, spans, per-round
-// telemetry). Bench harnesses emit `<experiment>.report.json` next to every
-// CSV; `scripts/compare_reports.py` diffs two of them.
+// profile, N, seed, rounds, git describe, scale/trials) plus a full metrics
+// snapshot (counters, gauges, histograms, spans), the per-round time series
+// and an end-of-run memory section. Bench harnesses emit
+// `<experiment>.report.json` next to every CSV; `scripts/compare_reports.py`
+// diffs two of them.
 #pragma once
 
 #include <map>
@@ -19,8 +20,9 @@ struct RunReport {
   /// v2: adds the `timeseries` section (per-round counter deltas + gauges
   /// from obs/sampler.hpp). v3: adds the `memory` section (flat mem.*
   /// values from obs/memory.hpp). Both optional on parse, so older
-  /// reports stay readable.
-  static constexpr int kSchemaVersion = 3;
+  /// reports stay readable. v4: drops `metrics.rounds`; a round's compute
+  /// and deliver times live in its `timeseries` point.
+  static constexpr int kSchemaVersion = 4;
 
   std::string experiment;  ///< e.g. "fig5_convergence"
   /// Free-form run metadata (profile, n, seed, rounds, scale, trials, ...).

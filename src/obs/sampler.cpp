@@ -1,7 +1,5 @@
 #include "obs/sampler.hpp"
 
-#include "common/env.hpp"
-#include "obs/memory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 
@@ -15,10 +13,6 @@ void RoundSampler::sample(std::string_view label, std::uint64_t round,
   const auto counters = reg.counters_snapshot();
 
   std::lock_guard lock(mu_);
-  if (epsilon_ < 0.0) {
-    epsilon_ = env::get_double("SEL_STABLE_EPS", 1e-3, 0.0, 1.0);
-  }
-
   TimeSeriesPoint point;
   point.label = std::string(label);
   point.round = round;
@@ -44,23 +38,12 @@ void RoundSampler::sample(std::string_view label, std::uint64_t round,
     point.values.emplace("avg_route_hops", delivery_hops / deliveries);
   }
 
-  // --mem-profile / SEL_MEM_PROFILE: fold the memory gauges into every
-  // round point so per-round footprint curves come out of the same report
-  // (DESIGN.md §16). Off by default — an RSS poll per round is an I/O
-  // syscall benchmark inner loops should not pay unasked.
-  if (mem_profile_enabled()) {
-    poll_memory_gauges();
-    for (const auto& [name, value] : memory_values()) {
-      point.values.emplace(name, value);
-    }
-  }
-
   // Alg. 2 stability: the gauge tracks how many movement-carrying rounds
   // passed until the last one whose movement reached epsilon.
   const auto movement = point.values.find("id_movement");
   if (movement != point.values.end()) {
     ++movement_samples_;
-    if (movement->second >= epsilon_) stable_after_ = movement_samples_;
+    if (movement->second >= kStableEpsilon) stable_after_ = movement_samples_;
     reg.gauge("select.rounds_to_stable_ids")
         .set(static_cast<double>(stable_after_));
   }
@@ -109,12 +92,6 @@ std::vector<TimeSeriesPoint> RoundSampler::snapshot() const {
 std::uint64_t RoundSampler::rounds_to_stable_ids() const {
   std::lock_guard lock(mu_);
   return stable_after_;
-}
-
-double RoundSampler::stable_epsilon() const {
-  std::lock_guard lock(mu_);
-  return epsilon_ < 0.0 ? env::get_double("SEL_STABLE_EPS", 1e-3, 0.0, 1.0)
-                        : epsilon_;
 }
 
 void RoundSampler::reset() {

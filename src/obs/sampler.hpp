@@ -12,10 +12,14 @@
 // The series is attached to the RunReport as its `timeseries` section and
 // rendered by scripts/trace_report.py.
 //
+// A protocol round's point is its only per-round record: `select.round`
+// points carry the round's compute and deliver wall times (`compute_ms`,
+// `deliver_ms`) beside its gauges, and the Perfetto exporter draws the
+// round's phase slices from them.
+//
 // It also derives `select.rounds_to_stable_ids` — the number of rounds
-// until Alg. 2 identifier movement falls (and stays) below epsilon
-// (SEL_STABLE_EPS, default 1e-3) — published as a registry gauge after
-// every sample.
+// until Alg. 2 identifier movement falls (and stays) below
+// kStableEpsilon — published as a registry gauge after every sample.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +43,13 @@ struct TimeSeriesPoint {
 
 class RoundSampler {
  public:
-  /// Same bound as MetricsRegistry::kMaxRounds; later samples are counted
-  /// in `obs.timeseries_dropped` instead of stored.
+  /// Bound on stored points; later samples are counted in
+  /// `obs.timeseries_dropped` instead of stored, so unbounded simulations
+  /// cannot grow the series forever.
   static constexpr std::size_t kMaxPoints = 20'000;
+
+  /// Id movement below this counts as stable.
+  static constexpr double kStableEpsilon = 1e-3;
 
   /// Snapshots the global registry and appends one point. `gauges` are
   /// stored as-is; the key "id_movement" additionally feeds the
@@ -57,8 +65,6 @@ class RoundSampler {
   /// the last unstable one. Also published as the registry gauge
   /// `select.rounds_to_stable_ids`.
   [[nodiscard]] std::uint64_t rounds_to_stable_ids() const;
-
-  [[nodiscard]] double stable_epsilon() const;
 
   /// Clears the series and the delta baseline.
   void reset();
@@ -90,7 +96,6 @@ class RoundSampler {
   std::deque<double> values_;
   std::uint64_t movement_samples_ = 0;  ///< samples carrying "id_movement"
   std::uint64_t stable_after_ = 0;      ///< rounds until movement stayed < eps
-  double epsilon_ = -1.0;               ///< < 0 = read env on first use
 };
 
 }  // namespace sel::obs

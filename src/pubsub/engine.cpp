@@ -144,22 +144,6 @@ constexpr std::uint32_t kFailoverAttemptBase = 1u << 16;
 
 }  // namespace
 
-RetryPolicy RetryPolicy::from_env() {
-  warn_unknown_sel_env_once();
-  RetryPolicy p;
-  p.enabled = env::get_bool("SEL_RETRY", true);
-  p.ack_timeout_s =
-      env::get_double("SEL_RETRY_TIMEOUT_S", p.ack_timeout_s, 1e-6, 1e6);
-  p.backoff = env::get_double("SEL_RETRY_BACKOFF", p.backoff, 1.0, 1e3);
-  p.jitter = env::get_double("SEL_RETRY_JITTER", p.jitter, 0.0, 1.0);
-  p.max_attempts = static_cast<std::size_t>(env::get_int(
-      "SEL_RETRY_MAX", static_cast<std::int64_t>(p.max_attempts), 1, 1024));
-  p.replay_cap = static_cast<std::size_t>(env::get_int(
-      "SEL_REPLAY_CAP", static_cast<std::int64_t>(p.replay_cap), 0,
-      std::int64_t{1} << 32));
-  return p;
-}
-
 NotificationEngine::NotificationEngine(const overlay::PubSubSystem& sys,
                                        const net::NetworkModel& net,
                                        double payload_bytes)
@@ -788,7 +772,7 @@ void NotificationEngine::mark_missed(MessageId id, PeerId subscriber,
   if (mailbox_ != nullptr) {
     mailbox_->replicate(id, subscriber, rec.publisher, t_s);
   }
-  // SEL_REPLAY_CAP: oldest-first eviction keeps the publisher-local queue
+  // replay_cap: oldest-first eviction keeps the publisher-local queue
   // bounded across long offline periods. FIFO entries already replayed are
   // stale — skipped without counting.
   while (retry_.replay_cap != 0 && replay_queued_ > retry_.replay_cap &&

@@ -89,7 +89,7 @@ using PubsubMap = std::unordered_map<
 
 /// Ack/timeout recovery parameters. Default-constructed (enabled = false)
 /// the engine performs no retries — the control configuration for chaos
-/// experiments. from_env() is the experiment entry point.
+/// experiments; drivers set `enabled` and whatever else they vary.
 struct RetryPolicy {
   bool enabled = false;
   /// Base ack timeout before the first resend. The default comfortably
@@ -107,11 +107,6 @@ struct RetryPolicy {
   /// evicted (counted as `pubsub.replay_evicted`) — the mailbox tier, when
   /// armed, still holds replicas of evicted messages.
   std::size_t replay_cap = 0;
-
-  /// Enabled policy with SEL_RETRY_TIMEOUT_S / SEL_RETRY_BACKOFF /
-  /// SEL_RETRY_JITTER / SEL_RETRY_MAX / SEL_REPLAY_CAP applied over the
-  /// defaults.
-  [[nodiscard]] static RetryPolicy from_env();
 };
 
 struct MessageRecord {
@@ -155,7 +150,7 @@ struct EngineStats {
   std::size_t replays = 0;
   std::size_t duplicates_suppressed = 0;
   std::size_t missed = 0;  ///< subscriber misses queued (or counted) so far
-  std::size_t replay_evicted = 0;  ///< queue entries dropped by SEL_REPLAY_CAP
+  std::size_t replay_evicted = 0;  ///< queue entries dropped by replay_cap
   /// Queued replays dropped because their publisher (the only local copy
   /// holder) crashed; the mailbox tier covers these when armed.
   std::size_t replay_dropped_crash = 0;
@@ -403,7 +398,7 @@ class NotificationEngine {
   PubsubMap<overlay::PeerId, MultipathPlan> multipath_cache_;
   /// Store-and-forward queue: per subscriber, messages awaiting replay.
   PubsubMap<overlay::PeerId, std::vector<MessageId>> missed_;
-  /// Oldest-first eviction order for SEL_REPLAY_CAP: (message, subscriber)
+  /// Oldest-first eviction order for replay_cap: (message, subscriber)
   /// in queueing order. Entries already replayed are skipped lazily;
   /// replay_queued_ tracks the live count the cap compares against.
   std::deque<std::pair<MessageId, overlay::PeerId>,

@@ -4,7 +4,6 @@
 
 #include "check/mailbox_checks.hpp"
 #include "common/assert.hpp"
-#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
@@ -80,11 +79,6 @@ obs::Counter& superseded_counter() {
       obs::MetricsRegistry::global().counter("mailbox.superseded");
   return c;
 }
-obs::Counter& evicted_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("mailbox.evicted");
-  return c;
-}
 obs::Gauge& pending_gauge() {
   static obs::Gauge& g =
       obs::MetricsRegistry::global().gauge("mailbox.pending_entries");
@@ -109,14 +103,6 @@ double placement_draw(std::uint64_t key, PeerId p) {
 
 }  // namespace
 
-MailboxPolicy MailboxPolicy::from_env() {
-  warn_unknown_sel_env_once();
-  MailboxPolicy p;
-  p.replicas = static_cast<std::size_t>(env::get_int(
-      "SEL_MAILBOX_K", static_cast<std::int64_t>(p.replicas), 1, 15));
-  return p;
-}
-
 MailboxManager::MailboxManager(runtime::EventEngine& queue,
                                const overlay::Overlay& overlay,
                                const net::NetworkModel& net,
@@ -140,7 +126,6 @@ MailboxManager::MailboxManager(runtime::EventEngine& queue,
   replays_counter();
   replay_lost_counter();
   superseded_counter();
-  evicted_counter();
   pending_gauge();
 }
 
@@ -571,19 +556,6 @@ void MailboxManager::on_delivered(MessageId msg, PeerId subscriber) {
     if (entry.resolved || entry.msg != msg) continue;
     ++stats_.superseded;
     superseded_counter().add(1);
-    resolve(entry);
-    return;
-  }
-}
-
-void MailboxManager::forget(MessageId msg, PeerId subscriber) {
-  const auto it = by_subscriber_.find(subscriber);
-  if (it == by_subscriber_.end()) return;
-  for (const std::size_t idx : it->second) {
-    Entry& entry = entries_[idx];
-    if (entry.resolved || entry.msg != msg) continue;
-    ++stats_.evicted;
-    evicted_counter().add(1);
     resolve(entry);
     return;
   }

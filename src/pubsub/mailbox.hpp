@@ -88,9 +88,6 @@ struct MailboxPolicy {
   [[nodiscard]] std::size_t quorum() const noexcept {
     return replicas / 2 + 1;
   }
-
-  /// Defaults with SEL_MAILBOX_K applied (replica count; quorum follows).
-  [[nodiscard]] static MailboxPolicy from_env();
 };
 
 /// Per-manager aggregate counters (global `mailbox.*` metrics mirror them
@@ -108,7 +105,6 @@ struct MailboxStats {
   std::size_t replays = 0;         ///< messages served back at replay
   std::size_t replay_lost = 0;     ///< entries with no live replica at replay
   std::size_t superseded = 0;      ///< entries resolved by primary delivery
-  std::size_t evicted = 0;         ///< entries dropped via forget()
 };
 
 /// Replicates undelivered messages across mailbox peers and serves them
@@ -153,10 +149,6 @@ class MailboxManager {
   /// all — resolves the entry so replay() never re-serves it and the
   /// pending gauge stays tight. Counted as `mailbox.superseded`.
   void on_delivered(MessageId msg, overlay::PeerId subscriber);
-
-  /// Drops the entry for (msg, subscriber) without replaying it (the
-  /// engine's SEL_REPLAY_CAP eviction path). Counted as `mailbox.evicted`.
-  void forget(MessageId msg, overlay::PeerId subscriber);
 
   /// Unresolved entries currently held.
   [[nodiscard]] std::size_t pending() const noexcept { return pending_; }

@@ -8,7 +8,6 @@
 #include "check/overlay_checks.hpp"
 #include "check/protocol_checks.hpp"
 #include "obs/metrics.hpp"
-#include "obs/provenance.hpp"
 #include "obs/sampler.hpp"
 #include "obs/time.hpp"
 #include "obs/trace.hpp"
@@ -26,7 +25,7 @@ std::size_t default_k(std::size_t n) {
 }
 
 /// Protocol telemetry (naming: `select.*`). Handles resolve once; increments
-/// are relaxed sharded adds, no-ops under SEL_OBS=off.
+/// are relaxed atomic adds, no-ops under SEL_OBS=off.
 obs::Counter& gossip_exchanges_counter() {
   static obs::Counter& c =
       obs::MetricsRegistry::global().counter("select.gossip_exchanges");
@@ -242,29 +241,19 @@ bool SelectSystem::run_round() {
   if (obs_on) {
     rounds_counter().add(1);
     link_reassignments_counter().add(static_cast<std::int64_t>(link_changes));
-    // Round telemetry: the gossip/relink peer loop is the compute phase; the
-    // ring rebuild is the delivery/synchronization phase. One gossip
-    // exchange moves two routing tables.
-    const std::uint64_t tel_round = telemetry_round_++;
+    // The round's one record: counter deltas plus protocol gauges, and the
+    // wall time of its two phases — the gossip/relink peer loop (compute)
+    // and the ring rebuild (deliver). `id_movement` also drives the
+    // rounds-to-stable-ids metric.
     const auto t_end = obs::wall_now();
-    obs::MetricsRegistry::global().add_round(obs::RoundSample{
-        "select.round", tel_round, obs::ms_between(t_start, t_compute),
-        obs::ms_between(t_compute, t_end),
-        static_cast<std::uint64_t>(exchanges * 2)});
-    // Phase timeline for the Perfetto exporter.
-    auto& buf = obs::TraceBuffer::global();
-    buf.add({"select.round", "compute", tel_round, obs::wall_us(t_start),
-             obs::wall_us(t_compute) - obs::wall_us(t_start)});
-    buf.add({"select.round", "deliver", tel_round, obs::wall_us(t_compute),
-             obs::wall_us(t_end) - obs::wall_us(t_compute)});
-    // Per-round time-series point: counter deltas plus protocol gauges.
-    // `id_movement` also drives the rounds-to-stable-ids metric.
     obs::RoundSampler::global().sample(
-        "select.round", tel_round,
+        "select.round", telemetry_round_++,
         {{"id_movement", movement},
          {"relocations", static_cast<double>(relocations)},
          {"link_changes", static_cast<double>(link_changes)},
-         {"exchanges", static_cast<double>(exchanges)}});
+         {"exchanges", static_cast<double>(exchanges)},
+         {"compute_ms", obs::ms_between(t_start, t_compute)},
+         {"deliver_ms", obs::ms_between(t_compute, t_end)}});
   }
   // SEL_MEM_BUDGET: one validation per protocol round covers the overlay's
   // link growth (the engine covers the message plane at publish).

@@ -1,5 +1,5 @@
-// Resource observability tests: tagged-allocator attribution, MemScope
-// nesting, SEL_MEM_BUDGET soft-fail, and the run report's memory section.
+// Resource observability tests: tagged-allocator attribution,
+// SEL_MEM_BUDGET soft-fail, and the run report's memory section.
 //
 // This file gets its own test binary (tests_obs_memory): the budget knob is
 // parsed once per process from SEL_MEM_BUDGET, so the static initializer
@@ -32,7 +32,6 @@ TEST(Subsystem, NamesAreStable) {
   EXPECT_STREQ(subsystem_name(Subsystem::kOverlay), "overlay");
   EXPECT_STREQ(subsystem_name(Subsystem::kPubsub), "pubsub");
   EXPECT_STREQ(subsystem_name(Subsystem::kRuntime), "runtime");
-  EXPECT_STREQ(subsystem_name(Subsystem::kOther), "other");
 }
 
 TEST(Accounted, AttributionRoundTripsToZero) {
@@ -67,45 +66,6 @@ TEST(Accounted, CopyAndMoveKeepAttributionBalanced) {
               before + static_cast<std::int64_t>(2 * 1024 * sizeof(int)));
   }
   EXPECT_EQ(tracker.live_bytes(Subsystem::kRuntime), before);
-}
-
-TEST(MemScope, DynamicTagFollowsInnermostScope) {
-  auto& tracker = MemTracker::global();
-  EXPECT_EQ(MemScope::current(), Subsystem::kOther);
-  const std::int64_t pubsub_before = tracker.live_bytes(Subsystem::kPubsub);
-  const std::int64_t graph_before = tracker.live_bytes(Subsystem::kGraph);
-  const std::int64_t other_before = tracker.live_bytes(Subsystem::kOther);
-  {
-    std::vector<int, Accounted<int>> outer;
-    {
-      MemScope scope(Subsystem::kPubsub);
-      EXPECT_EQ(MemScope::current(), Subsystem::kPubsub);
-      // The tag is captured at allocator construction, not per allocation:
-      // `outer` predates the scope, so it charges kOther even while the
-      // scope is active.
-      outer.reserve(100);
-      std::vector<int, Accounted<int>> inner;
-      {
-        MemScope nested(Subsystem::kGraph);
-        std::vector<int, Accounted<int>> innermost(200);
-        EXPECT_EQ(tracker.live_bytes(Subsystem::kGraph),
-                  graph_before +
-                      static_cast<std::int64_t>(200 * sizeof(int)));
-      }
-      EXPECT_EQ(MemScope::current(), Subsystem::kPubsub);  // nesting pops
-      inner.resize(300);
-      EXPECT_GE(tracker.live_bytes(Subsystem::kPubsub),
-                pubsub_before +
-                    static_cast<std::int64_t>(300 * sizeof(int)));
-    }
-    // `outer` still holds its kOther-tagged buffer after the scope died;
-    // the tag travels with the allocator, so the discharge stays balanced.
-    EXPECT_GE(tracker.live_bytes(Subsystem::kOther),
-              other_before + static_cast<std::int64_t>(100 * sizeof(int)));
-  }
-  EXPECT_EQ(tracker.live_bytes(Subsystem::kPubsub), pubsub_before);
-  EXPECT_EQ(tracker.live_bytes(Subsystem::kGraph), graph_before);
-  EXPECT_EQ(tracker.live_bytes(Subsystem::kOther), other_before);
 }
 
 TEST(MemTracker, PeakTracksInterleavedHighWater) {

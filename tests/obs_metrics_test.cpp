@@ -9,6 +9,7 @@
 #include "graph/profiles.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
+#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "select/protocol.hpp"
 
@@ -133,7 +134,6 @@ TEST(ObsRegistry, SnapshotContainsAllInstrumentKinds) {
   reg.gauge("g.one").set(1.5);
   reg.histogram("h.one", {1.0}).observe(0.5);
   reg.span("s.one").record_ns(1000);
-  reg.add_round({"test.round", 0, 1.0, 0.5, 42});
 
   const Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counter("c.one"), 5);
@@ -144,8 +144,6 @@ TEST(ObsRegistry, SnapshotContainsAllInstrumentKinds) {
   EXPECT_EQ(snap.histograms[0].count, 1);
   ASSERT_EQ(snap.spans.size(), 1u);
   EXPECT_EQ(snap.spans[0].total_ns, 1000);
-  ASSERT_EQ(snap.rounds.size(), 1u);
-  EXPECT_EQ(snap.rounds[0].messages, 42u);
 }
 
 TEST(ObsRegistry, ResetZeroesEverythingButKeepsHandles) {
@@ -153,13 +151,11 @@ TEST(ObsRegistry, ResetZeroesEverythingButKeepsHandles) {
   auto& c = reg.counter("c.reset");
   c.add(9);
   reg.gauge("g.reset").set(3.0);
-  reg.add_round({"r", 1, 0.0, 0.0, 1});
   reg.reset();
   EXPECT_EQ(c.value(), 0);
   const Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counter("c.reset"), 0);
   EXPECT_DOUBLE_EQ(snap.gauges[0].value, 0.0);
-  EXPECT_TRUE(snap.rounds.empty());
   c.add(2);
   EXPECT_EQ(c.value(), 2);
 }
@@ -203,8 +199,6 @@ TEST(ObsReport, JsonRoundTripPreservesEverything) {
   reg.gauge("select.run.n").set(1000.0);
   reg.histogram("pubsub.delivery_latency_s", {0.1, 1.0}).observe(0.05);
   reg.span("select.build").record_ns(5'000'000);
-  reg.add_round({"select.round", 0, 12.5, 3.25, 400});
-  reg.add_round({"select.round", 1, 11.0, 3.0, 380});
 
   RunReport report;
   report.experiment = "unit_test";
@@ -230,11 +224,10 @@ TEST(ObsReport, JsonRoundTripPreservesEverything) {
   EXPECT_DOUBLE_EQ(parsed.snapshot.histograms[0].min, 0.05);
   ASSERT_EQ(parsed.snapshot.spans.size(), 1u);
   EXPECT_EQ(parsed.snapshot.spans[0].total_ns, 5'000'000);
-  ASSERT_EQ(parsed.snapshot.rounds.size(), 2u);
-  EXPECT_EQ(parsed.snapshot.rounds[0].label, "select.round");
-  EXPECT_DOUBLE_EQ(parsed.snapshot.rounds[0].compute_ms, 12.5);
-  EXPECT_DOUBLE_EQ(parsed.snapshot.rounds[1].deliver_ms, 3.0);
-  EXPECT_EQ(parsed.snapshot.rounds[1].messages, 380u);
+  // Schema 4: per-round records live only in the timeseries section.
+  const auto doc = report.to_json();
+  EXPECT_EQ(doc.at("schema_version").as_int64(), 4);
+  EXPECT_FALSE(doc.at("metrics").contains("rounds"));
 }
 
 TEST(ObsReport, ReportPathDerivation) {
@@ -260,26 +253,29 @@ TEST(ObsWiring, SelectBuildPopulatesProtocolTelemetry) {
   EXPECT_GT(after.counter("select.link_establishments"),
             before.counter("select.link_establishments"));
   EXPECT_GT(after.counter("select.rounds"), before.counter("select.rounds"));
-  EXPECT_GT(after.rounds.size(), before.rounds.size());
-  // Every SELECT round sample carries the gossip message count and timings.
+  // Every SELECT round's sampler point carries its phase timings.
+  const auto points = RoundSampler::global().snapshot();
   bool saw_select_round = false;
-  for (const auto& r : after.rounds) {
-    if (r.label != "select.round") continue;
+  for (const auto& p : points) {
+    if (p.label != "select.round") continue;
     saw_select_round = true;
-    EXPECT_GE(r.compute_ms, 0.0);
-    EXPECT_GE(r.deliver_ms, 0.0);
+    ASSERT_TRUE(p.values.contains("compute_ms")) << "round " << p.round;
+    ASSERT_TRUE(p.values.contains("deliver_ms")) << "round " << p.round;
+    EXPECT_GE(p.values.at("compute_ms"), 0.0);
+    EXPECT_GE(p.values.at("deliver_ms"), 0.0);
   }
   EXPECT_TRUE(saw_select_round);
 }
 
 TEST(ObsReport, RoundCapDropsInsteadOfGrowing) {
-  MetricsRegistry reg;
-  for (std::size_t i = 0; i < MetricsRegistry::kMaxRounds + 5; ++i) {
-    reg.add_round({"r", i, 0.0, 0.0, 0});
+  auto& dropped = MetricsRegistry::global().counter("obs.timeseries_dropped");
+  const std::int64_t dropped_before = dropped.value();
+  RoundSampler sampler;
+  for (std::size_t i = 0; i < RoundSampler::kMaxPoints + 5; ++i) {
+    sampler.sample("r", i);
   }
-  const Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.rounds.size(), MetricsRegistry::kMaxRounds);
-  EXPECT_EQ(snap.counter("obs.rounds_dropped"), 5);
+  EXPECT_EQ(sampler.snapshot().size(), RoundSampler::kMaxPoints);
+  EXPECT_EQ(dropped.value() - dropped_before, 5);
 }
 
 }  // namespace

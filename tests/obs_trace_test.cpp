@@ -33,13 +33,11 @@ class TracingTest : public ::testing::Test {
   void SetUp() override {
     ProvenanceTracer::global().reset();
     ProvenanceTracer::global().set_sample_every(1);
-    TraceBuffer::global().reset();
     RoundSampler::global().reset();
   }
   void TearDown() override {
     ProvenanceTracer::global().set_sample_every(0);  // env default again
     ProvenanceTracer::global().reset();
-    TraceBuffer::global().reset();
     RoundSampler::global().reset();
   }
 };
@@ -87,19 +85,6 @@ TEST_F(TracingTest, HopRingOverwritesOldestPastCapacity) {
   // Oldest-first: the 10 dropped hops are 0..9.
   EXPECT_EQ(snap.hops.front().msg, 10u);
   EXPECT_EQ(snap.hops.back().msg, n - 1);
-}
-
-TEST_F(TracingTest, TraceBufferRingCapHolds) {
-  auto& buf = TraceBuffer::global();
-  for (std::size_t i = 0; i < TraceBuffer::kMaxEvents + 3; ++i) {
-    buf.add({"t", "compute", i, static_cast<std::int64_t>(i), 1});
-  }
-  const auto events = buf.events();
-  EXPECT_EQ(buf.recorded(),
-            static_cast<std::int64_t>(TraceBuffer::kMaxEvents + 3));
-  ASSERT_EQ(events.size(), TraceBuffer::kMaxEvents);
-  EXPECT_EQ(events.front().round, 3u);
-  EXPECT_EQ(events.back().round, TraceBuffer::kMaxEvents + 2);
 }
 
 // The tentpole acceptance test: a traced publish's hop records reproduce
@@ -172,11 +157,15 @@ TEST_F(TracingTest, SamplerEmitsOnePointPerProtocolRound) {
     EXPECT_EQ(select_points[i].round, select_points[i - 1].round + 1);
     EXPECT_GE(select_points[i].ts_us, select_points[i - 1].ts_us);
   }
-  // Every point carries the protocol gauges.
+  // Every point carries the protocol gauges and the round's phase times.
   for (const auto& p : select_points) {
     EXPECT_TRUE(p.values.contains("id_movement"));
     EXPECT_TRUE(p.values.contains("link_changes"));
     EXPECT_TRUE(p.values.contains("exchanges"));
+    ASSERT_TRUE(p.values.contains("compute_ms")) << "round " << p.round;
+    ASSERT_TRUE(p.values.contains("deliver_ms")) << "round " << p.round;
+    EXPECT_GE(p.values.at("compute_ms"), 0.0);
+    EXPECT_GE(p.values.at("deliver_ms"), 0.0);
   }
 }
 
@@ -279,22 +268,31 @@ TEST_F(TracingTest, PerfettoExportIsWellFormed) {
 }
 
 TEST_F(TracingTest, PhaseEventsLandInRoundTracks) {
-  TraceBuffer::global().add({"select.round", "compute", 4, 100, 50});
-  TraceBuffer::global().add({"select.round", "deliver", 4, 150, 20});
+  // One sampled round: compute then deliver, ending at the point's stamp.
+  TimeSeriesPoint point;
+  point.label = "select.round";
+  point.round = 4;
+  point.ts_us = 170;
+  point.values = {{"compute_ms", 0.05}, {"deliver_ms", 0.02}};
   const auto doc = build_trace_json(ProvenanceTracer::global().snapshot(),
-                                    TraceBuffer::global().events(),
-                                    {}, Snapshot{});
+                                    {point}, Snapshot{});
   bool saw_compute = false;
+  bool saw_deliver = false;
   for (const auto& e : doc.at("traceEvents").as_array()) {
     if (e.at("ph").as_string() != "X") continue;
+    EXPECT_EQ(e.at("args").at("round").as_int64(), 4);
     if (e.at("name").as_string() == "compute") {
       saw_compute = true;
       EXPECT_EQ(e.at("ts").as_int64(), 100);
       EXPECT_EQ(e.at("dur").as_int64(), 50);
-      EXPECT_EQ(e.at("args").at("round").as_int64(), 4);
+    } else if (e.at("name").as_string() == "deliver") {
+      saw_deliver = true;
+      EXPECT_EQ(e.at("ts").as_int64(), 150);
+      EXPECT_EQ(e.at("dur").as_int64(), 20);
     }
   }
   EXPECT_TRUE(saw_compute);
+  EXPECT_TRUE(saw_deliver);
 }
 
 TEST(ObsJsonEdgeCases, NonFiniteDoublesSerializeAsNull) {

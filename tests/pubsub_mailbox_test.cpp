@@ -1,5 +1,5 @@
 // Replicated-mailbox durability tier (pubsub/mailbox.hpp): CMA-weighted
-// placement, quorum store/ack writes, SEL_REPLAY_CAP interplay, the
+// placement, quorum store/ack writes, replay-cap interplay, the
 // publisher-crash + replica-crash recovery path (ROADMAP item 4's exit
 // criterion), byzantine-acceptor tolerance, and the late-copy-vs-replay
 // race on the in-process transport.
