@@ -11,6 +11,9 @@
 // bit-identical between same-flag runs.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <vector>
+
 #include "baselines/symphony.hpp"
 #include "bench/bench_common.hpp"
 #include "check/check.hpp"
@@ -341,6 +344,46 @@ void BM_EngineFeedDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineFeedDrain)
     ->Iterations(kEngineFeedIterations)
+    ->Unit(benchmark::kMillisecond);
+
+// The event queue alone, in the hold model calendar queues are classically
+// timed with: `depth` events stay pending, and each one that fires
+// schedules the next at now + a delay from a fixed table (exponential with
+// a 1 s mean, one in eight at `now`). The depths are perfbench's peak
+// pending counts: chaos 197, feed 8,918, build 19,559.
+struct HoldEvent {
+  runtime::EventEngine* engine;
+  const std::vector<double>* delays;
+  std::size_t next;
+  void operator()(double now) const {
+    engine->schedule(now + (*delays)[next % delays->size()],
+                     HoldEvent{engine, delays, next + 1});
+  }
+};
+
+void BM_EventQueueHold(benchmark::State& state) {
+  constexpr std::size_t kFired = std::size_t{1} << 20;
+  std::vector<double> delays(std::size_t{1} << 12);
+  Rng rng(7);
+  for (double& d : delays) {
+    d = rng.below(8) == 0 ? 0.0 : -std::log1p(-rng.uniform());
+  }
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    runtime::EventEngine engine;
+    for (std::size_t i = 0; i < depth; ++i) {
+      engine.schedule(delays[i % delays.size()],
+                      HoldEvent{&engine, &delays, i * 7});
+    }
+    benchmark::DoNotOptimize(engine.run(kFired));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * kFired));
+}
+BENCHMARK(BM_EventQueueHold)
+    ->Arg(197)
+    ->Arg(8918)
+    ->Arg(19559)
     ->Unit(benchmark::kMillisecond);
 
 constexpr int kReliablePlannerIterations = 5;  // pinned: exact CI counters

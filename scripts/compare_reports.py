@@ -14,8 +14,9 @@ timeseries points that carry `compute_ms`).
 
 Without --fail-on the exit code is always 0 (reporting mode). Each
 --fail-on METRIC=TOLERANCE names a flat metric (counter, gauge, span as
-"span.<name>.total_ms", memory as "mem.rss_peak_bytes", or round aggregate
-like "select.round.rounds") and the maximum allowed relative change, as a
+"span.<name>.total_ms", histogram as "hist.<name>.count" (or .sum, .min,
+.max), memory as "mem.rss_peak_bytes", or round aggregate like
+"select.round.rounds") and the maximum allowed relative change, as a
 fraction (0.25 = 25%; 0 = must be identical). Any named metric whose change
 exceeds its tolerance — or which is missing from either report — makes the
 script exit 1, so CI can gate on it.
@@ -123,6 +124,9 @@ def flat_metrics(doc):
     for name, span in m.get("spans", {}).items():
         flat[f"span.{name}.total_ms"] = span.get("total_ns", 0) / 1e6
         flat[f"span.{name}.count"] = span.get("count", 0)
+    for name, hist in m.get("histograms", {}).items():
+        for field in ("count", "sum", "min", "max"):
+            flat[f"hist.{name}.{field}"] = hist.get(field, 0)
     flat.update(round_aggregates(doc.get("timeseries", [])))
     # Schema v3: flat end-of-run memory section (mem.* keys). Overrides the
     # gauge of the same name — the section is written last, so it is the

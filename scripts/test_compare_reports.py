@@ -10,6 +10,7 @@ Builds two synthetic run reports, then asserts the exit codes:
   * metric missing with --allow-missing (v2 baseline vs v3 candidate) -> 0
   * metric missing from BOTH reports, even with --allow-missing       -> 1
   * mem.* keys from the schema-v3 `memory` section gate like any metric
+  * histograms flatten to hist.<name>.count|sum|min|max and gate
   * malformed spec          -> nonzero usage error
 
 Run directly (CI does): python3 scripts/test_compare_reports.py
@@ -36,7 +37,11 @@ def make_report(deliveries, compute_ms, memory=None):
             "counters": {"pubsub.deliveries": deliveries,
                          "select.rounds": 10},
             "gauges": {"select.rounds_to_stable_ids": 7.0},
-            "histograms": {},
+            "histograms": {"pubsub.delivery_latency_s": {
+                "bounds": [1.0], "counts": [deliveries // 2,
+                                            deliveries - deliveries // 2],
+                "count": deliveries, "sum": 1.5 * deliveries,
+                "min": 0.5, "max": 9.0}},
             "spans": {"select.round": {"count": 10, "total_ns": 5000000}},
         },
         "timeseries": [
@@ -141,6 +146,22 @@ def main():
         code, out = run([base3, cand3,
                          "--fail-on", "mem.bytes_per_peer=0.05"])
         check("unchanged mem metric passes", code, 0, out)
+
+        # Histograms: a batch dropped or counted twice moves .count; the
+        # bounds-free fields flatten too.
+        code, out = run([base, cand, "--fail-on",
+                         "hist.pubsub.delivery_latency_s.count=0"])
+        check("histogram count change gates", code, 1, out)
+
+        code, out = run([base, cand,
+                         "--fail-on", "hist.pubsub.delivery_latency_s.min=0",
+                         "--fail-on", "hist.pubsub.delivery_latency_s.max=0",
+                         "--fail-on", "hist.pubsub.delivery_latency_s.sum=0.2"])
+        check("unchanged histogram fields pass", code, 0, out)
+
+        code, out = run([base, base, "--fail-on",
+                         "hist.pubsub.delivery_latency_s.count=0"])
+        check("identical histogram count passes", code, 0, out)
 
         code, out = run([base, cand, "--fail-on", "pubsub.deliveries"])
         if code == 0:

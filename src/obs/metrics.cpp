@@ -74,6 +74,26 @@ void Histogram::observe(double x) noexcept {
   detail::atomic_max(max_, x);
 }
 
+void Histogram::merge(const LocalHistogram& local) noexcept {
+  if (!enabled() || local.t_.count == 0) return;
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    if (local.counts_[i] != 0) {
+      buckets_[i].fetch_add(local.counts_[i], std::memory_order_relaxed);
+    }
+  }
+  count_.fetch_add(local.t_.count, std::memory_order_relaxed);
+  detail::atomic_add(sum_, local.t_.sum);
+  detail::atomic_min(min_, local.t_.min);
+  detail::atomic_max(max_, local.t_.max);
+}
+
+void LocalHistogram::flush() noexcept {
+  if (t_.count == 0) return;
+  target_->merge(*this);
+  std::fill(counts_.begin(), counts_.end(), 0);
+  t_ = {};
+}
+
 std::vector<std::int64_t> Histogram::counts() const {
   std::vector<std::int64_t> out;
   out.reserve(buckets_.size());

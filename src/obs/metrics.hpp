@@ -6,9 +6,13 @@
 //   - a counter increment is a single relaxed fetch_add on one atomic;
 //   - gauges are one relaxed atomic store;
 //   - histograms use fixed bucket bounds chosen at registration, so observe()
-//     is a small linear scan plus a relaxed add;
+//     is a small binary search plus a relaxed add;
 //   - every update is a no-op when observability is disabled (SEL_OBS=off),
 //     costing one predictable branch.
+//
+// A per-event path can skip the atomics: it counts into plain integers and
+// a LocalHistogram and folds them in with Counter::add and Histogram::merge
+// at its own boundary (the message plane: the end of every drain).
 //
 // The program runs on one thread, so the instruments are sized for one
 // writer; the atomics (and the registry mutex) keep concurrent use from
@@ -23,8 +27,10 @@
 // emitter (obs/report.hpp) serializes to JSON.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -89,12 +95,15 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
+class LocalHistogram;
 /// Fixed-bucket histogram. `bounds` are inclusive upper edges; one implicit
 /// overflow bucket catches everything above the last edge. Tracks count, sum,
 /// min and max alongside the bucket counts.
 class Histogram {
  public:
   void observe(double x) noexcept;
+  /// Adds the batch in `local`, whose target this histogram must be.
+  void merge(const LocalHistogram& local) noexcept;
 
   [[nodiscard]] const std::vector<double>& bounds() const noexcept {
     return bounds_;
@@ -132,6 +141,33 @@ class Histogram {
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_{0.0};
   std::atomic<double> max_{0.0};
+};
+
+/// Plain single-writer batch for one registry Histogram: the same bounds, no
+/// atomics. flush() merges the batch into the target and clears it.
+class LocalHistogram {
+ public:
+  explicit LocalHistogram(Histogram& target)
+      : target_(&target), counts_(target.bounds().size() + 1, 0) {}
+  void observe(double x) noexcept {
+    if (!enabled()) return;
+    const auto& b = target_->bounds();
+    ++counts_[static_cast<std::size_t>(
+        std::lower_bound(b.begin(), b.end(), x) - b.begin())];
+    t_ = {t_.count + 1, t_.sum + x, std::min(t_.min, x), std::max(t_.max, x)};
+  }
+  void flush() noexcept;
+
+ private:
+  friend class Histogram;
+  Histogram* target_;
+  std::vector<std::int64_t> counts_;  // target bounds + 1
+  struct Totals {
+    std::int64_t count = 0;
+    double sum = 0.0;
+    double min = std::numeric_limits<double>::infinity();
+    double max = -std::numeric_limits<double>::infinity();
+  } t_;
 };
 
 /// Accumulated wall-time for a labelled phase; fed by ScopedSpan

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <utility>
 
 #include "check/mailbox_checks.hpp"
 #include "check/memory_checks.hpp"
@@ -29,30 +30,9 @@ obs::Counter& publishes_counter() {
   return c;
 }
 
-obs::Counter& deliveries_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("pubsub.deliveries");
-  return c;
-}
-
-obs::Counter& relay_forwards_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("pubsub.relay_forwards");
-  return c;
-}
-
 obs::Counter& tree_builds_counter() {
   static obs::Counter& c =
       obs::MetricsRegistry::global().counter("pubsub.tree_builds");
-  return c;
-}
-
-// Sum of tree depths at which deliveries land; divided by
-// `pubsub.deliveries` this yields the average route length per round in
-// the sampler (obs/sampler.cpp).
-obs::Counter& delivery_hops_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("pubsub.delivery_hops");
   return c;
 }
 
@@ -147,8 +127,13 @@ constexpr std::uint32_t kFailoverAttemptBase = 1u << 16;
 NotificationEngine::NotificationEngine(const overlay::PubSubSystem& sys,
                                        const net::NetworkModel& net,
                                        double payload_bytes)
-    : sys_(&sys), payload_bytes_(payload_bytes), transport_(net) {
+    : sys_(&sys),
+      payload_bytes_(payload_bytes),
+      transport_(net),
+      delivery_latency_s_(obs::MetricsRegistry::global().histogram(
+          "pubsub.delivery_latency_s")) {
   SEL_EXPECTS(payload_bytes > 0.0);
+  set_runtime_options({});
   warn_unknown_sel_env_once();
   // Pre-register the replay-lifecycle counters the durability tier reports
   // on, so chaos report schemas don't depend on whether a given seed ever
@@ -165,6 +150,25 @@ void NotificationEngine::set_runtime_options(runtime::Options options) {
   // protocol's feet; the engine must be quiescent and unused.
   SEL_EXPECTS(next_id_ == 1 && queue_.idle());
   queue_ = runtime::EventEngine(options.tie_seed);
+  queue_.set_drain_hook(
+      [](void* self) {
+        static_cast<NotificationEngine*>(self)->flush_tallies();
+      },
+      this);
+}
+
+NotificationEngine::~NotificationEngine() { flush_tallies(); }
+
+void NotificationEngine::flush_tallies() noexcept {
+  static auto& reg = obs::MetricsRegistry::global();
+  static obs::Counter& deliveries = reg.counter("pubsub.deliveries");
+  static obs::Counter& hops = reg.counter("pubsub.delivery_hops");
+  static obs::Counter& relays = reg.counter("pubsub.relay_forwards");
+  transport_.flush_tallies();
+  deliveries.add(std::exchange(tallies_.deliveries, 0));
+  hops.add(std::exchange(tallies_.delivery_hops, 0));
+  relays.add(std::exchange(tallies_.relay_forwards, 0));
+  delivery_latency_s_.flush();
 }
 
 const NotificationEngine::SharedTree& NotificationEngine::tree_for(
@@ -292,7 +296,7 @@ void NotificationEngine::forward(Slot slot, Pos node, double start_s) {
   if (node != 0 && entry.subscribed[node] == 0) {
     ++rec.relay_forwards;
     ++stats_.relay_forwards;
-    relay_forwards_counter().add(1);
+    ++tallies_.relay_forwards;
   }
   if (reliable()) {
     for (const Pos child : kids) send_hop(slot, child, /*attempt=*/0, start_s);
@@ -347,12 +351,10 @@ void NotificationEngine::arrive(Slot slot, Pos node, double now_s) {
       sys_->overlay().peer_online(entry.tree.peer_at(node))) {
     ++r.delivered;
     ++stats_.deliveries;
-    deliveries_counter().add(1);
-    delivery_hops_counter().add(entry.tree.depth_at(node));
-    static obs::Histogram& latency_hist =
-        obs::MetricsRegistry::global().histogram("pubsub.delivery_latency_s");
+    ++tallies_.deliveries;
+    tallies_.delivery_hops += entry.tree.depth_at(node);
     const double latency = now_s - r.publish_time_s;
-    latency_hist.observe(latency);
+    delivery_latency_s_.observe(latency);
     r.delivery_latency_s.add(latency);
     stats_.delivery_latency_s.add(latency);
     if (r.delivered >= r.wanted) r.completed_at_s = now_s;
@@ -508,12 +510,10 @@ void NotificationEngine::deliver_to_subscriber(Slot slot, PeerId to,
   if (mailbox_ != nullptr) mailbox_->on_delivered(id, to);
   ++rec.delivered;
   ++stats_.deliveries;
-  deliveries_counter().add(1);
-  delivery_hops_counter().add(static_cast<std::int64_t>(depth));
-  static obs::Histogram& latency_hist =
-      obs::MetricsRegistry::global().histogram("pubsub.delivery_latency_s");
+  ++tallies_.deliveries;
+  tallies_.delivery_hops += depth;
   const double latency = now_s - rec.publish_time_s;
-  latency_hist.observe(latency);
+  delivery_latency_s_.observe(latency);
   rec.delivery_latency_s.add(latency);
   stats_.delivery_latency_s.add(latency);
   if (rec.delivered >= rec.wanted) rec.completed_at_s = now_s;
@@ -702,7 +702,7 @@ void NotificationEngine::deliver_failover_hop(Slot slot, std::uint32_t route,
     auto& rec = record_of(flight.id);
     ++rec.relay_forwards;
     ++stats_.relay_forwards;
-    relay_forwards_counter().add(1);
+    ++tallies_.relay_forwards;
   }
   send_failover_hop(slot, route, hop + 1, /*attempt=*/0, now_s);
 }

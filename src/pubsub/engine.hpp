@@ -58,6 +58,7 @@
 #include "common/stats.hpp"
 #include "net/network_model.hpp"
 #include "obs/memory.hpp"
+#include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "overlay/system.hpp"
 #include "pubsub/multipath.hpp"
@@ -174,6 +175,7 @@ class NotificationEngine {
   // Scheduled events capture `this`; any mailbox holds queue_ by address.
   NotificationEngine(const NotificationEngine&) = delete;
   NotificationEngine& operator=(const NotificationEngine&) = delete;
+  ~NotificationEngine();  ///< flushes the per-hop tallies
 
   /// Publishes a message at `time_s` (>= the engine clock). Transfers are
   /// scheduled on the internal event engine; call run_until()/run_all() to
@@ -372,6 +374,9 @@ class NotificationEngine {
   /// Decrements the pending-event count; recycles the slot when the last
   /// event of its message fired.
   void finish_event(Slot slot);
+  /// Folds the per-hop tallies (and the transport's) into the registry; the
+  /// drain hook, so the registry is exact after every drain.
+  void flush_tallies() noexcept;
 
   const overlay::PubSubSystem* sys_;
   double payload_bytes_;
@@ -390,6 +395,16 @@ class NotificationEngine {
   obs::AccountedVector<Slot, obs::Subsystem::kPubsub> free_slots_;
   PubsubMap<overlay::PeerId, SharedTree> tree_cache_;
   EngineStats stats_;
+  /// Per-hop `pubsub.*` telemetry as plain counts, folded into the registry
+  /// by flush_tallies() instead of atomic updates per hop. delivery_hops
+  /// sums the depths deliveries land at: over `pubsub.deliveries`, the
+  /// sampler's average route length (obs/sampler.cpp).
+  struct {
+    std::int64_t deliveries = 0;
+    std::int64_t delivery_hops = 0;
+    std::int64_t relay_forwards = 0;
+  } tallies_;
+  obs::LocalHistogram delivery_latency_s_;
 
   fault::FaultPlan* fault_ = nullptr;  ///< not owned
   RetryPolicy retry_;

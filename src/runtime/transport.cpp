@@ -1,27 +1,21 @@
 #include "runtime/transport.hpp"
 
-#include "obs/metrics.hpp"
+#include <utility>
 
 namespace sel::runtime {
 
-namespace {
+Transport::Transport(const net::NetworkModel& net, fault::FaultPlan* plan)
+    : net_(&net),
+      fault_(plan),
+      hop_latency_s_(
+          obs::MetricsRegistry::global().histogram("runtime.hop_latency_s")) {}
 
-// Per-hop one-way latency (send → arrival, spikes included). The
-// network-side picture, complementing the protocol-side
-// pubsub.delivery_latency_s histogram.
-obs::Histogram& hop_latency_hist() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::global().histogram("runtime.hop_latency_s");
-  return h;
-}
-
-obs::Counter& hops_counter() {
-  static obs::Counter& c =
+void Transport::flush_tallies() noexcept {
+  static obs::Counter& hops =
       obs::MetricsRegistry::global().counter("runtime.hops_sent");
-  return c;
+  hops.add(std::exchange(hops_sent_, 0));
+  hop_latency_s_.flush();
 }
-
-}  // namespace
 
 SendOutcome Transport::send(const Message& m, double transfer_s) {
   fault::HopFate fate;
@@ -30,14 +24,14 @@ SendOutcome Transport::send(const Message& m, double transfer_s) {
   }
   const double arrival = m.send_s + transfer_s * fate.latency_factor;
 
-  hops_counter().add(1);
+  ++hops_sent_;
   SendOutcome outcome;
   outcome.arrive_s = arrival;
   if (fate.dropped) {
     outcome.dropped = true;
     return outcome;
   }
-  hop_latency_hist().observe(arrival - m.send_s);
+  hop_latency_s_.observe(arrival - m.send_s);
   outcome.copies = fate.duplicated && !m.collapse_duplicates ? 2 : 1;
   return outcome;
 }

@@ -18,12 +18,17 @@
 // Send-side fates (drop, duplicate, latency spike) are pure in (seed,
 // message, peers, attempt); receiver-side fates advance in deterministic
 // event order.
+//
+// Per-hop telemetry (`runtime.hops_sent`, `runtime.hop_latency_s`) is
+// counted in plain members and reaches the registry at flush_tallies(),
+// which the notification engine calls at the end of every drain.
 #pragma once
 
 #include <cstdint>
 
 #include "fault/fault.hpp"
 #include "net/network_model.hpp"
+#include "obs/metrics.hpp"
 
 namespace sel::runtime {
 
@@ -64,8 +69,7 @@ class Transport {
   /// `net` must outlive the transport; `plan` may be null (perfect wire)
   /// and may be swapped at any quiescent point.
   explicit Transport(const net::NetworkModel& net,
-                     fault::FaultPlan* plan = nullptr)
-      : net_(&net), fault_(plan) {}
+                     fault::FaultPlan* plan = nullptr);
 
   void set_fault_plan(fault::FaultPlan* plan) noexcept { fault_ = plan; }
 
@@ -92,9 +96,16 @@ class Transport {
                              : fault::ReceiveState::kOk;
   }
 
+  /// Folds the hops sent since the last call into the registry.
+  void flush_tallies() noexcept;
+
  private:
   const net::NetworkModel* net_;
   fault::FaultPlan* fault_;  ///< not owned
+  std::int64_t hops_sent_ = 0;
+  /// One-way latency of each hop that lands (send -> arrival, spikes
+  /// included): the network-side view beside pubsub.delivery_latency_s.
+  obs::LocalHistogram hop_latency_s_;
 };
 
 }  // namespace sel::runtime

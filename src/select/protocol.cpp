@@ -8,6 +8,7 @@
 #include "check/overlay_checks.hpp"
 #include "check/protocol_checks.hpp"
 #include "obs/metrics.hpp"
+#include "obs/provenance.hpp"
 #include "obs/sampler.hpp"
 #include "obs/time.hpp"
 #include "obs/trace.hpp"
@@ -73,6 +74,9 @@ SelectSystem::SelectSystem(const graph::SocialGraph& g, SelectParams params,
   // bitmaps afford (Sec. III-E).
   route_options_.lookahead_cache = &lookahead_;
   route_options_.lookahead_depth = 2;
+  // The trace epoch is fixed by its first read: read it before round 0
+  // starts, so no exported round slice starts before zero.
+  if (obs::enabled()) (void)obs::wall_now_us();
   if (net != nullptr) {
     net_ = net;
   } else {

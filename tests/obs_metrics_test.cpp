@@ -82,6 +82,34 @@ TEST(ObsHistogram, BucketsCountSumMinMax) {
   EXPECT_DOUBLE_EQ(h.mean(), 556.5 / 5.0);
 }
 
+TEST(ObsHistogram, LocalBatchMergesLikeDirectObservations) {
+  MetricsRegistry reg;
+  auto& direct = reg.histogram("t.direct", {1.0, 10.0, 100.0});
+  auto& merged = reg.histogram("t.merged", {1.0, 10.0, 100.0});
+  LocalHistogram local(merged);
+  local.flush();  // an empty batch merges nothing
+  EXPECT_EQ(merged.count(), 0);
+  for (const double x : {0.5, 1.0, 5.0, 50.0, 500.0, 3.0}) {
+    direct.observe(x);
+    local.observe(x);
+  }
+  EXPECT_EQ(merged.count(), 0);  // nothing reaches the registry before flush
+  local.flush();
+  local.flush();  // the batch cleared itself: no double count
+  EXPECT_EQ(merged.counts(), direct.counts());
+  EXPECT_EQ(merged.count(), direct.count());
+  EXPECT_DOUBLE_EQ(merged.sum(), direct.sum());
+  EXPECT_DOUBLE_EQ(merged.min(), direct.min());
+  EXPECT_DOUBLE_EQ(merged.max(), direct.max());
+  // A second batch folds into the running min/max.
+  local.observe(0.25);
+  local.flush();
+  EXPECT_EQ(merged.count(), 7);
+  EXPECT_DOUBLE_EQ(merged.min(), 0.25);
+  EXPECT_DOUBLE_EQ(merged.max(), 500.0);
+  EXPECT_EQ(merged.counts()[0], 3);
+}
+
 TEST(ObsHistogram, ConcurrentObservationsSumExactly) {
   MetricsRegistry reg;
   auto& h = reg.histogram("t.hist.mt", {0.5});

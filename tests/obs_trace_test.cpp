@@ -267,6 +267,23 @@ TEST_F(TracingTest, PerfettoExportIsWellFormed) {
   EXPECT_EQ(doc.at("metadata").at("publishes_seen").as_int64(), 2);
 }
 
+TEST_F(TracingTest, RoundSlicesStartAtOrAfterTheTraceEpoch) {
+  // The epoch is fixed when the system is built, before round 0 starts, so
+  // round 0's compute slice cannot start at a negative timestamp.
+  const auto g =
+      graph::make_dataset_graph(graph::profile_by_name("facebook"), 150, 13);
+  core::SelectSystem sys(g, core::SelectParams{}, 13);
+  sys.build();
+  const auto doc = json::Value::parse(build_trace_json().dump());
+  std::size_t slices = 0;
+  for (const auto& e : doc.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() != "X") continue;
+    ++slices;
+    EXPECT_GE(e.at("ts").as_int64(), 0) << e.at("name").as_string();
+  }
+  EXPECT_GT(slices, 0u);
+}
+
 TEST_F(TracingTest, PhaseEventsLandInRoundTracks) {
   // One sampled round: compute then deliver, ending at the point's stamp.
   TimeSeriesPoint point;

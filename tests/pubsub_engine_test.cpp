@@ -14,6 +14,7 @@
 #include "graph/profiles.hpp"
 #include "obs/memory.hpp"
 #include "obs/metrics.hpp"
+#include "obs/provenance.hpp"
 #include "pubsub/mailbox.hpp"
 #include "pubsub/metrics.hpp"
 #include "pubsub/multipath.hpp"
@@ -476,6 +477,135 @@ TEST_F(EngineFingerprint, FailoverLadderWithMailbox) {
                 0x23734b9dfcb0e1b2ULL, "fifo");
   expect_pinned(reliable_with_mailbox(tie_seeded(), failover_mix(), 2),
                 0x7081d3f83910c324ULL, "tie seed");
+}
+
+// -- per-drain hop tallies --------------------------------------------------
+//
+// The engine and its transport count hops in plain tallies and fold them
+// into the registry when a drain ends. A caller draining the event engine
+// directly, as perfbench does, must read exact registry counts after every
+// drain. With every publish traced, the provenance tracer is the independent
+// per-hop record: one HopRecord per Transport::send.
+
+class DrainTallyTest : public EngineTest {
+ protected:
+  void SetUp() override {
+    EngineTest::SetUp();
+    obs::ProvenanceTracer::global().reset();
+    obs::ProvenanceTracer::global().set_sample_every(1);
+  }
+  void TearDown() override {
+    obs::ProvenanceTracer::global().set_sample_every(0);
+    obs::ProvenanceTracer::global().reset();
+  }
+
+  /// The registry values the tallies feed, read now.
+  struct Registry {
+    static std::int64_t counter(const char* name) {
+      return obs::MetricsRegistry::global().counter(name).value();
+    }
+    static std::int64_t hist_count(const char* name) {
+      return obs::MetricsRegistry::global().histogram(name).count();
+    }
+    std::int64_t deliveries = counter("pubsub.deliveries");
+    std::int64_t delivery_hops = counter("pubsub.delivery_hops");
+    std::int64_t relay_forwards = counter("pubsub.relay_forwards");
+    std::int64_t hops_sent = counter("runtime.hops_sent");
+    std::int64_t delivery_latency = hist_count("pubsub.delivery_latency_s");
+    std::int64_t hop_latency = hist_count("runtime.hop_latency_s");
+  };
+
+  /// Registry deltas since `before` against the engine's stats and the
+  /// traced hops. `drops` is the fault plan's drop count: a dropped hop is
+  /// sent but has no latency. On the perfect wire every subscriber is
+  /// online, so a hop to a subscriber delivers once it arrived by `t_s`,
+  /// which pins `pubsub.delivery_hops` exactly.
+  static void expect_exact(const Registry& before, const EngineStats& st,
+                           double t_s, bool perfect, std::int64_t drops) {
+    const Registry now;
+    const auto trace = obs::ProvenanceTracer::global().snapshot();
+    EXPECT_EQ(now.deliveries - before.deliveries,
+              static_cast<std::int64_t>(st.deliveries));
+    EXPECT_EQ(now.relay_forwards - before.relay_forwards,
+              static_cast<std::int64_t>(st.relay_forwards));
+    EXPECT_EQ(now.delivery_latency - before.delivery_latency,
+              static_cast<std::int64_t>(st.delivery_latency_s.count()));
+    EXPECT_EQ(now.hops_sent - before.hops_sent, trace.hops_recorded);
+    EXPECT_EQ(now.hop_latency - before.hop_latency,
+              trace.hops_recorded - drops);
+    const std::int64_t hops = now.delivery_hops - before.delivery_hops;
+    if (perfect) {
+      std::int64_t delivered_depth = 0;
+      for (const auto& hop : trace.hops) {
+        if (hop.delivered && hop.arrive_s <= t_s) delivered_depth += hop.depth;
+      }
+      EXPECT_EQ(hops, delivered_depth);
+    } else {
+      EXPECT_GE(hops, static_cast<std::int64_t>(st.deliveries));
+    }
+  }
+};
+
+TEST_F(DrainTallyTest, PerfectStreamIsExactAfterEveryDrain) {
+  const Registry before;
+  EngineStats last;
+  {
+    NotificationEngine engine(*ps_, *net_);
+    auto& events = engine.event_engine();
+    for (PeerId p = 0; p < 40; ++p) {
+      const double t = 0.5 * static_cast<double>(p);
+      events.run_until(t);
+      expect_exact(before, engine.stats(), t, /*perfect=*/true, 0);
+      engine.publish(p % 20, t);
+    }
+    // Stop mid-dissemination, then drop the engine with events pending.
+    events.run_until(20.5);
+    expect_exact(before, engine.stats(), 20.5, true, 0);
+    ASSERT_FALSE(events.idle());
+    last = engine.stats();
+  }
+  ASSERT_GT(last.deliveries, 0u);
+  expect_exact(before, last, 20.5, true, 0);
+}
+
+TEST_F(DrainTallyTest, ReliableStreamWithMailboxIsExactAfterEveryDrain) {
+  fault::FaultSpec spec;
+  spec.drop = 0.08;
+  spec.duplicate = 0.02;
+  spec.spike = 0.02;
+  spec.spike_factor = 3.0;
+  fault::FaultPlan plan(spec, 7, g_.num_nodes());
+  const Registry before;
+  NotificationEngine engine(*ps_, *net_);
+  engine.set_fault_plan(&plan);
+  RetryPolicy policy;
+  policy.enabled = true;
+  policy.ack_timeout_s = 2.0;
+  engine.set_retry_policy(policy);
+  engine.set_multipath_planner(
+      [this](PeerId b) { return plan_multipath(*sys_, g_, b); });
+  MailboxManager mailbox(engine.event_engine(), *sys_, *net_, MailboxPolicy{},
+                         7);
+  mailbox.set_fault_plan(&plan);
+  engine.set_mailbox(&mailbox);
+  const auto subs = ps_->subscribers_of(0);
+  for (auto it = subs.begin(); it != subs.begin() + 3; ++it) {
+    sys_->set_peer_online(*it, false);
+  }
+  auto& events = engine.event_engine();
+  const auto drops = [&plan] {
+    return static_cast<std::int64_t>(plan.stats().drops);
+  };
+  for (PeerId p = 0; p < 10; ++p) {
+    const double t = static_cast<double>(p);
+    events.run_until(t);
+    expect_exact(before, engine.stats(), t, /*perfect=*/false, drops());
+    engine.publish(p, t);
+  }
+  events.run();
+  expect_exact(before, engine.stats(), events.now_s(), false, drops());
+  EXPECT_GT(engine.stats().retries, 0u);
+  EXPECT_GT(plan.stats().drops, 0u);
 }
 
 }  // namespace
