@@ -4,11 +4,9 @@
 //   $ ./dataset_runner [--dataset facebook|twitter|slashdot|gplus]
 //                      [--system select|symphony|bayeux|vitis|omen|random]
 //                      [--users N] [--seed S] [--interest P]
-//                      [--snap /path/to/edgelist.txt] [--save overlay.ov]
+//                      [--snap /path/to/edgelist.txt]
 //
-// With --snap, a real SNAP edge list replaces the synthetic profile. With
-// --save (ring-based systems only), the built overlay snapshot is written
-// for later analysis.
+// With --snap, a real SNAP edge list replaces the synthetic profile.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -17,7 +15,6 @@
 #include "graph/metrics.hpp"
 #include "graph/profiles.hpp"
 #include "graph/snap_loader.hpp"
-#include "overlay/serialize.hpp"
 #include "pubsub/interest.hpp"
 #include "pubsub/metrics.hpp"
 #include "select/protocol.hpp"
@@ -46,7 +43,6 @@ int main(int argc, char** argv) {
   const double interest_p =
       std::strtod(flag_value(argc, argv, "--interest", "1.0"), nullptr);
   const char* snap_path = flag_value(argc, argv, "--snap", "");
-  const char* save_path = flag_value(argc, argv, "--save", "");
 
   graph::SocialGraph g;
   if (snap_path[0] != '\0') {
@@ -104,17 +100,5 @@ int main(int argc, char** argv) {
               100.0 * load.relay_forward_share);
   std::printf("  top-degree-10%% load  %.1f%%\n", load.top_decile_share);
   std::printf("  tree latency         %.2fs avg\n", latency.per_tree_s.mean());
-
-  if (save_path[0] != '\0') {
-    const auto* ring = dynamic_cast<const overlay::RingOverlay*>(ov.get());
-    if (ring == nullptr) {
-      std::fprintf(stderr, "--save: %s is not a ring-based system\n",
-                   system.c_str());
-    } else if (overlay::save_overlay_file(ring->overlay(), save_path)) {
-      std::printf("overlay snapshot written to %s\n", save_path);
-    } else {
-      std::fprintf(stderr, "failed to write %s\n", save_path);
-    }
-  }
   return 0;
 }

@@ -230,13 +230,14 @@ RouteResult RingSubstrate::greedy_route(PeerId src, PeerId dst,
     }
 
     if (next == kInvalidPeer) {
-      // Classic greedy: unvisited usable neighbour closest to the target.
-      // Inside a tight id cluster ring distances tie at ~0, so break ties
-      // by clockwise distance — this degenerates into an ordered ring walk
-      // that always terminates at the target.
+      // Classic greedy: unvisited usable neighbour closest to the target,
+      // even when it is no closer than `current` (the visited set prevents
+      // loops), so routing survives local minima under churn. Inside a
+      // tight id cluster ring distances tie at ~0, so break ties by
+      // clockwise distance — this degenerates into an ordered ring walk that
+      // always terminates at the target.
       double best = std::numeric_limits<double>::infinity();
       double best_cw = std::numeric_limits<double>::infinity();
-      const double here = net::ring_distance(peer(current).id, target);
       for_each_neighbor(current, [&](PeerId w) {
         if (!usable(w) || visited(w)) return;
         const double d = net::ring_distance(peer(w).id, target);
@@ -247,9 +248,6 @@ RouteResult RingSubstrate::greedy_route(PeerId src, PeerId dst,
           next = w;
         }
       });
-      if (next != kInvalidPeer && !opts.allow_detour && best >= here) {
-        next = kInvalidPeer;  // strict greedy: stuck at a local minimum
-      }
     }
 
     if (next == kInvalidPeer) return result;  // dead end

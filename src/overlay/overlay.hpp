@@ -46,9 +46,6 @@ struct RouteOptions {
   /// Skip offline peers while routing (churn experiments). A route to an
   /// offline destination then fails at once: kNoRoute, path == {src}.
   bool require_online = true;
-  /// Permit non-improving moves (with a visited set) instead of failing at
-  /// local minima; keeps routing alive under churn.
-  bool allow_detour = true;
   /// Peers that must not be used as intermediate hops (multipath
   /// dissemination routes a backup path disjoint from the primary). The
   /// source and destination are always allowed. Not owned. A FlatSet so the

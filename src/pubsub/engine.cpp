@@ -1,6 +1,7 @@
 #include "pubsub/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <utility>
 
@@ -22,91 +23,32 @@ using overlay::PeerId;
 
 namespace {
 
-// Message-plane telemetry (naming: `pubsub.*`). Aggregated across every
-// engine instance in the process, unlike the per-engine EngineStats.
-obs::Counter& publishes_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("pubsub.publishes");
-  return c;
-}
-
-obs::Counter& tree_builds_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("pubsub.tree_builds");
-  return c;
-}
-
-// Reliability-layer telemetry, live only when a fault plan or retry policy
-// is attached.
-obs::Counter& retries_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("pubsub.retries");
-  return c;
-}
-
-obs::Counter& retry_exhausted_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("pubsub.retry_exhausted");
-  return c;
-}
-
-obs::Counter& failovers_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("pubsub.failovers");
-  return c;
-}
-
-obs::Counter& replays_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("pubsub.replays");
-  return c;
-}
-
-obs::Counter& duplicates_suppressed_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("pubsub.duplicates_suppressed");
-  return c;
-}
-
-obs::Counter& missed_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("pubsub.missed");
-  return c;
-}
-
-obs::Counter& replay_evicted_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("pubsub.replay_evicted");
-  return c;
-}
-
-obs::Counter& replay_dropped_crash_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("pubsub.replay_dropped_crash");
-  return c;
-}
-
-obs::Counter& mailbox_replays_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("pubsub.mailbox_replays");
-  return c;
-}
-
-// Detour outcomes (fault.* family: reliability-plane telemetry). An
-// unsupported answer means the overlay cannot route around peers at all
-// (capability absent) — a different signal from a detour that was attempted
-// and found no live path.
-obs::Counter& route_avoid_failed_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("fault.route_avoid_failed");
-  return c;
-}
-
-obs::Counter& route_avoid_unsupported_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("fault.route_avoid_unsupported");
-  return c;
-}
+// Message-plane telemetry: each registry counter mirrors one EngineStats
+// field, summed over every engine in the process (flush_tallies()).
+constexpr std::pair<const char*, std::size_t EngineStats::*> kTallies[] = {
+    {"pubsub.publishes", &EngineStats::messages_published},
+    {"pubsub.tree_builds", &EngineStats::tree_cache_misses},
+    {"pubsub.deliveries", &EngineStats::deliveries},
+    {"pubsub.delivery_hops", &EngineStats::delivery_hops},
+    {"pubsub.relay_forwards", &EngineStats::relay_forwards},
+    // Reliability layer, live only when a fault plan or retry policy is
+    // attached.
+    {"pubsub.retries", &EngineStats::retries},
+    {"pubsub.retry_exhausted", &EngineStats::retry_exhausted},
+    {"pubsub.failovers", &EngineStats::failovers},
+    {"pubsub.replays", &EngineStats::replays},
+    {"pubsub.duplicates_suppressed", &EngineStats::duplicates_suppressed},
+    {"pubsub.missed", &EngineStats::missed},
+    {"pubsub.replay_evicted", &EngineStats::replay_evicted},
+    {"pubsub.replay_dropped_crash", &EngineStats::replay_dropped_crash},
+    {"pubsub.mailbox_replays", &EngineStats::mailbox_replays},
+    // Detour outcomes (fault.* family: reliability-plane telemetry). An
+    // unsupported answer means the overlay cannot route around peers at all
+    // (capability absent) — a different signal from a detour that was
+    // attempted and found no live path.
+    {"fault.route_avoid_failed", &EngineStats::route_avoid_failed},
+    {"fault.route_avoid_unsupported", &EngineStats::route_avoid_unsupported},
+};
 
 // Messages whose dissemination still has events pending — the protocol-side
 // in-flight picture next to the transport-side runtime.queue_depth.
@@ -122,6 +64,11 @@ obs::Gauge& in_flight_gauge() {
 // independent fault stream. max_attempts is far below this.
 constexpr std::uint32_t kFailoverAttemptBase = 1u << 16;
 
+// Resend ladder of every reliable hop: the ack timeout doubles per failed
+// attempt and is stretched by up to kJitter of itself.
+constexpr double kBackoff = 2.0;
+constexpr double kJitter = 0.2;
+
 }  // namespace
 
 NotificationEngine::NotificationEngine(const overlay::PubSubSystem& sys,
@@ -135,14 +82,7 @@ NotificationEngine::NotificationEngine(const overlay::PubSubSystem& sys,
   SEL_EXPECTS(payload_bytes > 0.0);
   set_runtime_options({});
   warn_unknown_sel_env_once();
-  // Pre-register the replay-lifecycle counters the durability tier reports
-  // on, so chaos report schemas don't depend on whether a given seed ever
-  // evicted or dropped an entry.
-  replay_evicted_counter();
-  replay_dropped_crash_counter();
-  mailbox_replays_counter();
-  route_avoid_failed_counter();
-  route_avoid_unsupported_counter();
+  flush_tallies();  // registers the kTallies counters
 }
 
 void NotificationEngine::set_runtime_options(runtime::Options options) {
@@ -160,14 +100,23 @@ void NotificationEngine::set_runtime_options(runtime::Options options) {
 NotificationEngine::~NotificationEngine() { flush_tallies(); }
 
 void NotificationEngine::flush_tallies() noexcept {
-  static auto& reg = obs::MetricsRegistry::global();
-  static obs::Counter& deliveries = reg.counter("pubsub.deliveries");
-  static obs::Counter& hops = reg.counter("pubsub.delivery_hops");
-  static obs::Counter& relays = reg.counter("pubsub.relay_forwards");
+  // All registered by the first engine, so report schemas don't depend on
+  // whether a given seed ever retried, evicted or detoured.
+  static const auto counters = [] {
+    std::array<obs::Counter*, std::size(kTallies)> c{};
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      c[i] = &obs::MetricsRegistry::global().counter(kTallies[i].first);
+    }
+    return c;
+  }();
   transport_.flush_tallies();
-  deliveries.add(std::exchange(tallies_.deliveries, 0));
-  hops.add(std::exchange(tallies_.delivery_hops, 0));
-  relays.add(std::exchange(tallies_.relay_forwards, 0));
+  for (std::size_t i = 0; i < counters.size(); ++i) {
+    const auto field = kTallies[i].second;
+    if (stats_.*field == flushed_.*field) continue;
+    counters[i]->add(
+        static_cast<std::int64_t>(stats_.*field - flushed_.*field));
+    flushed_.*field = stats_.*field;
+  }
   delivery_latency_s_.flush();
 }
 
@@ -181,7 +130,6 @@ const NotificationEngine::SharedTree& NotificationEngine::tree_for(
   }
   SEL_TRACE_SCOPE("pubsub.build_tree");
   ++stats_.tree_cache_misses;
-  tree_builds_counter().add(1);
   auto entry = std::make_shared<TreeEntry>(sys_->build_tree(publisher));
   const DisseminationTree& tree = entry->tree;
   // Every freshly built dissemination tree must be acyclic with one parent
@@ -214,8 +162,6 @@ const NotificationEngine::SharedTree& NotificationEngine::tree_for(
 MessageId NotificationEngine::publish(PeerId publisher, double time_s) {
   SEL_EXPECTS(time_s >= queue_.now_s());
   const MessageId id = next_id_++;
-
-  publishes_counter().add(1);
   SharedTree entry = tree_for(publisher);
 
   if (records_.empty() || records_.back().size() == kRecordsPerChunk) {
@@ -254,7 +200,7 @@ MessageId NotificationEngine::publish(PeerId publisher, double time_s) {
   check::check_memory_budget();
   // Store-and-forward: subscribers offline right now (in the tree or not)
   // get the message queued for replay on their return.
-  if (retry_.enabled && retry_.replay) {
+  if (retry_.enabled) {
     for (const PeerId s : flight.tree->subscribers) {
       if (!sys_->overlay().peer_online(s)) mark_missed(id, s, time_s);
     }
@@ -264,6 +210,7 @@ MessageId NotificationEngine::publish(PeerId publisher, double time_s) {
     forward(slot, /*node=*/0, now);
     finish_event(slot);
   });
+  flush_tallies();
   return id;
 }
 
@@ -293,13 +240,9 @@ void NotificationEngine::forward(Slot slot, Pos node, double start_s) {
   if (kids.empty()) return;
   auto& rec = record_of(flight.id);
   // A forwarding non-subscriber is a relay (the publisher itself excluded).
-  if (node != 0 && entry.subscribed[node] == 0) {
-    ++rec.relay_forwards;
-    ++stats_.relay_forwards;
-    ++tallies_.relay_forwards;
-  }
+  if (node != 0 && entry.subscribed[node] == 0) count_relay(rec);
   if (reliable()) {
-    for (const Pos child : kids) send_hop(slot, child, /*attempt=*/0, start_s);
+    for (const Pos child : kids) send_hop({slot, kTree, child, 0}, start_s);
     return;
   }
   // Perfect transfer plane: every scheduled hop arrives, delivery is
@@ -323,41 +266,38 @@ void NotificationEngine::forward(Slot slot, Pos node, double start_s) {
     });
     ++flight.pending_events;
     if (rec.trace != 0) {
-      obs::HopRecord hop;
-      hop.trace = rec.trace;
-      hop.msg = flight.id;
-      hop.from = m.from;
-      hop.to = m.to;
-      hop.depth = tree.depth_at(child);
       // Relay status of the *receiver*: a non-subscriber that will forward
       // onward (non-subscriber leaves do not occur in subscriber-first
       // trees, so this matches tree.relay_nodes()).
-      hop.relay = entry.subscribed[child] == 0 &&
-                  !tree.children_at(child).empty();
-      hop.delivered = entry.subscribed[child] != 0 &&
-                      sys_->overlay().peer_online(m.to);
-      hop.send_s = start_s;
-      hop.arrive_s = outcome.arrive_s;
-      obs::ProvenanceTracer::global().record_hop(hop);
+      record_hop(
+          rec, m.from, m.to, tree.depth_at(child), /*attempt=*/0,
+          /*failover=*/false,
+          entry.subscribed[child] == 0 && !tree.children_at(child).empty(),
+          entry.subscribed[child] != 0 && sys_->overlay().peer_online(m.to),
+          start_s, outcome.arrive_s);
     }
   }
+}
+
+void NotificationEngine::count_delivery(MessageRecord& rec, std::uint32_t depth,
+                                        double now_s) {
+  ++rec.delivered;
+  ++stats_.deliveries;
+  stats_.delivery_hops += depth;
+  const double latency = now_s - rec.publish_time_s;
+  delivery_latency_s_.observe(latency);
+  rec.delivery_latency_s.add(latency);
+  stats_.delivery_latency_s.add(latency);
+  if (rec.delivered >= rec.wanted) rec.completed_at_s = now_s;
 }
 
 void NotificationEngine::arrive(Slot slot, Pos node, double now_s) {
   const InFlight& flight = slots_[slot];
   const TreeEntry& entry = *flight.tree;
-  auto& r = record_of(flight.id);
   if (entry.subscribed[node] != 0 &&
       sys_->overlay().peer_online(entry.tree.peer_at(node))) {
-    ++r.delivered;
-    ++stats_.deliveries;
-    ++tallies_.deliveries;
-    tallies_.delivery_hops += entry.tree.depth_at(node);
-    const double latency = now_s - r.publish_time_s;
-    delivery_latency_s_.observe(latency);
-    r.delivery_latency_s.add(latency);
-    stats_.delivery_latency_s.add(latency);
-    if (r.delivered >= r.wanted) r.completed_at_s = now_s;
+    auto& r = record_of(flight.id);
+    count_delivery(r, entry.tree.depth_at(node), now_s);
     if (check::enabled()) {
       check::enforce(check::validate_delivery_count(
           r.delivered, entry.max_deliveries, r.wanted,
@@ -369,13 +309,13 @@ void NotificationEngine::arrive(Slot slot, Pos node, double now_s) {
 }
 
 // ---------------------------------------------------------------------------
-// Reliable-mode hop pipeline.
+// Reliable-mode hop ladder: tree edges and failover legs alike (Hop).
 //
 // Ack/timeout model: attempt k of a hop is sent at t0 with deadline
 // t0 + timeout_for(k). A dropped message is detected at the deadline; an
 // unresponsive receiver (stalled, crashed, churned offline) is detected at
 // max(arrival, deadline). Detection either resends (attempt k+1, backoff
-// grows the deadline) or — budget exhausted — declares the subtree lost.
+// grows the deadline) or — budget exhausted — gives the hop up (hop_failed).
 // The sender's timer is lazy: a slow-but-successful arrival never spuriously
 // retries, so each attempt has exactly one outcome and no ack-state table
 // is needed. Duplicate deliveries still occur via the fault plan's
@@ -410,7 +350,7 @@ void NotificationEngine::record_hop(const MessageRecord& rec, PeerId from,
 double NotificationEngine::timeout_for(MessageId id, PeerId to,
                                        std::uint32_t attempt) const {
   double t = retry_.ack_timeout_s;
-  for (std::uint32_t i = 0; i < attempt; ++i) t *= retry_.backoff;
+  for (std::uint32_t i = 0; i < attempt; ++i) t *= kBackoff;
   // Deterministic jitter: a pure hash of (message, receiver, attempt), so
   // same-seed runs time out identically while concurrent retries to one
   // congested peer still spread out.
@@ -418,80 +358,115 @@ double NotificationEngine::timeout_for(MessageId id, PeerId to,
   h = splitmix64(h ^ to);
   h = splitmix64(h ^ attempt);
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-  return t * (1.0 + retry_.jitter * u);
+  return t * (1.0 + kJitter * u);
 }
 
-void NotificationEngine::send_hop(Slot slot, Pos to, std::uint32_t attempt,
-                                  double start_s) {
-  InFlight& flight = slots_[slot];
-  const TreeEntry& entry = *flight.tree;
-  const DisseminationTree& tree = entry.tree;
-  const Pos from = tree.parent_at(to);
-  runtime::Message m;
+NotificationEngine::HopEnds NotificationEngine::ends_of(const Hop& hop) const {
+  const InFlight& flight = slots_[hop.slot];
+  HopEnds ends;
+  runtime::Message& m = ends.message;
   m.msg = flight.id;
-  m.from = tree.peer_at(from);
-  m.to = tree.peer_at(to);
-  m.fault_attempt = attempt;
+  m.fault_attempt = hop.attempt;
   m.payload_bytes = payload_bytes_;
-  m.send_s = start_s;
-  // A first attempt shares the sender's uplink with all its children, as
-  // the cached edge time assumes; a resend goes alone.
-  m.uplink_share =
-      attempt == 0 ? static_cast<std::uint32_t>(tree.children_at(from).size())
-                   : 1;
-  const runtime::SendOutcome outcome =
-      attempt == 0 ? transport_.send(m, entry.edge_s[to]) : transport_.send(m);
-  for (std::uint32_t c = 0; c < outcome.copies; ++c) {
-    queue_.schedule(outcome.arrive_s,
-                    [this, slot, to, attempt, start_s](double now) {
-                      deliver_hop(slot, to, attempt, start_s, now);
-                      finish_event(slot);
-                    });
+  if (hop.leg == kTree) {
+    const TreeEntry& entry = *flight.tree;
+    const DisseminationTree& tree = entry.tree;
+    const Pos from = tree.parent_at(hop.index);
+    m.from = tree.peer_at(from);
+    m.to = tree.peer_at(hop.index);
+    ends.depth = tree.depth_at(hop.index);
+    ends.delivers = entry.subscribed[hop.index] != 0;
+    ends.relay = !ends.delivers && !tree.children_at(hop.index).empty();
+    // A first attempt shares the sender's uplink with all its children, as
+    // the cached edge time assumes; a resend goes alone.
+    if (hop.attempt == 0) {
+      m.uplink_share =
+          static_cast<std::uint32_t>(tree.children_at(from).size());
+      ends.edge_s = entry.edge_s[hop.index];
+    }
+    return ends;
   }
-  record_hop(record_of(flight.id), m.from, m.to, tree.depth_at(to), attempt,
-             /*failover=*/false,
-             entry.subscribed[to] == 0 && !tree.children_at(to).empty(),
-             entry.subscribed[to] != 0 && !outcome.dropped, start_s,
-             outcome.arrive_s);
+  const Route& route = flight.routes[hop.leg];
+  m.from = route.hops[hop.index];
+  m.to = route.hops[hop.index + 1];
+  ends.depth = hop.index + 1;
+  ends.delivers = hop.index + 2 == route.hops.size();
+  ends.relay = !ends.delivers;
+  // Detour routes draw from a third salt block so a detour edge shared with
+  // the exhausted backup route cannot replay its consumed fates.
+  m.fault_attempt += kFailoverAttemptBase * (route.detour ? 2u : 1u);
+  // Injected duplicates are not materialized on failover hops: the chain is
+  // source-routed, so a second copy would double every remaining hop;
+  // receiver dedup already covers the delivery semantics.
+  m.collapse_duplicates = true;
+  return ends;
+}
+
+void NotificationEngine::send_hop(Hop hop, double start_s) {
+  InFlight& flight = slots_[hop.slot];
+  HopEnds ends = ends_of(hop);
+  runtime::Message& m = ends.message;
+  m.send_s = start_s;
+  const runtime::SendOutcome outcome =
+      ends.edge_s ? transport_.send(m, *ends.edge_s) : transport_.send(m);
+  for (std::uint32_t c = 0; c < outcome.copies; ++c) {
+    queue_.schedule(outcome.arrive_s, [this, hop, start_s](double now) {
+      deliver_hop(hop, start_s, now);
+      finish_event(hop.slot);
+    });
+  }
+  record_hop(record_of(flight.id), m.from, m.to, ends.depth, hop.attempt,
+             /*failover=*/hop.leg != kTree, ends.relay,
+             ends.delivers && !outcome.dropped, start_s, outcome.arrive_s);
   if (outcome.dropped) {
     // No arrival event; the sender notices the missing ack at the deadline.
     ++flight.pending_events;
-    queue_.schedule(start_s + timeout_for(flight.id, m.to, attempt),
-                    [this, slot, to, attempt, start_s](double now) {
-                      handle_hop_failure(slot, to, attempt, start_s, now);
-                      finish_event(slot);
+    queue_.schedule(start_s + timeout_for(flight.id, m.to, hop.attempt),
+                    [this, hop, start_s](double now) {
+                      hop_failed(hop, start_s, now);
+                      finish_event(hop.slot);
                     });
     return;
   }
   flight.pending_events += outcome.copies;
 }
 
-void NotificationEngine::deliver_hop(Slot slot, Pos to, std::uint32_t attempt,
-                                     double send_s, double now_s) {
-  InFlight& flight = slots_[slot];
-  const TreeEntry& entry = *flight.tree;
-  const PeerId peer = entry.tree.peer_at(to);
+void NotificationEngine::deliver_hop(Hop hop, double send_s, double now_s) {
+  InFlight& flight = slots_[hop.slot];
+  const HopEnds ends = ends_of(hop);
+  const PeerId to = ends.message.to;
   // Receiver-side draw at the arrival event — stall windows and crash state
   // advance in deterministic event order.
   const bool responsive =
-      transport_.receive(flight.id, peer, now_s) == fault::ReceiveState::kOk &&
-      sys_->overlay().peer_online(peer);
+      transport_.receive(flight.id, to, now_s) == fault::ReceiveState::kOk &&
+      sys_->overlay().peer_online(to);
   if (!responsive) {
-    handle_hop_failure(slot, to, attempt, send_s, now_s);
+    hop_failed(hop, send_s, now_s);
     return;
   }
-  if (observer_) observer_(peer, true);
-  // Only the first acked copy forwards onward — injected duplicates and
-  // retransmission races must not multiply subtree traffic.
-  if (flight.received.empty()) {
-    flight.received.assign(entry.tree.node_count(), 0);
+  if (observer_) observer_(to, true);
+  // Only the first acked copy of a tree hop forwards onward — injected
+  // duplicates and retransmission races must not multiply subtree traffic.
+  // A route's intermediates only relay: tree-based delivery to them (if
+  // they are subscribers at all) happens on their own tree routes.
+  bool onward = !ends.delivers;
+  if (hop.leg == kTree) {
+    if (flight.received.empty()) {
+      flight.received.assign(flight.tree->tree.node_count(), 0);
+    }
+    onward = flight.received[hop.index] == 0;
+    flight.received[hop.index] = 1;
   }
-  const bool newly = flight.received[to] == 0;
-  flight.received[to] = 1;
-  if (entry.subscribed[to] != 0) {
-    deliver_to_subscriber(slot, peer, entry.tree.depth_at(to), now_s);
+  if (ends.delivers) deliver_to_subscriber(hop.slot, to, ends.depth, now_s);
+  if (!onward) return;
+  if (hop.leg == kTree) {
+    forward(hop.slot, hop.index, now_s);
+    return;
   }
-  if (newly) forward(slot, to, now_s);
+  if (!flight.tree->subscribers.contains(to)) {
+    count_relay(record_of(flight.id));
+  }
+  send_hop({hop.slot, hop.leg, hop.index + 1, 0}, now_s);
 }
 
 void NotificationEngine::deliver_to_subscriber(Slot slot, PeerId to,
@@ -503,20 +478,11 @@ void NotificationEngine::deliver_to_subscriber(Slot slot, PeerId to,
   if (!rec.delivered_to.insert(to).second) {
     ++rec.duplicates_suppressed;
     ++stats_.duplicates_suppressed;
-    duplicates_suppressed_counter().add(1);
     return;
   }
   rec.missed.erase(to);  // a late copy beat the replay queue — delivered
   if (mailbox_ != nullptr) mailbox_->on_delivered(id, to);
-  ++rec.delivered;
-  ++stats_.deliveries;
-  ++tallies_.deliveries;
-  tallies_.delivery_hops += depth;
-  const double latency = now_s - rec.publish_time_s;
-  delivery_latency_s_.observe(latency);
-  rec.delivery_latency_s.add(latency);
-  stats_.delivery_latency_s.add(latency);
-  if (rec.delivered >= rec.wanted) rec.completed_at_s = now_s;
+  count_delivery(rec, depth, now_s);
   if (check::enabled()) {
     check::enforce(check::validate_at_least_once(
         rec.delivered, rec.replays, rec.delivered_to.size(),
@@ -525,35 +491,42 @@ void NotificationEngine::deliver_to_subscriber(Slot slot, PeerId to,
   }
 }
 
-void NotificationEngine::handle_hop_failure(Slot slot, Pos to,
-                                            std::uint32_t attempt,
-                                            double send_s, double now_s) {
-  InFlight& flight = slots_[slot];
-  const PeerId peer = flight.tree->tree.peer_at(to);
+void NotificationEngine::hop_failed(Hop hop, double send_s, double now_s) {
+  InFlight& flight = slots_[hop.slot];
+  const PeerId to = ends_of(hop).message.to;
   // A timed-out transfer is availability evidence against the receiver —
   // the CMA input of the recovery layer (paper Sec. III-F).
-  if (observer_) observer_(peer, false);
-  auto& rec = record_of(flight.id);
-  if (retry_.enabled && attempt + 1 < retry_.max_attempts) {
-    ++rec.retries;
+  if (observer_) observer_(to, false);
+  if (retry_.enabled && hop.attempt + 1 < retry_.max_attempts) {
+    ++record_of(flight.id).retries;
     ++stats_.retries;
-    retries_counter().add(1);
     // The resend fires when the sender's (lazy) timer expires; a failure
     // detected after the deadline resends immediately.
     const double resend_at =
-        std::max(now_s, send_s + timeout_for(flight.id, peer, attempt));
+        std::max(now_s, send_s + timeout_for(flight.id, to, hop.attempt));
     ++flight.pending_events;
-    queue_.schedule(resend_at, [this, slot, to, attempt](double now) {
-      send_hop(slot, to, attempt + 1, now);
-      finish_event(slot);
+    queue_.schedule(resend_at, [this, hop](double now) {
+      send_hop({hop.slot, hop.leg, hop.index, hop.attempt + 1}, now);
+      finish_event(hop.slot);
     });
     return;
   }
-  if (retry_.enabled) {
-    ++stats_.retry_exhausted;
-    retry_exhausted_counter().add(1);
+  if (retry_.enabled) ++stats_.retry_exhausted;
+  if (hop.leg == kTree) {
+    lost_subtree(hop.slot, hop.index, now_s);
+    return;
   }
-  lost_subtree(slot, to, now_s);
+  // A backup route that died at an *intermediate* gets one fresh detour
+  // around the casualty; failures of the detour itself (or of the final
+  // hop, where the subscriber is the unresponsive party) terminate in
+  // store-and-forward replay.
+  const Route& route = flight.routes[hop.leg];
+  const PeerId subscriber = route.hops.back();
+  if (!route.detour && to != subscriber && retry_.enabled &&
+      try_detour(hop.slot, subscriber, to, now_s)) {
+    return;
+  }
+  mark_missed(flight.id, subscriber, now_s);
 }
 
 void NotificationEngine::lost_subtree(Slot slot, Pos dead, double now_s) {
@@ -575,185 +548,54 @@ void NotificationEngine::lost_subtree(Slot slot, Pos dead, double now_s) {
     }
     for (const Pos c : tree.children_at(n)) stack.push_back(c);
   }
-  const MultipathPlan* plan = retry_.enabled && retry_.failover
-                                  ? multipath_for(rec.publisher)
-                                  : nullptr;
-  const FlatSet<PeerId> avoid{tree.peer_at(dead)};
+  const MultipathPlan* plan =
+      retry_.enabled ? multipath_for(rec.publisher) : nullptr;
   for (const PeerId s : lost) {
-    const std::vector<PeerId>* backup = nullptr;
     if (plan != nullptr) {
-      for (const auto& path : plan->paths) {
-        if (path.subscriber == s && path.backup.size() >= 2) {
-          backup = &path.backup;
-          break;
-        }
-      }
-    }
-    if (backup != nullptr) {
-      // Source-routed from the publisher. The backup avoids the primary
-      // *plan* route's intermediates; when the engine tree routed
-      // differently it may still cross the dead peer, in which case the
-      // per-hop retries below fail and the subscriber falls back to replay.
-      start_route(slot, Route{*backup, /*detour=*/false}, now_s);
-      continue;
-    }
-    if (plan != nullptr) {
-      // No precomputed disjoint backup: ask the overlay for a fresh route
-      // that detours around the relay the failure detector declared dead.
-      auto detour = sys_->overlay().route_avoiding(rec.publisher, s, avoid);
-      if (detour.success && detour.path.size() >= 2) {
-        start_route(slot, Route{std::move(detour.path), /*detour=*/true},
-                    now_s);
+      const auto path = std::find_if(
+          plan->paths.begin(), plan->paths.end(), [s](const auto& p) {
+            return p.subscriber == s && p.backup.size() >= 2;
+          });
+      if (path != plan->paths.end()) {
+        // Source-routed from the publisher. The backup avoids the primary
+        // *plan* route's intermediates; when the engine tree routed
+        // differently it may still cross the dead peer, in which case the
+        // per-hop retries fail and the subscriber falls back to replay.
+        start_route(slot, Route{path->backup, /*detour=*/false}, now_s);
         continue;
       }
-      if (detour.status == overlay::RouteStatus::kUnsupported) {
-        route_avoid_unsupported_counter().add(1);
-      } else {
-        route_avoid_failed_counter().add(1);
-      }
+      // No precomputed disjoint backup: ask the overlay for a fresh route
+      // that detours around the relay the failure detector declared dead.
+      if (try_detour(slot, s, tree.peer_at(dead), now_s)) continue;
     }
     mark_missed(flight.id, s, now_s);
   }
 }
 
+bool NotificationEngine::try_detour(Slot slot, PeerId subscriber, PeerId dead,
+                                    double now_s) {
+  const PeerId publisher = record_of(slots_[slot].id).publisher;
+  auto detour = sys_->overlay().route_avoiding(publisher, subscriber,
+                                               FlatSet<PeerId>{dead});
+  if (detour.success && detour.path.size() >= 2) {
+    start_route(slot, Route{std::move(detour.path), /*detour=*/true}, now_s);
+    return true;
+  }
+  if (detour.status == overlay::RouteStatus::kUnsupported) {
+    ++stats_.route_avoid_unsupported;
+  } else {
+    ++stats_.route_avoid_failed;
+  }
+  return false;
+}
+
 void NotificationEngine::start_route(Slot slot, Route route, double now_s) {
-  auto& rec = record_of(slots_[slot].id);
-  ++rec.failovers;
+  InFlight& flight = slots_[slot];
+  ++record_of(flight.id).failovers;
   ++stats_.failovers;
-  failovers_counter().add(1);
-  auto& routes = slots_[slot].routes;
-  routes.push_back(std::move(route));
-  send_failover_hop(slot, static_cast<std::uint32_t>(routes.size() - 1),
-                    /*hop=*/0, /*attempt=*/0, now_s);
-}
-
-void NotificationEngine::send_failover_hop(Slot slot, std::uint32_t route,
-                                           std::uint32_t hop,
-                                           std::uint32_t attempt,
-                                           double start_s) {
-  InFlight& flight = slots_[slot];
-  const Route& r = flight.routes[route];
-  const PeerId from = r.hops[hop];
-  const PeerId to = r.hops[hop + 1];
-  const bool last = hop + 2 == r.hops.size();
-  // Detour paths draw from a third salt block so a detour edge shared with
-  // the exhausted backup path cannot replay its consumed fates.
-  const std::uint32_t salt_base = kFailoverAttemptBase * (r.detour ? 2u : 1u);
-  runtime::Message m;
-  m.msg = flight.id;
-  m.from = from;
-  m.to = to;
-  m.fault_attempt = attempt + salt_base;
-  m.payload_bytes = payload_bytes_;
-  m.send_s = start_s;
-  m.uplink_share = 1;
-  // Injected duplicates are not materialized on failover hops: the chain is
-  // source-routed, so a second copy would double every remaining hop;
-  // receiver dedup already covers the delivery semantics.
-  m.collapse_duplicates = true;
-  const runtime::SendOutcome outcome = transport_.send(m);
-  for (std::uint32_t c = 0; c < outcome.copies; ++c) {
-    queue_.schedule(outcome.arrive_s,
-                    [this, slot, route, hop, attempt, start_s](double now) {
-                      deliver_failover_hop(slot, route, hop, attempt, start_s,
-                                           now);
-                      finish_event(slot);
-                    });
-  }
-  record_hop(record_of(flight.id), from, to, hop + 1, attempt,
-             /*failover=*/true, !last, last && !outcome.dropped, start_s,
-             outcome.arrive_s);
-  if (outcome.dropped) {
-    ++flight.pending_events;
-    queue_.schedule(start_s + timeout_for(flight.id, to, attempt),
-                    [this, slot, route, hop, attempt, start_s](double now) {
-                      failover_hop_failure(slot, route, hop, attempt, start_s,
-                                           now);
-                      finish_event(slot);
-                    });
-    return;
-  }
-  flight.pending_events += outcome.copies;
-}
-
-void NotificationEngine::deliver_failover_hop(Slot slot, std::uint32_t route,
-                                              std::uint32_t hop,
-                                              std::uint32_t attempt,
-                                              double send_s, double now_s) {
-  const InFlight& flight = slots_[slot];
-  const Route& r = flight.routes[route];
-  const PeerId to = r.hops[hop + 1];
-  const bool last = hop + 2 == r.hops.size();
-  const bool responsive =
-      transport_.receive(flight.id, to, now_s) == fault::ReceiveState::kOk &&
-      sys_->overlay().peer_online(to);
-  if (!responsive) {
-    failover_hop_failure(slot, route, hop, attempt, send_s, now_s);
-    return;
-  }
-  if (observer_) observer_(to, true);
-  if (last) {
-    deliver_to_subscriber(slot, to, hop + 1, now_s);
-    return;
-  }
-  // Intermediates only relay; tree-based delivery to them (if they are
-  // subscribers at all) happens on their own tree routes.
-  if (!flight.tree->subscribers.contains(to)) {
-    auto& rec = record_of(flight.id);
-    ++rec.relay_forwards;
-    ++stats_.relay_forwards;
-    ++tallies_.relay_forwards;
-  }
-  send_failover_hop(slot, route, hop + 1, /*attempt=*/0, now_s);
-}
-
-void NotificationEngine::failover_hop_failure(Slot slot, std::uint32_t route,
-                                              std::uint32_t hop,
-                                              std::uint32_t attempt,
-                                              double send_s, double now_s) {
-  InFlight& flight = slots_[slot];
-  const Route& r = flight.routes[route];
-  const PeerId to = r.hops[hop + 1];
-  const PeerId subscriber = r.hops.back();
-  const bool detour = r.detour;
-  if (observer_) observer_(to, false);
-  auto& rec = record_of(flight.id);
-  if (retry_.enabled && attempt + 1 < retry_.max_attempts) {
-    ++rec.retries;
-    ++stats_.retries;
-    retries_counter().add(1);
-    const double resend_at =
-        std::max(now_s, send_s + timeout_for(flight.id, to, attempt));
-    ++flight.pending_events;
-    queue_.schedule(resend_at, [this, slot, route, hop, attempt](double now) {
-      send_failover_hop(slot, route, hop, attempt + 1, now);
-      finish_event(slot);
-    });
-    return;
-  }
-  if (retry_.enabled) {
-    ++stats_.retry_exhausted;
-    retry_exhausted_counter().add(1);
-  }
-  // A backup route that died at an *intermediate* gets one fresh detour
-  // around the casualty; failures of the detour itself (or of the final
-  // hop, where the subscriber is the unresponsive party) terminate in
-  // store-and-forward replay.
-  if (!detour && to != subscriber && retry_.enabled && retry_.failover) {
-    const FlatSet<PeerId> avoid{to};
-    auto fresh =
-        sys_->overlay().route_avoiding(rec.publisher, subscriber, avoid);
-    if (fresh.success && fresh.path.size() >= 2) {
-      start_route(slot, Route{std::move(fresh.path), /*detour=*/true}, now_s);
-      return;
-    }
-    if (fresh.status == overlay::RouteStatus::kUnsupported) {
-      route_avoid_unsupported_counter().add(1);
-    } else {
-      route_avoid_failed_counter().add(1);
-    }
-  }
-  mark_missed(flight.id, subscriber, now_s);
+  flight.routes.push_back(std::move(route));
+  const auto leg = static_cast<std::uint32_t>(flight.routes.size() - 1);
+  send_hop({slot, leg, /*index=*/0, /*attempt=*/0}, now_s);
 }
 
 void NotificationEngine::mark_missed(MessageId id, PeerId subscriber,
@@ -762,8 +604,7 @@ void NotificationEngine::mark_missed(MessageId id, PeerId subscriber,
   if (rec.delivered_to.contains(subscriber)) return;
   if (!rec.missed.insert(subscriber).second) return;
   ++stats_.missed;
-  missed_counter().add(1);
-  if (!(retry_.enabled && retry_.replay)) return;
+  if (!retry_.enabled) return;
   missed_[subscriber].push_back(id);
   replay_fifo_.emplace_back(id, subscriber);
   ++replay_queued_;
@@ -787,13 +628,19 @@ void NotificationEngine::mark_missed(MessageId id, PeerId subscriber,
     if (it->second.empty()) missed_.erase(it);
     --replay_queued_;
     ++stats_.replay_evicted;
-    replay_evicted_counter().add(1);
   }
 }
 
 std::size_t NotificationEngine::replay_missed(PeerId subscriber,
                                               double t_s) {
   std::size_t replayed = 0;
+  const auto replay = [&](MessageRecord& rec) {
+    rec.delivered_to.insert(subscriber);
+    rec.missed.erase(subscriber);
+    ++rec.replays;
+    ++stats_.replays;
+    ++replayed;
+  };
   const auto it = missed_.find(subscriber);
   if (it != missed_.end()) {
     std::unordered_set<MessageId> seen;
@@ -807,12 +654,7 @@ std::size_t NotificationEngine::replay_missed(PeerId subscriber,
             id, subscriber, queued_twice, already_delivered, delivering));
       }
       if (!delivering) continue;
-      rec.delivered_to.insert(subscriber);
-      rec.missed.erase(subscriber);
-      ++rec.replays;
-      ++stats_.replays;
-      replays_counter().add(1);
-      ++replayed;
+      replay(rec);
       // The mailbox copy is now redundant; resolving it keeps its pending
       // gauge tight and its replay stats honest.
       if (mailbox_ != nullptr) mailbox_->on_delivered(id, subscriber);
@@ -829,23 +671,17 @@ std::size_t NotificationEngine::replay_missed(PeerId subscriber,
     for (const MessageId id : mailbox_->replay(subscriber, t_s)) {
       auto& rec = record_of(id);
       const bool already_delivered = rec.delivered_to.contains(subscriber);
-      const bool delivering = !already_delivered;
       if (check::enabled()) {
         check::enforce(check::validate_mailbox_replay(
             id, subscriber, /*entry_resolved=*/false, already_delivered,
-            delivering));
+            /*delivering=*/!already_delivered));
       }
-      if (!delivering) continue;
-      rec.delivered_to.insert(subscriber);
-      rec.missed.erase(subscriber);
-      ++rec.replays;
-      ++stats_.replays;
-      replays_counter().add(1);
+      if (already_delivered) continue;
+      replay(rec);
       ++stats_.mailbox_replays;
-      mailbox_replays_counter().add(1);
-      ++replayed;
     }
   }
+  flush_tallies();
   return replayed;
 }
 
@@ -857,40 +693,22 @@ void NotificationEngine::on_peer_crashed(PeerId peer, double t_s) {
   // SEL_NONDET_OK(unordered-iteration): per-bucket erasure and counter
   // increments commute across iteration orders.
   for (auto it = missed_.begin(); it != missed_.end();) {
-    auto& queued = it->second;
-    const auto pred = [&](MessageId id) {
+    const std::size_t dropped = std::erase_if(it->second, [&](MessageId id) {
       return record_of(id).publisher == peer;
-    };
-    const auto dropped =
-        static_cast<std::size_t>(std::count_if(queued.begin(), queued.end(),
-                                               pred));
-    if (dropped != 0) {
-      queued.erase(std::remove_if(queued.begin(), queued.end(), pred),
-                   queued.end());
-      SEL_ASSERT(replay_queued_ >= dropped);
-      replay_queued_ -= dropped;
-      stats_.replay_dropped_crash += dropped;
-      replay_dropped_crash_counter().add(
-          static_cast<std::int64_t>(dropped));
-    }
-    it = queued.empty() ? missed_.erase(it) : std::next(it);
+    });
+    SEL_ASSERT(replay_queued_ >= dropped);
+    replay_queued_ -= dropped;
+    stats_.replay_dropped_crash += dropped;
+    it = it->second.empty() ? missed_.erase(it) : std::next(it);
   }
   if (mailbox_ != nullptr) mailbox_->on_peer_crashed(peer, t_s);
-}
-
-std::size_t NotificationEngine::pending_replays() const {
-  std::size_t n = 0;
-  // SEL_NONDET_OK(unordered-iteration): order-independent integer sum.
-  for (const auto& [peer, msgs] : missed_) n += msgs.size();
-  return n;
+  flush_tallies();
 }
 
 const MultipathPlan* NotificationEngine::multipath_for(PeerId publisher) {
   if (!planner_) return nullptr;
-  auto it = multipath_cache_.find(publisher);
-  if (it == multipath_cache_.end()) {
-    it = multipath_cache_.emplace(publisher, planner_(publisher)).first;
-  }
+  const auto [it, inserted] = multipath_cache_.try_emplace(publisher);
+  if (inserted) it->second = planner_(publisher);
   return &it->second;
 }
 

@@ -90,19 +90,17 @@ using PubsubMap = std::unordered_map<
 
 /// Ack/timeout recovery parameters. Default-constructed (enabled = false)
 /// the engine performs no retries — the control configuration for chaos
-/// experiments; drivers set `enabled` and whatever else they vary.
+/// experiments; drivers set `enabled` and whatever else they vary. Enabled,
+/// the engine also reroutes lost subscribers over multipath backups and
+/// queues the unreachable ones for store-and-forward replay.
 struct RetryPolicy {
   bool enabled = false;
-  /// Base ack timeout before the first resend. The default comfortably
-  /// exceeds a typical 1.2 MB transfer (~0.2-5 s in the bandwidth model).
+  /// Base ack timeout before the first resend; each later attempt doubles
+  /// it, and every timeout is stretched by up to 20% deterministic jitter.
+  /// The default comfortably exceeds a typical 1.2 MB transfer (~0.2-5 s in
+  /// the bandwidth model).
   double ack_timeout_s = 5.0;
-  double backoff = 2.0;  ///< timeout multiplier per failed attempt
-  /// Deterministic jitter: each timeout is stretched by up to this fraction,
-  /// keyed on (message, receiver, attempt) so same-seed runs are identical.
-  double jitter = 0.2;
   std::size_t max_attempts = 4;  ///< total sends per hop, first included
-  bool failover = true;          ///< reroute lost subscribers via multipath
-  bool replay = true;            ///< store-and-forward for missed subscribers
   /// Bound on queued (message, subscriber) replay entries across all
   /// subscribers; 0 = unbounded. When full, the oldest queued entry is
   /// evicted (counted as `pubsub.replay_evicted`) — the mailbox tier, when
@@ -137,9 +135,15 @@ struct MessageRecord {
   std::optional<double> completed_at_s;
 };
 
+/// The engine's tallies. Every counter but `wanted` and `tree_cache_hits`
+/// also feeds a registry counter summed over all engines, up to date
+/// whenever control is outside the engine.
 struct EngineStats {
   std::size_t messages_published = 0;
   std::size_t deliveries = 0;
+  /// Sum of the hop depths deliveries land at: over `deliveries`, the
+  /// sampler's average route length (obs/sampler.cpp).
+  std::size_t delivery_hops = 0;
   std::size_t wanted = 0;
   std::size_t relay_forwards = 0;
   std::size_t tree_cache_hits = 0;
@@ -156,6 +160,10 @@ struct EngineStats {
   /// holder) crashed; the mailbox tier covers these when armed.
   std::size_t replay_dropped_crash = 0;
   std::size_t mailbox_replays = 0;  ///< deliveries served from mailbox replicas
+  /// Detours around a dead relay that found no live path, and those the
+  /// overlay could not even attempt (no route_avoiding capability).
+  std::size_t route_avoid_failed = 0;
+  std::size_t route_avoid_unsupported = 0;
   RunningStats delivery_latency_s;
 
   [[nodiscard]] double delivery_rate() const noexcept {
@@ -175,7 +183,7 @@ class NotificationEngine {
   // Scheduled events capture `this`; any mailbox holds queue_ by address.
   NotificationEngine(const NotificationEngine&) = delete;
   NotificationEngine& operator=(const NotificationEngine&) = delete;
-  ~NotificationEngine();  ///< flushes the per-hop tallies
+  ~NotificationEngine();  ///< flushes the tallies into the registry
 
   /// Publishes a message at `time_s` (>= the engine clock). Transfers are
   /// scheduled on the internal event engine; call run_until()/run_all() to
@@ -234,15 +242,11 @@ class NotificationEngine {
   /// notifications. The manager must schedule on this engine's
   /// event_engine().
   void set_mailbox(MailboxManager* mailbox) noexcept { mailbox_ = mailbox; }
-  [[nodiscard]] MailboxManager* mailbox() const noexcept { return mailbox_; }
 
   /// True when hops go through the ack/retry/dedup path (a fault plan is
   /// attached or retries are enabled) rather than the perfect-transfer one.
   [[nodiscard]] bool reliable() const noexcept {
     return fault_ != nullptr || retry_.enabled;
-  }
-  [[nodiscard]] const RetryPolicy& retry_policy() const noexcept {
-    return retry_;
   }
 
   /// Replays every message queued for `subscriber` (store-and-forward);
@@ -251,7 +255,9 @@ class NotificationEngine {
   /// number of messages replayed.
   std::size_t replay_missed(overlay::PeerId subscriber, double t_s);
   /// Queued (message, subscriber) replay entries not yet replayed.
-  [[nodiscard]] std::size_t pending_replays() const;
+  [[nodiscard]] std::size_t pending_replays() const noexcept {
+    return replay_queued_;
+  }
 
   /// Crash notification from the driver (burst schedules, forced publisher
   /// crashes): drops queued replays whose only local copy lived on the
@@ -302,6 +308,31 @@ class NotificationEngine {
     bool detour = false;
   };
 
+  /// Leg of a reliable hop that runs down the dissemination tree.
+  static constexpr std::uint32_t kTree = 0xffffffffu;
+  /// Attempt `attempt` of one reliable hop of the message in `slot`. On leg
+  /// kTree it is the tree edge into position `index`; any other leg is
+  /// failover route routes[leg], and the hop runs from its peer `index` to
+  /// peer `index + 1`.
+  struct Hop {
+    Slot slot;
+    std::uint32_t leg;
+    std::uint32_t index;
+    std::uint32_t attempt;
+  };
+  /// What a Hop resolves to (ends_of): the wire message minus its send
+  /// time (ends, uplink share, salted fault key, duplicate collapse), the
+  /// receiver's depth, whether the receiver is a subscriber the hop delivers
+  /// to (a subscribed tree node, a route's last peer) or a relay, and the
+  /// cached edge time that only a first tree attempt uses.
+  struct HopEnds {
+    runtime::Message message;
+    std::uint32_t depth = 0;
+    bool delivers = false;
+    bool relay = false;
+    std::optional<double> edge_s;
+  };
+
   /// In-flight state of one message. Every scheduled event increments
   /// pending_events at its schedule site and calls finish_event() when it
   /// fires, so the slot lives exactly as long as any event (arrival, retry
@@ -330,29 +361,34 @@ class NotificationEngine {
   /// Perfect transfer plane: a copy reached tree position `node`.
   void arrive(Slot slot, Pos node, double now_s);
 
-  // Reliable-mode hop pipeline.
-  /// Attempt `attempt` of the tree hop into position `to`.
-  void send_hop(Slot slot, Pos to, std::uint32_t attempt, double start_s);
-  void deliver_hop(Slot slot, Pos to, std::uint32_t attempt, double send_s,
-                   double now_s);
-  /// Timeout handling for attempt `attempt` of the hop into `to`: feeds the
-  /// availability observer, schedules the resend at the backoff deadline or
-  /// — budget exhausted — declares the subtree under `to` lost.
-  void handle_hop_failure(Slot slot, Pos to, std::uint32_t attempt,
-                          double send_s, double now_s);
+  /// Counts a delivery to `rec`'s subscriber `depth` hops from the
+  /// publisher; callers check the delivery invariant that applies.
+  void count_delivery(MessageRecord& rec, std::uint32_t depth, double now_s);
+  /// Counts a forward by a non-subscriber.
+  void count_relay(MessageRecord& rec) {
+    ++rec.relay_forwards;
+    ++stats_.relay_forwards;
+  }
+
+  // Reliable-mode hop ladder.
+  [[nodiscard]] HopEnds ends_of(const Hop& hop) const;
+  void send_hop(Hop hop, double start_s);
+  void deliver_hop(Hop hop, double send_s, double now_s);
+  /// Timeout handling for `hop`, sent at `send_s`: feeds the availability
+  /// observer and schedules the resend at the backoff deadline; with the
+  /// budget exhausted, a tree hop declares the subtree under its receiver
+  /// lost, and a route hop detours once or queues its subscriber for replay.
+  void hop_failed(Hop hop, double send_s, double now_s);
   /// Reroutes every undelivered subscriber in the tree subtree under `dead`
   /// via its backup path, or queues it for replay when no backup exists.
   void lost_subtree(Slot slot, Pos dead, double now_s);
+  /// Starts a route_avoiding() detour from the publisher to `subscriber`
+  /// around `dead`; false (counted as a failed or unsupported detour) when
+  /// the overlay offers none.
+  bool try_detour(Slot slot, overlay::PeerId subscriber, overlay::PeerId dead,
+                  double now_s);
   /// Counts a failover and sends the first hop of `route`.
   void start_route(Slot slot, Route route, double now_s);
-  void send_failover_hop(Slot slot, std::uint32_t route, std::uint32_t hop,
-                         std::uint32_t attempt, double start_s);
-  void deliver_failover_hop(Slot slot, std::uint32_t route, std::uint32_t hop,
-                            std::uint32_t attempt, double send_s,
-                            double now_s);
-  void failover_hop_failure(Slot slot, std::uint32_t route, std::uint32_t hop,
-                            std::uint32_t attempt, double send_s,
-                            double now_s);
   /// Counts a subscriber delivery with receiver-side dedup.
   void deliver_to_subscriber(Slot slot, overlay::PeerId to,
                              std::uint32_t depth, double now_s);
@@ -361,7 +397,8 @@ class NotificationEngine {
   /// evicting the oldest queued entry beyond RetryPolicy::replay_cap.
   void mark_missed(MessageId id, overlay::PeerId subscriber, double t_s);
   /// Backoff deadline (seconds after the send) for resending attempt
-  /// `attempt + 1`; exponential in `attempt` with deterministic jitter.
+  /// `attempt + 1`: the ack timeout doubled per earlier attempt, stretched
+  /// by up to 20% of deterministic jitter.
   [[nodiscard]] double timeout_for(MessageId id, overlay::PeerId to,
                                    std::uint32_t attempt) const;
   /// Cached multipath plan for `publisher`; null without a planner.
@@ -374,8 +411,9 @@ class NotificationEngine {
   /// Decrements the pending-event count; recycles the slot when the last
   /// event of its message fired.
   void finish_event(Slot slot);
-  /// Folds the per-hop tallies (and the transport's) into the registry; the
-  /// drain hook, so the registry is exact after every drain.
+  /// Adds each registry-mirrored stats_ field's change since the last call
+  /// (and the transport's tallies) to the registry: the drain hook, and the
+  /// last step of every other entry point that counts.
   void flush_tallies() noexcept;
 
   const overlay::PubSubSystem* sys_;
@@ -395,15 +433,8 @@ class NotificationEngine {
   obs::AccountedVector<Slot, obs::Subsystem::kPubsub> free_slots_;
   PubsubMap<overlay::PeerId, SharedTree> tree_cache_;
   EngineStats stats_;
-  /// Per-hop `pubsub.*` telemetry as plain counts, folded into the registry
-  /// by flush_tallies() instead of atomic updates per hop. delivery_hops
-  /// sums the depths deliveries land at: over `pubsub.deliveries`, the
-  /// sampler's average route length (obs/sampler.cpp).
-  struct {
-    std::int64_t deliveries = 0;
-    std::int64_t delivery_hops = 0;
-    std::int64_t relay_forwards = 0;
-  } tallies_;
+  /// stats_ as of the last flush_tallies(): what the registry has seen.
+  EngineStats flushed_;
   obs::LocalHistogram delivery_latency_s_;
 
   fault::FaultPlan* fault_ = nullptr;  ///< not owned
@@ -415,7 +446,7 @@ class NotificationEngine {
   PubsubMap<overlay::PeerId, std::vector<MessageId>> missed_;
   /// Oldest-first eviction order for replay_cap: (message, subscriber)
   /// in queueing order. Entries already replayed are skipped lazily;
-  /// replay_queued_ tracks the live count the cap compares against.
+  /// replay_queued_ counts the entries in missed_, which the cap bounds.
   std::deque<std::pair<MessageId, overlay::PeerId>,
              obs::Tagged<std::pair<MessageId, overlay::PeerId>,
                          obs::Subsystem::kPubsub>>

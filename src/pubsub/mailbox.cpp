@@ -89,6 +89,11 @@ obs::Gauge& pending_gauge() {
 constexpr std::uint64_t kPlacementSalt = 0x3a11b0c501;
 constexpr std::uint64_t kJitterSalt = 0x3a11b0c502;
 
+// Store/ack resend ladder: the ack timeout doubles per failed attempt and is
+// stretched by up to kJitter of itself.
+constexpr double kBackoff = 2.0;
+constexpr double kJitter = 0.2;
+
 /// The subscriber's half of the rendezvous hash, shared by every candidate.
 std::uint64_t placement_key(std::uint64_t seed, PeerId subscriber) {
   return splitmix64(splitmix64(seed ^ splitmix64(kPlacementSalt)) ^
@@ -348,14 +353,14 @@ void MailboxManager::replicate(MessageId msg, PeerId subscriber,
 double MailboxManager::timeout_for(const Entry& entry, std::size_t slot,
                                    std::uint32_t attempt) const {
   double timeout = policy_.ack_timeout_s;
-  for (std::uint32_t i = 0; i < attempt; ++i) timeout *= policy_.backoff;
+  for (std::uint32_t i = 0; i < attempt; ++i) timeout *= kBackoff;
   std::uint64_t h = splitmix64(seed_ ^ splitmix64(kJitterSalt));
   h = splitmix64(h ^ splitmix64(entry.msg));
   h = splitmix64(h ^ splitmix64((static_cast<std::uint64_t>(entry.subscriber)
                                  << 16) ^ slot));
   h = splitmix64(h ^ splitmix64(attempt));
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-  return timeout * (1.0 + policy_.jitter * u);
+  return timeout * (1.0 + kJitter * u);
 }
 
 void MailboxManager::send_store(std::size_t entry_idx, std::size_t slot,

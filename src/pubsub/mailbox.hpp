@@ -76,11 +76,9 @@ struct MailboxPolicy {
   /// Rendezvous fallback pool: at most this many non-neighborhood
   /// candidates are rank-eligible (bounds the per-entry candidate list).
   std::size_t fallback_pool = 24;
-  /// Store/ack retry ladder (the PR 5 shape: exponential backoff with
-  /// deterministic jitter, then slot replacement).
+  /// Store/ack retry ladder: the timeout doubles per attempt, with up to
+  /// 20% deterministic jitter, then the slot is replaced.
   double ack_timeout_s = 2.0;
-  double backoff = 2.0;
-  double jitter = 0.2;
   std::size_t max_attempts = 3;  ///< store sends per replica slot
   double payload_bytes = net::kDefaultPayloadBytes;
 

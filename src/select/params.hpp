@@ -24,10 +24,6 @@ struct SelectParams {
   /// spans several gossip periods.
   std::size_t exchanges_per_round = 3;
 
-  /// A round counts as "no movement" for a peer when its id moved less than
-  /// this ring distance.
-  double convergence_eps = 1e-5;
-
   /// A peer stops relocating once it is within this ring distance of its
   /// strongest social tie. Without a settle radius the repeated midpoint
   /// moves are a contraction mapping and the whole network collapses onto a

@@ -257,7 +257,6 @@ RouteResult snapshot_scan_route(const RingSubstrate& ov, PeerId src,
     if (next == kInvalidPeer) {
       double best = std::numeric_limits<double>::infinity();
       double best_cw = std::numeric_limits<double>::infinity();
-      const double here = net::ring_distance(ov.id(current), target);
       for (const PeerId w : neighbors) {
         if (!usable(w) || visited.contains(w)) continue;
         const double d = net::ring_distance(ov.id(w), target);
@@ -267,9 +266,6 @@ RouteResult snapshot_scan_route(const RingSubstrate& ov, PeerId src,
           best_cw = cw;
           next = w;
         }
-      }
-      if (next != kInvalidPeer && !opts.allow_detour && best >= here) {
-        next = kInvalidPeer;
       }
     }
     if (next == kInvalidPeer) return result;

@@ -7,8 +7,11 @@
 #include <map>
 #include <set>
 #include <span>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "baselines/factory.hpp"
 #include "common/rng.hpp"
 #include "fault/fault.hpp"
 #include "graph/profiles.hpp"
@@ -606,6 +609,232 @@ TEST_F(DrainTallyTest, ReliableStreamWithMailboxIsExactAfterEveryDrain) {
   expect_exact(before, engine.stats(), events.now_s(), false, drops());
   EXPECT_GT(engine.stats().retries, 0u);
   EXPECT_GT(plan.stats().drops, 0u);
+}
+
+// -- registry mirror --------------------------------------------------------
+//
+// EngineStats is the engine's only tally: every `pubsub.*` counter and the
+// two `fault.route_avoid_*` counters sum one of its fields over all engines
+// in the process, and read exactly that whenever control is outside an
+// engine — after a publish, a replay or a crash notice as much as after a
+// drain.
+
+class RegistryMirrorTest : public EngineTest {
+ protected:
+  using Field = std::size_t EngineStats::*;
+  /// Registry name -> the EngineStats field it mirrors.
+  static constexpr std::pair<const char*, Field> kMirror[] = {
+      {"pubsub.publishes", &EngineStats::messages_published},
+      {"pubsub.tree_builds", &EngineStats::tree_cache_misses},
+      {"pubsub.deliveries", &EngineStats::deliveries},
+      {"pubsub.delivery_hops", &EngineStats::delivery_hops},
+      {"pubsub.relay_forwards", &EngineStats::relay_forwards},
+      {"pubsub.retries", &EngineStats::retries},
+      {"pubsub.retry_exhausted", &EngineStats::retry_exhausted},
+      {"pubsub.failovers", &EngineStats::failovers},
+      {"pubsub.replays", &EngineStats::replays},
+      {"pubsub.duplicates_suppressed", &EngineStats::duplicates_suppressed},
+      {"pubsub.missed", &EngineStats::missed},
+      {"pubsub.replay_evicted", &EngineStats::replay_evicted},
+      {"pubsub.replay_dropped_crash", &EngineStats::replay_dropped_crash},
+      {"pubsub.mailbox_replays", &EngineStats::mailbox_replays},
+      {"fault.route_avoid_failed", &EngineStats::route_avoid_failed},
+      {"fault.route_avoid_unsupported", &EngineStats::route_avoid_unsupported},
+  };
+
+  static std::int64_t counter(const char* name) {
+    return obs::MetricsRegistry::global().counter(name).value();
+  }
+
+  /// Every mirrored counter, read now.
+  static std::vector<std::int64_t> read_counters() {
+    std::vector<std::int64_t> values;
+    for (const auto& [name, field] : kMirror) values.push_back(counter(name));
+    return values;
+  }
+
+  /// Each counter's change since `before` equals the field's sum over the
+  /// two engines.
+  static void expect_mirrored(const std::vector<std::int64_t>& before,
+                              const NotificationEngine& a,
+                              const NotificationEngine& b, const char* after) {
+    for (std::size_t i = 0; i < std::size(kMirror); ++i) {
+      const auto& [name, field] = kMirror[i];
+      const std::size_t sum = a.stats().*field + b.stats().*field;
+      EXPECT_EQ(counter(name) - before[i], static_cast<std::int64_t>(sum))
+          << name << " after " << after;
+    }
+  }
+};
+
+TEST_F(RegistryMirrorTest, CountersEqualSummedStatsWheneverControlIsOutside) {
+  // Heavy loss, stalls and crashes with two sends per hop: retries,
+  // exhausted hops, failover legs and receiver dedup. A replay cap of two
+  // evicts queued entries.
+  fault::FaultSpec spec;
+  spec.drop = 0.25;
+  spec.duplicate = 0.02;
+  spec.spike = 0.02;
+  spec.spike_factor = 3.0;
+  spec.stall = 0.05;
+  spec.stall_s = 10.0;
+  spec.crash = 0.002;
+  fault::FaultPlan plan_a(spec, 7, g_.num_nodes());
+  fault::FaultPlan plan_b(spec, 8, g_.num_nodes());
+  const auto before = read_counters();
+  NotificationEngine a(*ps_, *net_);
+  NotificationEngine b(*ps_, *net_);
+  MailboxManager mailbox_a(a.event_engine(), *sys_, *net_, MailboxPolicy{}, 7);
+  MailboxManager mailbox_b(b.event_engine(), *sys_, *net_, MailboxPolicy{}, 8);
+  const auto arm = [this](NotificationEngine& engine, fault::FaultPlan& plan,
+                          MailboxManager& mailbox) {
+    engine.set_fault_plan(&plan);
+    RetryPolicy policy;
+    policy.enabled = true;
+    policy.ack_timeout_s = 2.0;
+    policy.max_attempts = 2;
+    policy.replay_cap = 2;
+    engine.set_retry_policy(policy);
+    engine.set_multipath_planner(
+        [this](PeerId p) { return plan_multipath(*sys_, g_, p); });
+    mailbox.set_fault_plan(&plan);
+    engine.set_mailbox(&mailbox);
+  };
+  arm(a, plan_a, mailbox_a);
+  arm(b, plan_b, mailbox_b);
+  // Three subscribers of publisher 0 are away while the messages fly, so
+  // their misses queue (and replicate) at publish time.
+  const auto subs = ps_->subscribers_of(0);
+  const std::vector<PeerId> away(subs.begin(), subs.begin() + 3);
+  for (const PeerId p : away) sys_->set_peer_online(p, false);
+  expect_mirrored(before, a, b, "construction");
+  for (PeerId p = 0; p < 10; ++p) {
+    const double t = static_cast<double>(p);
+    a.run_until(t);
+    expect_mirrored(before, a, b, "a drain");
+    b.run_until(t);
+    expect_mirrored(before, a, b, "b drain");
+    a.publish(p, t);
+    expect_mirrored(before, a, b, "a publish");
+    b.publish(p, t);
+    expect_mirrored(before, a, b, "b publish");
+  }
+  a.run_all();
+  b.run_all();
+  expect_mirrored(before, a, b, "the final drains");
+  // Publisher 0 crashes with replays queued: engine a drops them and its
+  // mailbox hands off; then the away subscribers return.
+  a.on_peer_crashed(0, a.now_s());
+  expect_mirrored(before, a, b, "on_peer_crashed");
+  for (const PeerId p : away) {
+    sys_->set_peer_online(p, true);
+    a.replay_missed(p, a.now_s());
+    expect_mirrored(before, a, b, "a replay_missed");
+    b.replay_missed(p, b.now_s());
+    expect_mirrored(before, a, b, "b replay_missed");
+  }
+  a.run_all();
+  b.run_all();
+  expect_mirrored(before, a, b, "the replay drains");
+  // Every `pubsub.*` field moved, so no equality above is vacuous; the
+  // detour counters get exact cases of their own below.
+  for (const auto& [name, field] : kMirror) {
+    if (std::string_view(name).starts_with("fault.")) continue;
+    EXPECT_GT(a.stats().*field + b.stats().*field, 0u) << name;
+  }
+}
+
+// -- detour outcomes ----------------------------------------------------------
+//
+// With no backup route on offer, each subscriber lost under an exhausted
+// tree hop asks the overlay for a detour around the dead receiver. Leaf
+// subscribers taken offline right after the publish lose exactly their own
+// hop, and the detour's destination is then offline too: a ring overlay
+// finds no live path (`fault.route_avoid_failed`), and an overlay without
+// route_avoiding cannot even try (`fault.route_avoid_unsupported`).
+
+class DetourCountTest : public EngineTest {
+ protected:
+  struct Counts {
+    std::int64_t failed = 0;       ///< fault.route_avoid_failed delta
+    std::int64_t unsupported = 0;  ///< fault.route_avoid_unsupported delta
+    EngineStats stats;
+  };
+
+  /// Publishes from the first peer whose tree has `leaves` subscriber leaves,
+  /// takes those leaves offline before any hop lands, and drains.
+  Counts lose_leaves(overlay::Overlay& ov, const overlay::PubSubSystem& ps,
+                     std::size_t leaves) {
+    const auto counter = [](const char* name) {
+      return obs::MetricsRegistry::global().counter(name).value();
+    };
+    PeerId publisher = 0;
+    std::vector<PeerId> away;
+    for (; publisher < g_.num_nodes() && away.size() < leaves; ++publisher) {
+      away.clear();
+      const auto tree = ps.build_tree(publisher);
+      const auto subs = ps.subscribers_of(publisher);
+      for (overlay::DisseminationTree::Pos p = 1;
+           p < tree.node_count() && away.size() < leaves; ++p) {
+        if (tree.children_at(p).empty() && subs.contains(tree.peer_at(p))) {
+          away.push_back(tree.peer_at(p));
+        }
+      }
+    }
+    EXPECT_EQ(away.size(), leaves);
+    --publisher;
+    const std::int64_t failed = counter("fault.route_avoid_failed");
+    const std::int64_t unsupported = counter("fault.route_avoid_unsupported");
+    NotificationEngine engine(ps, *net_);
+    RetryPolicy policy;
+    policy.enabled = true;
+    policy.ack_timeout_s = 2.0;
+    engine.set_retry_policy(policy);
+    engine.set_multipath_planner([](PeerId p) {
+      MultipathPlan none;
+      none.publisher = p;
+      return none;
+    });
+    engine.publish(publisher, 0.0);
+    for (const PeerId p : away) ov.set_peer_online(p, false);
+    engine.run_all();
+    for (const PeerId p : away) ov.set_peer_online(p, true);
+    return {counter("fault.route_avoid_failed") - failed,
+            counter("fault.route_avoid_unsupported") - unsupported,
+            engine.stats()};
+  }
+
+  static void expect_lost(const EngineStats& st, std::size_t leaves) {
+    EXPECT_EQ(st.retries, leaves * (RetryPolicy{}.max_attempts - 1));
+    EXPECT_EQ(st.retry_exhausted, leaves);
+    EXPECT_EQ(st.failovers, 0u);
+    EXPECT_EQ(st.missed, leaves);
+    EXPECT_EQ(st.deliveries + leaves, st.wanted);
+  }
+};
+
+TEST_F(DetourCountTest, RingOverlayCountsDetoursThatFindNoLivePath) {
+  ASSERT_TRUE(sys_->capabilities().route_avoiding);
+  const Counts c = lose_leaves(*sys_, *ps_, 3);
+  EXPECT_EQ(c.failed, 3);
+  EXPECT_EQ(c.unsupported, 0);
+  EXPECT_EQ(c.stats.route_avoid_failed, 3u);
+  EXPECT_EQ(c.stats.route_avoid_unsupported, 0u);
+  expect_lost(c.stats, 3);
+}
+
+TEST_F(DetourCountTest, OverlayWithoutRouteAvoidingCountsUnsupported) {
+  const auto bayeux =
+      baselines::make_overlay("bayeux", g_, {.seed = 5, .net = net_.get()});
+  bayeux->build();
+  ASSERT_FALSE(bayeux->capabilities().route_avoiding);
+  const overlay::PubSubSystem ps(*bayeux);
+  const Counts c = lose_leaves(*bayeux, ps, 3);
+  EXPECT_EQ(c.unsupported, 3);
+  EXPECT_EQ(c.failed, 0);
+  EXPECT_EQ(c.stats.route_avoid_unsupported, 3u);
+  EXPECT_EQ(c.stats.route_avoid_failed, 0u);
+  expect_lost(c.stats, 3);
 }
 
 }  // namespace
