@@ -1,7 +1,7 @@
 // Shared plumbing for the figure/table harnesses.
 //
 // Every harness prints the paper-style series to stdout AND writes a CSV
-// next to the binary. Sizes honour SELECT_BENCH_SCALE; trial counts honour
+// into results_dir(). Sizes honour SELECT_BENCH_SCALE; trial counts honour
 // SELECT_TRIALS. The paper averages 100 trials; defaults here are laptop
 // sized — crank SELECT_TRIALS/SELECT_BENCH_SCALE for paper-scale runs.
 #pragma once

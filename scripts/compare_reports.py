@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Diff two SELECT run reports (*.report.json).
+"""Diff two SELECT run reports (*.report.json), or two bench CSVs.
 
 Usage:
     scripts/compare_reports.py baseline.report.json candidate.report.json
+    scripts/compare_reports.py expected.csv got.csv          # exact, exits 1
     scripts/compare_reports.py a.json b.json --min-rel 0.05   # hide <5% deltas
     scripts/compare_reports.py a.json b.json \\
         --fail-on pubsub.deliveries=0 \\
@@ -27,6 +28,12 @@ has no `memory` section; before v4, a round's phase times were not in its
 timeseries point), without giving up the gate on the metrics both schemas
 share. A metric missing from BOTH reports still fails — that is a typo in
 the gate, not a schema skew.
+
+Given two .csv paths, the header and every row must match exactly: the
+script prints the first differing lines (line number, expected, got) and
+any row-count mismatch, and exits 1 on any difference or a missing file.
+The tier-1 golden gate (bench/check_golden.cmake) runs this mode against
+data/expected/.
 Run scripts/test_compare_reports.py for the self-test.
 """
 
@@ -46,6 +53,37 @@ def load(path):
     if "metrics" not in doc:
         sys.exit(f"{path}: not a run report (missing 'metrics')")
     return doc
+
+
+def compare_csv(expected_path, got_path, shown=5):
+    """Exact line-by-line CSV diff; returns the exit code (0 or 1)."""
+    lines = []
+    for path in (expected_path, got_path):
+        try:
+            with open(path, newline="") as f:
+                lines.append(f.read().splitlines())
+        except OSError as e:
+            print(f"{path}: {e.strerror}")
+            return 1
+    expected, got = lines
+
+    def line(rows, i):
+        return rows[i] if i < len(rows) else "(missing)"
+
+    differing = [i for i in range(max(len(expected), len(got)))
+                 if line(expected, i) != line(got, i)]
+    for i in differing[:shown]:
+        print(f"line {i + 1}{' (header)' if i == 0 else ''}:\n"
+              f"  expected: {line(expected, i)}\n  got:      {line(got, i)}")
+    if len(differing) > shown:
+        print(f"... {len(differing) - shown} more differing lines")
+    if len(expected) != len(got):
+        print(f"line count: expected {len(expected)}, got {len(got)}")
+    if differing:
+        print(f"FAIL {got_path} differs from {expected_path}")
+        return 1
+    print(f"ok: {got_path} matches {expected_path} ({len(got)} lines)")
+    return 0
 
 
 def fmt_num(x):
@@ -198,6 +236,10 @@ def main():
                          "warning, not a failure (schema transitions); "
                          "missing from both still fails")
     args = ap.parse_args()
+    if args.baseline.endswith(".csv") or args.candidate.endswith(".csv"):
+        if args.fail_on:
+            ap.error("--fail-on gates run reports; CSVs always match exactly")
+        sys.exit(compare_csv(args.baseline, args.candidate))
     thresholds = parse_fail_on(args.fail_on)
 
     a, b = load(args.baseline), load(args.candidate)

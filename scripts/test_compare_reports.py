@@ -12,6 +12,8 @@ Builds two synthetic run reports, then asserts the exit codes:
   * mem.* keys from the schema-v3 `memory` section gate like any metric
   * histograms flatten to hist.<name>.count|sum|min|max and gate
   * malformed spec          -> nonzero usage error
+  * CSV mode: identical files -> 0; a one-cell edit, a missing row or a
+    missing file -> 1, with the differing line printed
 
 Run directly (CI does): python3 scripts/test_compare_reports.py
 """
@@ -168,6 +170,35 @@ def main():
             failures.append(f"malformed spec accepted\n{out}")
         else:
             print("ok: malformed spec rejected")
+
+        # CSV mode: every line must match exactly.
+        rows = ["dataset,n,system,hops", "facebook,32,select,1.4900",
+                "facebook,32,omen,2.1100", "twitter,32,select,1.7000"]
+        csvs = {}
+        for name, lines in (
+                ("expected", rows),
+                ("same", rows),
+                ("edited", rows[:2] + ["facebook,32,omen,2.1200"] + rows[3:]),
+                ("short", rows[:3])):
+            csvs[name] = os.path.join(tmp, f"{name}.csv")
+            with open(csvs[name], "w") as f:
+                f.write("\n".join(lines) + "\n")
+
+        code, out = run([csvs["expected"], csvs["same"]])
+        check("identical CSVs pass", code, 0, out)
+
+        code, out = run([csvs["expected"], csvs["edited"]])
+        check("one-cell CSV edit fails", code, 1, out)
+        if "line 3" not in out or "facebook,32,omen,2.1200" not in out:
+            failures.append(f"one-cell edit: differing line not shown\n{out}")
+
+        code, out = run([csvs["expected"], csvs["short"]])
+        check("missing CSV row fails", code, 1, out)
+        if "line count: expected 4, got 3" not in out:
+            failures.append(f"missing row: count mismatch not shown\n{out}")
+
+        code, out = run([csvs["expected"], os.path.join(tmp, "none.csv")])
+        check("missing CSV file fails", code, 1, out)
 
     if failures:
         print("\n".join(f"FAIL {f}" for f in failures), file=sys.stderr)

@@ -2,8 +2,8 @@
 """Render a self-contained HTML report from a run report + trace pair.
 
 Usage:
-    scripts/trace_report.py results/fig5_convergence.report.json \\
-        [results/fig5_convergence.trace.json] [-o out.html]
+    scripts/trace_report.py results/figure_sweep.report.json \\
+        [results/figure_sweep.trace.json] [-o out.html]
 
 The trace path defaults to the report path with .report.json replaced by
 .trace.json. Output (default: report path with .html) is a single HTML file

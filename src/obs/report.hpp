@@ -24,7 +24,7 @@ struct RunReport {
   /// and deliver times live in its `timeseries` point.
   static constexpr int kSchemaVersion = 4;
 
-  std::string experiment;  ///< e.g. "fig5_convergence"
+  std::string experiment;  ///< e.g. "figure_sweep"
   /// Free-form run metadata (profile, n, seed, rounds, scale, trials, ...).
   /// String-valued to keep the schema simple; numbers go through fmt.
   std::map<std::string, std::string> metadata;

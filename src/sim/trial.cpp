@@ -1,7 +1,6 @@
 #include "sim/trial.hpp"
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -21,8 +20,7 @@ double TrialSummary::ci95(const std::string& name) const {
 }
 
 TrialSummary run_trials(std::size_t trials, std::uint64_t root_seed,
-                        const std::function<MetricMap(std::uint64_t)>& body,
-                        const std::string& label) {
+                        const std::function<MetricMap(std::uint64_t)>& body) {
   SEL_EXPECTS(trials > 0);
   static obs::Counter& trials_c =
       obs::MetricsRegistry::global().counter("sim.trials_run");
@@ -38,10 +36,6 @@ TrialSummary run_trials(std::size_t trials, std::uint64_t root_seed,
       summary.metrics[name].add(value);
     }
     trials_c.add(1);
-    if (!label.empty()) {
-      log_info(label + ": trial " + std::to_string(t + 1) + "/" +
-               std::to_string(trials) + " done");
-    }
   }
   return summary;
 }

@@ -1,6 +1,6 @@
 // Multi-trial experiment runner. The paper reports every metric as the
-// average of 100 independent trials; this wraps the seed derivation,
-// aggregation and progress logging that every harness shares.
+// average of 100 independent trials; this wraps the seed derivation and
+// aggregation that every harness shares.
 #pragma once
 
 #include <functional>
@@ -27,7 +27,6 @@ struct TrialSummary {
 /// thread, each folded into the summary as it finishes.
 [[nodiscard]] TrialSummary run_trials(
     std::size_t trials, std::uint64_t root_seed,
-    const std::function<MetricMap(std::uint64_t)>& body,
-    const std::string& label = "");
+    const std::function<MetricMap(std::uint64_t)>& body);
 
 }  // namespace sel::sim
