@@ -16,6 +16,11 @@ Rules, each suppressible on the offending (or preceding) line with
   bare-assert      assert()/ <cassert> — use SEL_ASSERT / SEL_EXPECTS /
                    SEL_ENSURES (common/assert.hpp), which stay on in
                    release builds and print a source location.
+  test-only-header a header under src/ that only its own .cpp and files
+                   under tests/ include. src/ holds what a production path
+                   runs; includes from src/, bench/, examples/ and
+                   perfbench/ count as production. Not suppressible: move
+                   the header's code into the test that uses it.
 
 Exit status: 0 clean, 1 violations found.
 """
@@ -23,6 +28,7 @@ Exit status: 0 clean, 1 violations found.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -42,6 +48,11 @@ RULES = {
 
 # Rules whose only legitimate uses are explicitly annotated.
 SUPPRESS_ONLY = {"const-cast"}
+
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
+SOURCE_EXTS = (".hpp", ".cpp", ".h", ".cc")
+# Top-level directories whose includes count as production use.
+PRODUCTION_DIRS = ("src", "bench", "examples", "perfbench")
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -100,6 +111,49 @@ def lint_file(path: str) -> list[tuple[str, int, str, str]]:
     return violations
 
 
+@functools.lru_cache(maxsize=None)
+def includers_by_target(root: str) -> dict[str, list[str]]:
+    """Maps each quoted include target to the files under `root` that
+    include it, as paths relative to `root`."""
+    found: dict[str, list[str]] = {}
+    for top in PRODUCTION_DIRS + ("tests",):
+        for dirpath, _dirs, names in os.walk(os.path.join(root, top)):
+            for name in sorted(names):
+                if not name.endswith(SOURCE_EXTS):
+                    continue
+                full = os.path.join(dirpath, name)
+                with open(full, encoding="utf-8", errors="replace") as fh:
+                    targets = set(INCLUDE_RE.findall(fh.read()))
+                for target in targets:
+                    found.setdefault(target, []).append(
+                        os.path.relpath(full, root))
+    return found
+
+
+def lint_test_only_header(path: str) -> list[tuple[str, int, str, str]]:
+    """test-only-header: `path` is a header under a `src` directory whose
+    only includers are its own .cpp and files under tests/."""
+    parts = os.path.abspath(path).split(os.sep)
+    if not path.endswith((".hpp", ".h")) or "src" not in parts:
+        return []
+    at = len(parts) - 1 - parts[::-1].index("src")
+    root = os.sep.join(parts[:at]) or os.sep
+    key = "/".join(parts[at + 1 :])
+    own_cpp = os.path.join("src", *parts[at + 1 :])
+    own_cpp = os.path.splitext(own_cpp)[0] + ".cpp"
+    includers = includers_by_target(root).get(key, [])
+    production = [
+        f for f in includers
+        if f != own_cpp and f.split(os.sep)[0] in PRODUCTION_DIRS
+    ]
+    if production:
+        return []
+    users = [f for f in includers if f != own_cpp] or ["nothing"]
+    rel = os.path.relpath(path, REPO_ROOT)
+    return [(rel, 1, "test-only-header",
+             f"included only by {', '.join(sorted(users))}")]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
@@ -116,14 +170,15 @@ def main() -> int:
         if os.path.isdir(full):
             for root, _dirs, names in os.walk(full):
                 for name in sorted(names):
-                    if name.endswith((".hpp", ".cpp", ".h", ".cc")):
+                    if name.endswith(SOURCE_EXTS):
                         files.append(os.path.join(root, name))
-        elif full.endswith((".hpp", ".cpp", ".h", ".cc")):
+        elif full.endswith(SOURCE_EXTS):
             files.append(full)
 
     all_violations = []
     for f in sorted(files):
         all_violations.extend(lint_file(f))
+        all_violations.extend(lint_test_only_header(f))
 
     if all_violations:
         print(f"select_lint: {len(all_violations)} violation(s):")

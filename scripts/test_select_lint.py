@@ -5,7 +5,8 @@ Writes fixture files with one synthetic violation per rule plus
 clean/suppressed twins, then asserts detection, the smart-pointer adoption
 escape for naked-new, static_assert not tripping bare-assert, comment and
 string-literal stripping, SEL_LINT_ALLOW on the line and the line above,
-and the exit codes (0 clean / 1 violations).
+test-only-header over a small src/ + bench/ + tests/ tree, and the exit
+codes (0 clean / 1 violations).
 
 Run directly (CI and ctest do): python3 scripts/test_select_lint.py
 """
@@ -50,6 +51,20 @@ void suppressed(const int* cp) {
 }
 }  // namespace sel
 """
+
+
+# test-only-header fixture tree: relative path -> contents.
+TREE = {
+    "src/mod/oracle.hpp": "#pragma once\nint oracle();\n",
+    "src/mod/oracle.cpp": '#include "mod/oracle.hpp"\nint oracle() { return 1; }\n',
+    "src/mod/used.hpp": "#pragma once\nint used();\n",
+    "src/mod/inner.hpp": "#pragma once\nint inner();\n",
+    "src/mod/other.cpp": '#include "mod/inner.hpp"\n',
+    "bench/bench_x.cpp": '#include "mod/used.hpp"\n',
+    "tests/mod_test.cpp": ('#include "mod/oracle.hpp"\n'
+                           '#include "mod/used.hpp"\n'
+                           '#include "mod/inner.hpp"\n'),
+}
 
 
 def run(paths):
@@ -98,6 +113,23 @@ def main():
 
         rc, out = run([tmp])
         check("directory walk finds violations", rc == 1, f"rc={rc}\n{out}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for rel, text in TREE.items():
+            full = os.path.join(tmp, rel)
+            os.makedirs(os.path.dirname(full), exist_ok=True)
+            with open(full, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        rc, out = run([os.path.join(tmp, "src")])
+        check("test-only header exits 1", rc == 1, f"rc={rc}\n{out}")
+        check("test-only header flagged",
+              "oracle.hpp:1: [test-only-header] included only by "
+              "tests/mod_test.cpp" in out, out)
+        check("bench include counts as production", "used.hpp" not in out, out)
+        check("src include counts as production", "inner.hpp" not in out, out)
+        rc, out = run([os.path.join(tmp, "tests")])
+        check("rule reads only headers under src/", rc == 0,
+              f"rc={rc}\n{out}")
 
     # The real tree must stay clean — this is the same gate CI runs.
     rc, out = run(["src"])

@@ -28,37 +28,9 @@ std::size_t DynamicBitset::intersection_count(const DynamicBitset& other) const 
   return total;
 }
 
-std::size_t DynamicBitset::union_count(const DynamicBitset& other) const {
-  SEL_EXPECTS(size_ == other.size_);
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    total += static_cast<std::size_t>(std::popcount(words_[i] | other.words_[i]));
-  }
-  return total;
-}
-
-double DynamicBitset::jaccard(const DynamicBitset& other) const {
-  const std::size_t uni = union_count(other);
-  if (uni == 0) return 1.0;
-  return static_cast<double>(intersection_count(other)) /
-         static_cast<double>(uni);
-}
-
 DynamicBitset& DynamicBitset::operator|=(const DynamicBitset& other) {
   SEL_EXPECTS(size_ == other.size_);
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-  return *this;
-}
-
-DynamicBitset& DynamicBitset::operator&=(const DynamicBitset& other) {
-  SEL_EXPECTS(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-  return *this;
-}
-
-DynamicBitset& DynamicBitset::operator^=(const DynamicBitset& other) {
-  SEL_EXPECTS(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] ^= other.words_[i];
   return *this;
 }
 
@@ -73,13 +45,6 @@ void DynamicBitset::trim() noexcept {
   if (tail != 0 && !words_.empty()) {
     words_.back() &= (1ULL << tail) - 1;
   }
-}
-
-std::string DynamicBitset::to_string() const {
-  std::string out;
-  out.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) out.push_back(test(i) ? '1' : '0');
-  return out;
 }
 
 }  // namespace sel

@@ -1,11 +1,9 @@
 // Dynamic bitset tuned for friendship bitmaps: dense bit vectors of a few
 // hundred bits with fast popcount-based set operations (Hamming distance,
-// intersection size, Jaccard similarity). Used by the LSH index and the
-// gossip protocol.
+// intersection size). Used by the LSH index and the gossip protocol.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -58,23 +56,12 @@ class DynamicBitset {
   /// |a AND b| — size of the intersection. Requires equal sizes.
   [[nodiscard]] std::size_t intersection_count(const DynamicBitset& other) const;
 
-  /// |a OR b| — size of the union. Requires equal sizes.
-  [[nodiscard]] std::size_t union_count(const DynamicBitset& other) const;
-
-  /// Jaccard similarity |a AND b| / |a OR b|; 1.0 when both are empty.
-  [[nodiscard]] double jaccard(const DynamicBitset& other) const;
-
   DynamicBitset& operator|=(const DynamicBitset& other);
-  DynamicBitset& operator&=(const DynamicBitset& other);
-  DynamicBitset& operator^=(const DynamicBitset& other);
 
   [[nodiscard]] bool operator==(const DynamicBitset& other) const = default;
 
   /// Grows or shrinks to `size` bits; new bits are clear.
   void resize(std::size_t size);
-
-  /// "0110..." rendering, most significant bit last (index order).
-  [[nodiscard]] std::string to_string() const;
 
   /// Direct word access for hashing; trailing bits beyond size() are zero.
   [[nodiscard]] const std::vector<std::uint64_t>& words() const noexcept {

@@ -132,8 +132,6 @@ const std::vector<EnvKnob>& env_knobs() {
       {"SEL_TRACE_SAMPLE", "provenance tracing: sample 1-in-N publishes"},
       {"SEL_FAULT",
        "fault plan, e.g. drop=0.05,dup=0.01,spike=0.02,stall=0.01,crash=1e-3"},
-      {"SEL_MAILBOX",
-       "replicated-mailbox durability tier master switch (chaos drivers)"},
       {"SEL_MEM_BUDGET",
        "soft memory budget for tracked bytes, e.g. 512m (k/m/g suffixes)"},
       {"SELECT_BENCH_SCALE", "experiment network-size multiplier"},

@@ -34,21 +34,6 @@ double Histogram::bin_lo(std::size_t i) const {
   return lo_ + width_ * static_cast<double>(i);
 }
 
-double Histogram::bin_center(std::size_t i) const {
-  return bin_lo(i) + width_ / 2.0;
-}
-
-double Histogram::fraction(std::size_t i) const {
-  SEL_EXPECTS(i < counts_.size());
-  if (total_ <= 0.0) return 0.0;
-  return counts_[i] / total_;
-}
-
-std::size_t Histogram::mode_bin() const noexcept {
-  return static_cast<std::size_t>(
-      std::max_element(counts_.begin(), counts_.end()) - counts_.begin());
-}
-
 double Histogram::clumpiness() const noexcept {
   const double mean = total_ / static_cast<double>(counts_.size());
   if (mean <= 0.0) return 0.0;

@@ -25,16 +25,8 @@ class Histogram {
   [[nodiscard]] double count(std::size_t i) const;
   /// Left edge of bin i.
   [[nodiscard]] double bin_lo(std::size_t i) const;
-  /// Center of bin i.
-  [[nodiscard]] double bin_center(std::size_t i) const;
 
   [[nodiscard]] double total() const noexcept { return total_; }
-
-  /// Fraction of total weight in bin i; 0 when the histogram is empty.
-  [[nodiscard]] double fraction(std::size_t i) const;
-
-  /// Index of the bin with the largest weight (first on ties).
-  [[nodiscard]] std::size_t mode_bin() const noexcept;
 
   /// Coefficient of variation of the bin weights: stddev/mean. 0 for a
   /// perfectly uniform histogram; grows as the mass clumps. Used to quantify

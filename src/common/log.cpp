@@ -39,10 +39,6 @@ LogLevel log_level() {
   return static_cast<LogLevel>(lv);
 }
 
-void set_log_level(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
 void log(LogLevel level, const std::string& message) {
   if (static_cast<int>(level) > static_cast<int>(log_level())) return;
   static std::mutex mutex;

@@ -12,9 +12,6 @@ enum class LogLevel { kError = 0, kWarn = 1, kInfo = 2, kDebug = 3 };
 /// Current global level (parsed once from SELECT_LOG).
 [[nodiscard]] LogLevel log_level();
 
-/// Overrides the global level (tests use this).
-void set_log_level(LogLevel level);
-
 void log(LogLevel level, const std::string& message);
 
 inline void log_error(const std::string& m) { log(LogLevel::kError, m); }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/assert.hpp"
-
 namespace sel {
 
 void RunningStats::add(double x) noexcept {
@@ -38,68 +36,6 @@ double RunningStats::ci95_halfwidth() const noexcept {
                                   2.045};
   const double t = n_ <= 30 ? kT[n_] : 1.96;
   return t * stddev() / std::sqrt(static_cast<double>(n_));
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  // Chan et al. parallel-merge formulas.
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double SampleSet::mean() const noexcept {
-  if (samples_.empty()) return 0.0;
-  double s = 0.0;
-  for (const double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
-}
-
-double SampleSet::stddev() const noexcept {
-  if (samples_.size() < 2) return 0.0;
-  const double m = mean();
-  double s = 0.0;
-  for (const double x : samples_) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(samples_.size() - 1));
-}
-
-double SampleSet::min() const noexcept {
-  if (samples_.empty()) return 0.0;
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
-double SampleSet::max() const noexcept {
-  if (samples_.empty()) return 0.0;
-  return *std::max_element(samples_.begin(), samples_.end());
-}
-
-double SampleSet::quantile(double q) const {
-  SEL_EXPECTS(q >= 0.0 && q <= 1.0);
-  SEL_EXPECTS(!samples_.empty());
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  const double pos = q * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-void SampleSet::merge(const SampleSet& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-  sorted_ = false;
 }
 
 }  // namespace sel

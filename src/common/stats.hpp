@@ -1,11 +1,9 @@
-// Statistics accumulators used by every experiment harness: streaming
-// mean/variance (Welford), exact percentiles over retained samples, and
-// Student-t confidence intervals for multi-trial averaging (the paper reports
-// averages over 100 independent trials).
+// Statistics accumulator used by every experiment harness: streaming
+// mean/variance (Welford) and Student-t confidence intervals for multi-trial
+// averaging (the paper reports averages over 100 independent trials).
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace sel {
 
@@ -27,49 +25,12 @@ class RunningStats {
   /// approximation for n >= 30, t-table lookup below).
   [[nodiscard]] double ci95_halfwidth() const noexcept;
 
-  /// Merges another accumulator (parallel reduction).
-  void merge(const RunningStats& other) noexcept;
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Retains every sample; supports exact quantiles. Use for per-trial metric
-/// vectors (hundreds to a few million doubles).
-class SampleSet {
- public:
-  void add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
-  void reserve(std::size_t n) { samples_.reserve(n); }
-
-  [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
-  [[nodiscard]] double mean() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept;
-  [[nodiscard]] double max() const noexcept;
-
-  /// Exact q-quantile (q in [0,1]) with linear interpolation.
-  /// Sorts lazily; amortized O(n log n) on first call after inserts.
-  [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] double median() const { return quantile(0.5); }
-
-  [[nodiscard]] const std::vector<double>& samples() const noexcept {
-    return samples_;
-  }
-
-  void merge(const SampleSet& other);
-  void clear() noexcept { samples_.clear(); sorted_ = false; }
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
 };
 
 }  // namespace sel

@@ -13,10 +13,6 @@ class TablePrinter {
 
   void add_row(std::vector<std::string> row);
 
-  /// Convenience: formats doubles with the given precision.
-  void add_row_numeric(const std::string& label,
-                       const std::vector<double>& values, int precision = 2);
-
   /// Renders the table with a header separator, columns padded to fit.
   [[nodiscard]] std::string render() const;
 

@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "common/assert.hpp"
-#include "common/env.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
@@ -153,11 +152,6 @@ FaultSpec FaultSpec::parse(std::string_view spec) {
   return out;
 }
 
-FaultSpec FaultSpec::from_env() {
-  warn_unknown_sel_env_once();
-  return parse(env::get_string("SEL_FAULT", std::string()));
-}
-
 std::string FaultSpec::to_string() const {
   const FaultSpec defaults;
   std::string out;
@@ -289,13 +283,6 @@ std::vector<std::uint32_t> FaultPlan::crashed_peers() const {
     if (crashed_[p]) out.push_back(static_cast<std::uint32_t>(p));
   }
   return out;
-}
-
-void FaultPlan::reset() {
-  std::fill(stalled_until_.begin(), stalled_until_.end(), 0.0);
-  std::fill(crashed_.begin(), crashed_.end(), false);
-  std::fill(receive_seq_.begin(), receive_seq_.end(), 0);
-  stats_ = Stats{};
 }
 
 std::uint32_t FaultPlan::failure_domain(std::uint32_t peer) const {

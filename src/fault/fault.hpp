@@ -72,9 +72,6 @@ struct FaultSpec {
   /// Unknown keys warn (SELECT_LOG) and are skipped.
   [[nodiscard]] static FaultSpec parse(std::string_view spec);
 
-  /// parse(SEL_FAULT); all-zero when the variable is unset.
-  [[nodiscard]] static FaultSpec from_env();
-
   /// Round-trippable canonical form (only non-default fields).
   [[nodiscard]] std::string to_string() const;
 };
@@ -168,13 +165,6 @@ class FaultPlan {
   /// replay time (always, for byzantine peers). Counts the withholding.
   [[nodiscard]] bool withholds_replay(std::uint32_t peer, std::uint64_t msg);
 
-  /// Clears the accumulated receiver state (stall windows, crash set,
-  /// per-peer draw sequence) and the local stats, restoring the plan to its
-  /// just-constructed draws, so a plan reused across engine runs draws
-  /// exactly as a freshly constructed one would; global fault.* counters
-  /// are untouched and keep accumulating across runs.
-  void reset();
-
   [[nodiscard]] const FaultSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
@@ -209,7 +199,7 @@ class FaultPlan {
   std::vector<bool> crashed_;
   /// Per-peer receive counter discriminating successive on_receive() draws.
   std::vector<std::uint64_t> receive_seq_;
-  std::vector<BurstEvent> bursts_;  ///< fixed at construction; reset() keeps
+  std::vector<BurstEvent> bursts_;  ///< fixed at construction
   Stats stats_;
 };
 

@@ -8,88 +8,6 @@
 
 namespace sel::graph {
 
-SocialGraph erdos_renyi(std::size_t n, double p, std::uint64_t seed) {
-  SEL_EXPECTS(p >= 0.0 && p <= 1.0);
-  GraphBuilder builder(n);
-  if (n < 2 || p <= 0.0) return builder.build();
-  Rng rng(seed);
-  if (p >= 1.0) {
-    for (NodeId u = 0; u < n; ++u) {
-      for (NodeId v = u + 1; v < n; ++v) builder.add_edge(u, v);
-    }
-    return builder.build();
-  }
-  // Geometric skipping over the n*(n-1)/2 potential edges (Batagelj–Brandes).
-  const double log1mp = std::log(1.0 - p);
-  std::size_t v = 1;
-  std::ptrdiff_t w = -1;
-  while (v < n) {
-    const double r = 1.0 - rng.uniform();  // (0, 1]
-    w += 1 + static_cast<std::ptrdiff_t>(std::floor(std::log(r) / log1mp));
-    while (w >= static_cast<std::ptrdiff_t>(v) && v < n) {
-      w -= static_cast<std::ptrdiff_t>(v);
-      ++v;
-    }
-    if (v < n) {
-      builder.add_edge(static_cast<NodeId>(w), static_cast<NodeId>(v));
-    }
-  }
-  return builder.build();
-}
-
-SocialGraph watts_strogatz(std::size_t n, std::size_t k, double beta,
-                           std::uint64_t seed) {
-  SEL_EXPECTS(k % 2 == 0);
-  SEL_EXPECTS(k < n);
-  SEL_EXPECTS(beta >= 0.0 && beta <= 1.0);
-  Rng rng(seed);
-  GraphBuilder builder(n);
-  // has_edge bookkeeping so rewiring avoids duplicates. FlatSet: the final
-  // per-node edge emission below iterates these sets, and that order must
-  // not depend on hash-table internals (same seed ⇒ same graph bytes).
-  std::vector<FlatSet<NodeId>> adj(n);
-  auto connect = [&adj](NodeId u, NodeId v) {
-    adj[u].insert(v);
-    adj[v].insert(u);
-  };
-  auto disconnect = [&adj](NodeId u, NodeId v) {
-    adj[u].erase(v);
-    adj[v].erase(u);
-  };
-  for (NodeId u = 0; u < n; ++u) {
-    for (std::size_t j = 1; j <= k / 2; ++j) {
-      connect(u, static_cast<NodeId>((u + j) % n));
-    }
-  }
-  for (NodeId u = 0; u < n; ++u) {
-    for (std::size_t j = 1; j <= k / 2; ++j) {
-      const auto v = static_cast<NodeId>((u + j) % n);
-      if (!adj[u].contains(v)) continue;  // already rewired away
-      if (!rng.chance(beta)) continue;
-      // Rewire (u, v) to (u, w) for a uniform w avoiding self-loop/dup.
-      NodeId w = u;
-      for (int attempts = 0; attempts < 64; ++attempts) {
-        w = static_cast<NodeId>(rng.below(n));
-        if (w != u && !adj[u].contains(w)) break;
-        w = u;
-      }
-      if (w == u) continue;  // node saturated; keep original edge
-      disconnect(u, v);
-      connect(u, w);
-    }
-  }
-  for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : adj[u]) {
-      if (u < v) builder.add_edge(u, v);
-    }
-  }
-  return builder.build();
-}
-
-SocialGraph barabasi_albert(std::size_t n, std::size_t m, std::uint64_t seed) {
-  return holme_kim(n, m, 0.0, seed);
-}
-
 SocialGraph holme_kim(std::size_t n, std::size_t m, double triad_p,
                       std::uint64_t seed) {
   SEL_EXPECTS(m >= 1);

@@ -4,8 +4,8 @@
 // Google Plus). Those files are not available offline, so we synthesize
 // graphs with matching structure: heavy-tailed degree distributions and high
 // clustering, via the Holme–Kim model (Barabási–Albert preferential
-// attachment with triad-closure steps). Plain BA, Watts–Strogatz and
-// Erdős–Rényi generators are provided for ablations and tests.
+// attachment with triad-closure steps; triad_p = 0 is plain BA). The
+// structure ablation's null model rewires a graph while keeping its degrees.
 #pragma once
 
 #include <cstddef>
@@ -14,21 +14,6 @@
 #include "graph/social_graph.hpp"
 
 namespace sel::graph {
-
-/// Erdős–Rényi G(n, p): each pair independently connected with probability p.
-/// O(n + m) expected time via geometric edge skipping.
-[[nodiscard]] SocialGraph erdos_renyi(std::size_t n, double p,
-                                      std::uint64_t seed);
-
-/// Watts–Strogatz small world: ring lattice with k neighbours per side... k
-/// must be even; each edge rewired with probability beta.
-[[nodiscard]] SocialGraph watts_strogatz(std::size_t n, std::size_t k,
-                                         double beta, std::uint64_t seed);
-
-/// Barabási–Albert preferential attachment: each new node attaches to m
-/// existing nodes chosen proportionally to degree.
-[[nodiscard]] SocialGraph barabasi_albert(std::size_t n, std::size_t m,
-                                          std::uint64_t seed);
 
 /// Holme–Kim powerlaw-cluster graph: BA attachment where each of the m links
 /// is followed, with probability triad_p, by a triad-closure link to a random

@@ -1,23 +1,11 @@
 #include "graph/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <queue>
+#include <vector>
 
 namespace sel::graph {
-
-std::vector<std::size_t> degree_sequence(const SocialGraph& g) {
-  std::vector<std::size_t> degrees(g.num_nodes());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) degrees[u] = g.degree(u);
-  return degrees;
-}
-
-std::vector<std::size_t> degree_distribution(const SocialGraph& g) {
-  std::vector<std::size_t> counts(g.max_degree() + 1, 0);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) ++counts[g.degree(u)];
-  return counts;
-}
 
 double clustering_coefficient(const SocialGraph& g, std::size_t samples,
                               std::uint64_t seed) {
@@ -51,23 +39,19 @@ double clustering_coefficient(const SocialGraph& g, std::size_t samples,
   return total / static_cast<double>(nodes.size());
 }
 
-namespace {
-
-/// BFS marking component ids; returns component sizes.
-std::vector<std::size_t> component_sizes(const SocialGraph& g) {
+std::size_t connected_components(const SocialGraph& g) {
   const std::size_t n = g.num_nodes();
   std::vector<bool> visited(n, false);
-  std::vector<std::size_t> sizes;
+  std::size_t components = 0;
   std::queue<NodeId> frontier;
   for (NodeId start = 0; start < n; ++start) {
     if (visited[start]) continue;
-    std::size_t size = 0;
+    ++components;
     visited[start] = true;
     frontier.push(start);
     while (!frontier.empty()) {
       const NodeId u = frontier.front();
       frontier.pop();
-      ++size;
       for (const NodeId v : g.neighbors(u)) {
         if (!visited[v]) {
           visited[v] = true;
@@ -75,21 +59,8 @@ std::vector<std::size_t> component_sizes(const SocialGraph& g) {
         }
       }
     }
-    sizes.push_back(size);
   }
-  return sizes;
-}
-
-}  // namespace
-
-std::size_t connected_components(const SocialGraph& g) {
-  return component_sizes(g).size();
-}
-
-std::size_t largest_component_size(const SocialGraph& g) {
-  const auto sizes = component_sizes(g);
-  if (sizes.empty()) return 0;
-  return *std::max_element(sizes.begin(), sizes.end());
+  return components;
 }
 
 double powerlaw_alpha(const SocialGraph& g, std::size_t d_min) {

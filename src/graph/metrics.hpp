@@ -1,20 +1,13 @@
 // Structural graph metrics used to validate the synthetic datasets against
-// Table II and to bucket peers by social degree (Fig. 4).
+// Table II.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "graph/social_graph.hpp"
 
 namespace sel::graph {
-
-/// Degree of every node.
-[[nodiscard]] std::vector<std::size_t> degree_sequence(const SocialGraph& g);
-
-/// counts[d] = number of nodes with degree d.
-[[nodiscard]] std::vector<std::size_t> degree_distribution(const SocialGraph& g);
 
 /// Average local clustering coefficient, estimated over `samples` random
 /// nodes (exact when samples >= num_nodes). Nodes with degree < 2 count as 0.
@@ -24,9 +17,6 @@ namespace sel::graph {
 
 /// Number of connected components (BFS).
 [[nodiscard]] std::size_t connected_components(const SocialGraph& g);
-
-/// Size of the largest connected component.
-[[nodiscard]] std::size_t largest_component_size(const SocialGraph& g);
 
 /// Fits the power-law exponent alpha of the degree distribution via the
 /// discrete MLE (Clauset et al.) over degrees >= d_min. Returns 0 when there

@@ -29,48 +29,16 @@ std::size_t TieStrengthIndex::common_neighbors(NodeId u, NodeId v) {
     return g_->common_neighbors(u, v);
   }
   const auto slot = static_cast<std::size_t>(it - nbrs.begin());
-  Row& row = rows_[a];
-  if (row.epoch.empty()) {
-    row.count.assign(nbrs.size(), 0);
-    row.epoch.assign(nbrs.size(), 0);
-  }
-  if (row.epoch[slot] == epoch_) {
+  std::vector<std::uint32_t>& row = rows_[a];
+  if (row.empty()) row.assign(nbrs.size(), kUnset);
+  if (row[slot] != kUnset) {
     ++stats_.hits;
-    return row.count[slot];
+    return row[slot];
   }
   ++stats_.misses;
   const std::size_t common = g_->common_neighbors(a, b);
-  row.count[slot] = static_cast<std::uint32_t>(common);
-  row.epoch[slot] = epoch_;
+  row[slot] = static_cast<std::uint32_t>(common);
   return common;
-}
-
-double TieStrengthIndex::social_strength(NodeId u, NodeId v) {
-  const std::size_t deg = g_->degree(u);
-  if (deg == 0) return 0.0;
-  return static_cast<double>(common_neighbors(u, v)) /
-         static_cast<double>(deg);
-}
-
-void TieStrengthIndex::invalidate() {
-  if (++epoch_ == 0) {
-    // 32-bit epoch wrapped (needs 2^32 invalidations): reset every stamp so
-    // no stale slot can collide with a recycled epoch value.
-    for (Row& row : rows_) {
-      std::fill(row.epoch.begin(), row.epoch.end(), 0u);
-    }
-    epoch_ = 1;
-  }
-}
-
-void TieStrengthIndex::invalidate_node(NodeId u) {
-  SEL_EXPECTS(u < g_->num_nodes());
-  clear_row(u);
-  for (const NodeId w : g_->neighbors(u)) clear_row(w);
-}
-
-void TieStrengthIndex::clear_row(NodeId a) {
-  std::fill(rows_[a].epoch.begin(), rows_[a].epoch.end(), 0u);
 }
 
 }  // namespace sel::graph

@@ -6,15 +6,14 @@
 // graph every query is a fresh linear merge of two adjacency lists — cheap
 // once, wasteful a hundred times. This index caches the merge result per
 // *edge*: one slot per (node, friend-index) pair, stored on the lower
-// endpoint so both query directions share it. Non-edges (e.g. ring
-// successors probed by the coherence analysis) fall through to a direct
-// merge each call — they carry no slot, and the protocol never repeats them
-// the way it repeats friend pairs.
+// endpoint so both query directions share it. Non-edges fall through to a
+// direct merge each call — they carry no slot, and the protocol never
+// repeats them the way it repeats friend pairs.
 //
-// Rows are allocated lazily (first query touching a node) and validity is
-// an epoch stamp per slot, so invalidate() is O(1) and invalidate_node()
-// touches only the affected rows. The index is NOT thread-safe: queries
-// mutate the cache. Use one instance per thread or guard externally.
+// Rows are allocated lazily (first query touching a node). The graph is
+// immutable, so a filled slot never goes stale and nothing invalidates it.
+// The index is NOT thread-safe: queries mutate the cache. Use one instance
+// per thread or guard externally.
 #pragma once
 
 #include <cstdint>
@@ -42,45 +41,24 @@ class TieStrengthIndex {
     }
   };
 
-  /// The graph must outlive the index. The graph is immutable, so cached
-  /// counts only go stale if *callers* decide their epoch is over (e.g. a
-  /// harness swapping workload semantics) — see invalidate().
+  /// The graph must outlive the index.
   explicit TieStrengthIndex(const SocialGraph& g);
 
   /// |N(u) ∩ N(v)|, memoized when {u, v} is an edge. u == v returns
   /// degree(u) without a merge (N(u) ∩ N(u) = N(u)).
   [[nodiscard]] std::size_t common_neighbors(NodeId u, NodeId v);
 
-  /// Social strength s(u,v) = |N(u) ∩ N(v)| / |N(u)| (paper Eq. 2 — note
-  /// the asymmetry: normalized by u's side). Zero when u has no friends.
-  [[nodiscard]] double social_strength(NodeId u, NodeId v);
-
-  /// Drops every cached count at once (epoch bump, O(1)).
-  void invalidate();
-
-  /// Drops every cached pair whose count could involve u: pairs with u as
-  /// an endpoint and pairs of two of u's neighbours (u is a candidate
-  /// common neighbour of exactly those). Clears row u and the rows of all
-  /// w ∈ N(u) — a superset of the affected pairs, never less.
-  void invalidate_node(NodeId u);
-
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const SocialGraph& graph() const noexcept { return *g_; }
 
  private:
-  /// Cache row of node a: slot i memoizes common_neighbors(a, N(a)[i]).
-  /// Vectors stay empty until the row is first written (lazily sized to
-  /// degree(a)); a slot is valid iff its stamp equals the current epoch.
-  struct Row {
-    std::vector<std::uint32_t> count;
-    std::vector<std::uint32_t> epoch;
-  };
-
-  void clear_row(NodeId a);
+  /// Marks a slot that has not been filled yet; a real count is below
+  /// num_nodes(), which NodeId keeps under 2^32 - 1.
+  static constexpr std::uint32_t kUnset = 0xFFFF'FFFFu;
 
   const SocialGraph* g_;
-  std::vector<Row> rows_;
-  std::uint32_t epoch_ = 1;  ///< 0 is reserved: "slot never written"
+  /// rows_[a][i] memoizes common_neighbors(a, N(a)[i]). A row stays empty
+  /// until its node is first queried, then holds degree(a) slots.
+  std::vector<std::vector<std::uint32_t>> rows_;
   Stats stats_;
 };
 

@@ -1,8 +1,5 @@
 #include "net/id_space.hpp"
 
-#include <numbers>
-#include <vector>
-
 namespace sel::net {
 
 double ring_distance(OverlayId a, OverlayId b) noexcept {
@@ -25,33 +22,8 @@ OverlayId ring_midpoint(OverlayId a, OverlayId b) noexcept {
   return advance(b, (1.0 - cw) / 2.0);
 }
 
-OverlayId circular_mean(const std::vector<OverlayId>& ids,
-                        OverlayId fallback) noexcept {
-  if (ids.empty()) return fallback;
-  double sx = 0.0;
-  double sy = 0.0;
-  for (const OverlayId id : ids) {
-    const double theta = 2.0 * std::numbers::pi * id.value();
-    sx += std::cos(theta);
-    sy += std::sin(theta);
-  }
-  // Degenerate (vectors cancel): no meaningful mean direction.
-  if (sx * sx + sy * sy < 1e-12) return fallback;
-  double angle = std::atan2(sy, sx) / (2.0 * std::numbers::pi);
-  if (angle < 0.0) angle += 1.0;
-  return OverlayId(angle);
-}
-
 OverlayId advance(OverlayId id, double offset) noexcept {
   return OverlayId(id.value() + offset);
-}
-
-OverlayId near(OverlayId anchor, std::uint64_t key, double epsilon) noexcept {
-  // Deterministic offset in (-epsilon, +epsilon) \ {0} derived from the key.
-  const double unit =
-      static_cast<double>(splitmix64(key) >> 11) * 0x1.0p-53;  // [0,1)
-  const double offset = (unit * 2.0 - 1.0) * epsilon;
-  return advance(anchor, offset == 0.0 ? epsilon / 2.0 : offset);
 }
 
 }  // namespace sel::net

@@ -3,13 +3,14 @@
 // Identifiers live on the unit ring. SELECT's whole contribution rests on
 // *mutable* identifiers, so OverlayId is a value type with the ring geometry
 // the algorithms need: shortest-arc distance, clockwise distance, and the
-// shorter-arc midpoint used by identifier reassignment (Alg. 2).
+// shorter-arc midpoint used by identifier reassignment (Alg. 2). Projection
+// (Alg. 1) places an invited peer at the midpoint of its inviter's clockwise
+// gap (SelectSystem::join_all), not at a fixed offset from the inviter.
 #pragma once
 
 #include <cmath>
 #include <compare>
 #include <cstdint>
-#include <vector>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -56,18 +57,7 @@ class OverlayId {
 /// antipodal the clockwise midpoint from a is returned.
 [[nodiscard]] OverlayId ring_midpoint(OverlayId a, OverlayId b) noexcept;
 
-/// Circular mean of a set of positions (used by the centroid-of-all-friends
-/// ablation). Returns fallback when the positions cancel out.
-[[nodiscard]] OverlayId circular_mean(const std::vector<OverlayId>& ids,
-                                      OverlayId fallback) noexcept;
-
 /// Moves `id` by a signed offset along the ring.
 [[nodiscard]] OverlayId advance(OverlayId id, double offset) noexcept;
-
-/// An id adjacent to `anchor` (within +/- epsilon), deterministically derived
-/// from `key`. Used by invitation-based projection (Alg. 1): the invited
-/// peer is placed right next to its inviter.
-[[nodiscard]] OverlayId near(OverlayId anchor, std::uint64_t key,
-                             double epsilon = 1e-4) noexcept;
 
 }  // namespace sel::net

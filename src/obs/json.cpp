@@ -1,9 +1,7 @@
 #include "obs/json.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace sel::obs::json {
@@ -65,11 +63,6 @@ std::string escape(std::string_view s) {
 
 // -- accessors ---------------------------------------------------------------
 
-bool Value::as_bool() const {
-  if (type_ != Type::kBool) type_error("bool", type_);
-  return bool_;
-}
-
 double Value::as_double() const {
   if (type_ != Type::kNumber) type_error("number", type_);
   return num_;
@@ -91,18 +84,6 @@ const Value::Array& Value::as_array() const {
 }
 
 const Value::Object& Value::as_object() const {
-  if (type_ != Type::kObject) type_error("object", type_);
-  return obj_;
-}
-
-Value::Array& Value::array() {
-  if (type_ == Type::kNull) type_ = Type::kArray;
-  if (type_ != Type::kArray) type_error("array", type_);
-  return arr_;
-}
-
-Value::Object& Value::object() {
-  if (type_ == Type::kNull) type_ = Type::kObject;
   if (type_ != Type::kObject) type_error("object", type_);
   return obj_;
 }
@@ -184,212 +165,6 @@ std::string Value::dump(int indent) const {
   std::string out;
   dump_to(out, indent, 0);
   return out;
-}
-
-// -- parser ------------------------------------------------------------------
-
-namespace {
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Value parse_document() {
-    Value v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("json parse error at byte " +
-                             std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  Value parse_value() {
-    skip_ws();
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Value(parse_string());
-      case 't':
-        if (consume_literal("true")) return Value(true);
-        fail("invalid literal");
-      case 'f':
-        if (consume_literal("false")) return Value(false);
-        fail("invalid literal");
-      case 'n':
-        if (consume_literal("null")) return Value(nullptr);
-        fail("invalid literal");
-      default: return parse_number();
-    }
-  }
-
-  Value parse_object() {
-    expect('{');
-    Value::Object obj;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return Value(std::move(obj));
-    }
-    for (;;) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      obj.emplace(std::move(key), parse_value());
-      skip_ws();
-      const char c = peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
-      }
-      if (c == '}') {
-        ++pos_;
-        return Value(std::move(obj));
-      }
-      fail("expected ',' or '}' in object");
-    }
-  }
-
-  Value parse_array() {
-    expect('[');
-    Value::Array arr;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return Value(std::move(arr));
-    }
-    for (;;) {
-      arr.push_back(parse_value());
-      skip_ws();
-      const char c = peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
-      }
-      if (c == ']') {
-        ++pos_;
-        return Value(std::move(arr));
-      }
-      fail("expected ',' or ']' in array");
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("invalid hex digit in \\u escape");
-            }
-          }
-          // UTF-8 encode the BMP code point (surrogate pairs unsupported —
-          // reports only emit ASCII and pass-through UTF-8 bytes).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default: fail("invalid escape character");
-      }
-    }
-  }
-
-  Value parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("invalid value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double d = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') fail("invalid number");
-    return Value(d);
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-Value Value::parse(std::string_view text) {
-  return Parser(text).parse_document();
 }
 
 }  // namespace sel::obs::json

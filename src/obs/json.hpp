@@ -1,8 +1,9 @@
-// Minimal JSON value + writer + recursive-descent parser, enough for run
-// reports and their tooling round-trip (no external dependency available in
-// the build image). Numbers are stored as double; integral values within the
-// exact-double range serialize without a fractional part, so int64 counters
-// round-trip unchanged.
+// Minimal JSON value and writer for run reports and Perfetto traces (no
+// external dependency is available in the build image). The documents are
+// read back only by Python: scripts/compare_reports.py, scripts/trace_report.py
+// and the golden gate. Numbers are stored as double; integral values within
+// the exact-double range serialize without a fractional part, so int64
+// counters load unchanged.
 #pragma once
 
 #include <cstdint>
@@ -52,28 +53,18 @@ class Value {
   }
 
   /// Typed accessors; throw std::runtime_error on type mismatch.
-  [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_double() const;
   [[nodiscard]] std::int64_t as_int64() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;
   [[nodiscard]] const Object& as_object() const;
 
-  /// Mutable containers (converts a null value in place, like nlohmann).
-  Array& array();
-  Object& object();
-
   /// Object field access; throws when absent or not an object.
   [[nodiscard]] const Value& at(std::string_view key) const;
   [[nodiscard]] bool contains(std::string_view key) const noexcept;
-  Value& operator[](std::string_view key) { return object()[std::string(key)]; }
 
   /// Serializes; indent < 0 → compact, otherwise pretty-printed.
   [[nodiscard]] std::string dump(int indent = -1) const;
-
-  /// Parses a complete JSON document (throws std::runtime_error with the
-  /// byte offset on malformed input; trailing garbage is an error).
-  [[nodiscard]] static Value parse(std::string_view text);
 
   bool operator==(const Value& other) const = default;
 

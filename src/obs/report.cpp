@@ -5,6 +5,9 @@
 
 namespace sel::obs {
 
+namespace {
+
+/// The `metrics` section of a RunReport.
 json::Value snapshot_to_json(const Snapshot& snap) {
   json::Value::Object counters;
   for (const auto& c : snap.counters) {
@@ -44,35 +47,7 @@ json::Value snapshot_to_json(const Snapshot& snap) {
   return json::Value(std::move(out));
 }
 
-Snapshot snapshot_from_json(const json::Value& v) {
-  Snapshot snap;
-  for (const auto& [name, val] : v.at("counters").as_object()) {
-    snap.counters.push_back({name, val.as_int64()});
-  }
-  for (const auto& [name, val] : v.at("gauges").as_object()) {
-    snap.gauges.push_back({name, val.as_double()});
-  }
-  for (const auto& [name, val] : v.at("histograms").as_object()) {
-    HistogramSnapshot h;
-    h.name = name;
-    for (const auto& b : val.at("bounds").as_array()) {
-      h.bounds.push_back(b.as_double());
-    }
-    for (const auto& c : val.at("counts").as_array()) {
-      h.counts.push_back(c.as_int64());
-    }
-    h.count = val.at("count").as_int64();
-    h.sum = val.at("sum").as_double();
-    h.min = val.at("min").as_double();
-    h.max = val.at("max").as_double();
-    snap.histograms.push_back(std::move(h));
-  }
-  for (const auto& [name, val] : v.at("spans").as_object()) {
-    snap.spans.push_back(
-        {name, val.at("count").as_int64(), val.at("total_ns").as_int64()});
-  }
-  return snap;
-}
+}  // namespace
 
 json::Value RunReport::to_json() const {
   json::Value::Object out;
@@ -99,36 +74,6 @@ json::Value RunReport::to_json() const {
   for (const auto& [k, v] : memory) mem.emplace(k, json::Value(v));
   out.emplace("memory", std::move(mem));
   return json::Value(std::move(out));
-}
-
-RunReport RunReport::from_json(const json::Value& v) {
-  RunReport rep;
-  rep.experiment = v.at("experiment").as_string();
-  rep.git_describe = v.at("git_describe").as_string();
-  for (const auto& [k, val] : v.at("metadata").as_object()) {
-    rep.metadata.emplace(k, val.as_string());
-  }
-  rep.snapshot = snapshot_from_json(v.at("metrics"));
-  // Optional since schema v2 — v1 reports stay readable.
-  if (v.contains("timeseries")) {
-    for (const auto& p : v.at("timeseries").as_array()) {
-      TimeSeriesPoint point;
-      point.label = p.at("label").as_string();
-      point.round = static_cast<std::uint64_t>(p.at("round").as_int64());
-      point.ts_us = p.at("ts_us").as_int64();
-      for (const auto& [k, val] : p.at("values").as_object()) {
-        point.values.emplace(k, val.as_double());
-      }
-      rep.timeseries.push_back(std::move(point));
-    }
-  }
-  // Optional since schema v3 — v1/v2 reports stay readable.
-  if (v.contains("memory")) {
-    for (const auto& [k, val] : v.at("memory").as_object()) {
-      rep.memory.emplace(k, val.as_double());
-    }
-  }
-  return rep;
 }
 
 bool RunReport::write(const std::string& path) const {

@@ -19,9 +19,8 @@ struct RunReport {
   /// Schema version for tooling; bump when the layout changes.
   /// v2: adds the `timeseries` section (per-round counter deltas + gauges
   /// from obs/sampler.hpp). v3: adds the `memory` section (flat mem.*
-  /// values from obs/memory.hpp). Both optional on parse, so older
-  /// reports stay readable. v4: drops `metrics.rounds`; a round's compute
-  /// and deliver times live in its `timeseries` point.
+  /// values from obs/memory.hpp). v4: drops `metrics.rounds`; a round's
+  /// compute and deliver times live in its `timeseries` point.
   static constexpr int kSchemaVersion = 4;
 
   std::string experiment;  ///< e.g. "figure_sweep"
@@ -38,17 +37,12 @@ struct RunReport {
   std::map<std::string, double> memory;
 
   [[nodiscard]] json::Value to_json() const;
-  [[nodiscard]] static RunReport from_json(const json::Value& v);
 
   /// Serializes to `path` (pretty-printed). Returns false when the file
   /// could not be opened (read-only working dir) — callers degrade like
   /// CsvWriter does.
   bool write(const std::string& path) const;
 };
-
-/// Metrics snapshot <-> JSON: the `metrics` section of a RunReport.
-[[nodiscard]] json::Value snapshot_to_json(const Snapshot& snap);
-[[nodiscard]] Snapshot snapshot_from_json(const json::Value& v);
 
 /// `git describe --always --dirty` for the current working tree, cached for
 /// the process. "unknown" when git or the repo is unavailable.

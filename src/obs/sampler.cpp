@@ -89,11 +89,6 @@ std::vector<TimeSeriesPoint> RoundSampler::snapshot() const {
   return out;
 }
 
-std::uint64_t RoundSampler::rounds_to_stable_ids() const {
-  std::lock_guard lock(mu_);
-  return stable_after_;
-}
-
 void RoundSampler::reset() {
   std::lock_guard lock(mu_);
   prev_counters_.clear();

@@ -60,12 +60,6 @@ class RoundSampler {
   /// The stored points, rebuilt with their names and labels.
   [[nodiscard]] std::vector<TimeSeriesPoint> snapshot() const;
 
-  /// Rounds until id movement stayed below epsilon: 0 when every sampled
-  /// round was already stable, N when round N-1 (0-based sample index) was
-  /// the last unstable one. Also published as the registry gauge
-  /// `select.rounds_to_stable_ids`.
-  [[nodiscard]] std::uint64_t rounds_to_stable_ids() const;
-
   /// Clears the series and the delta baseline.
   void reset();
 

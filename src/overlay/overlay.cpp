@@ -112,16 +112,6 @@ bool RingSubstrate::remove_long_link(PeerId from, PeerId to) {
   return true;
 }
 
-void RingSubstrate::clear_long_links(PeerId p) {
-  // Copy: remove_long_link mutates the vectors we iterate.
-  const std::vector<PeerId> outs(peer(p).out_links.begin(),
-                                 peer(p).out_links.end());
-  for (const PeerId to : outs) remove_long_link(p, to);
-  const std::vector<PeerId> ins(peer(p).in_links.begin(),
-                                peer(p).in_links.end());
-  for (const PeerId from : ins) remove_long_link(from, p);
-}
-
 bool RingSubstrate::linked(PeerId a, PeerId b) const {
   const auto& pa = peer(a);
   if (std::find(pa.out_links.begin(), pa.out_links.end(), b) !=

@@ -123,8 +123,6 @@ class RingSubstrate {
   /// link already exists, is a self-loop, or either end has not joined.
   bool add_long_link(PeerId from, PeerId to);
   bool remove_long_link(PeerId from, PeerId to);
-  /// Drops every long link incident to p (both directions).
-  void clear_long_links(PeerId p);
 
   [[nodiscard]] std::span<const PeerId> out_links(PeerId p) const {
     return peer(p).out_links;
@@ -203,7 +201,7 @@ class RingSubstrate {
 
  private:
   // Test backdoor: check_invariants_test seeds violations the public API
-  // refuses to create (see check/corrupt.hpp).
+  // refuses to create (its Corruptor).
   friend struct ::sel::check::testing::Corruptor;
 
   /// Per-peer link vectors are attributed to `mem.overlay`

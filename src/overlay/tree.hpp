@@ -154,7 +154,8 @@ class DisseminationTree {
   }
 
  private:
-  // Test backdoor for seeding invariant violations (check/corrupt.hpp).
+  // Test backdoor for seeding invariant violations (Corruptor in
+  // tests/check_invariants_test.cpp).
   friend struct ::sel::check::testing::Corruptor;
 
   /// Per-position structure. The sibling chain runs first_child ->

@@ -425,12 +425,6 @@ double SelectSystem::picker_score(const lsh::LshIndex::Entry& e) const {
   return s;
 }
 
-PeerId SelectSystem::pick_from_bucket(
-    const std::vector<lsh::LshIndex::Entry>& bucket) const {
-  SEL_EXPECTS(!bucket.empty());
-  return rank_bucket(bucket).front();
-}
-
 bool SelectSystem::try_connect(PeerId p, PeerId u) {
   if (p == u || overlay_.linked(p, u)) return false;
   if (!overlay_.joined(p) || !overlay_.joined(u)) return false;

@@ -173,10 +173,6 @@ class SelectSystem final : public overlay::RingOverlay {
   /// when params.centrality_weight > 0 (Kourtellis variant).
   [[nodiscard]] double picker_score(const lsh::LshIndex::Entry& e) const;
 
-  /// Alg. 6 picker over bucket candidates (already filtered to usable).
-  [[nodiscard]] overlay::PeerId pick_from_bucket(
-      const std::vector<lsh::LshIndex::Entry>& bucket) const;
-
   /// Full picker ordering of a bucket (best first, Alg. 6 semantics).
   [[nodiscard]] std::vector<overlay::PeerId> rank_bucket(
       const std::vector<lsh::LshIndex::Entry>& bucket) const;

@@ -78,10 +78,4 @@ std::vector<JoinEvent> growth_schedule(const graph::SocialGraph& g,
   return schedule;
 }
 
-std::size_t schedule_steps(const std::vector<JoinEvent>& schedule) {
-  std::size_t max_step = 0;
-  for (const auto& e : schedule) max_step = std::max(max_step, e.step);
-  return schedule.empty() ? 0 : max_step + 1;
-}
-
 }  // namespace sel::sim

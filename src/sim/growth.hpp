@@ -44,7 +44,4 @@ struct GrowthParams {
                                                      const GrowthParams& params,
                                                      std::uint64_t seed);
 
-/// Number of growth steps in a schedule (max step + 1; 0 when empty).
-[[nodiscard]] std::size_t schedule_steps(const std::vector<JoinEvent>& schedule);
-
 }  // namespace sel::sim

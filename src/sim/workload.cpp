@@ -73,12 +73,4 @@ std::vector<graph::NodeId> PublicationWorkload::sample_publishers(
   return out;
 }
 
-std::size_t PublicationWorkload::num_publishers() const noexcept {
-  std::size_t count = 0;
-  for (const double r : rates_) {
-    if (r > 0.0) ++count;
-  }
-  return count;
-}
-
 }  // namespace sel::sim

@@ -43,7 +43,6 @@ class PublicationWorkload {
   [[nodiscard]] double rate_per_s(graph::NodeId user) const {
     return rates_[user];
   }
-  [[nodiscard]] std::size_t num_publishers() const noexcept;
 
  private:
   std::vector<double> rates_;  ///< posts per second per user

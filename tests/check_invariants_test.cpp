@@ -1,7 +1,7 @@
 // Tests for the SEL_CHECK invariant-checker layer (src/check/).
 //
 // Structure: every validator first passes on a healthy structure, then
-// detects a violation seeded through check/corrupt.hpp (the production API
+// detects a violation seeded through Corruptor below (the production API
 // cannot create one). Off-mode tests pin the contract that SEL_CHECK=off
 // adds no counters or validation work on wired call sites, and the
 // full-level integration tests run each wired layer end-to-end.
@@ -9,14 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <numeric>
 #include <vector>
 
-#include "check/corrupt.hpp"
 #include "check/overlay_checks.hpp"
 #include "check/protocol_checks.hpp"
 #include "check/tree_checks.hpp"
+#include "common/assert.hpp"
 #include "graph/profiles.hpp"
 #include "lsh/lsh.hpp"
 #include "net/network_model.hpp"
@@ -25,6 +26,83 @@
 #include "overlay/tree.hpp"
 #include "pubsub/engine.hpp"
 #include "select/protocol.hpp"
+
+// Seeded corruption of overlay and tree structures. The production API is
+// deliberately unable to create a violation (add_long_link keeps both
+// tables in step, DisseminationTree::add_child refuses duplicates), so
+// Corruptor is a friend of the two structures and breaks them on purpose.
+namespace sel::check::testing {
+
+struct Corruptor {
+  /// Seeds an asymmetric routing link: removes `from` from to's in_links
+  /// while leaving from's out_link in place.
+  static void drop_in_link(overlay::RingSubstrate& ov, overlay::PeerId from,
+                           overlay::PeerId to) {
+    auto& ins = ov.peer(to).in_links;
+    ins.erase(std::remove(ins.begin(), ins.end(), from), ins.end());
+  }
+
+  /// Corrupts the ring by rewiring p's successor pointer.
+  static void set_successor(overlay::RingSubstrate& ov, overlay::PeerId p,
+                            overlay::PeerId succ) {
+    ov.peer(p).succ = succ;
+  }
+
+  /// Seeds a duplicate delivery: appends `child` to parent's child list and
+  /// the delivery order again, as a buggy tree merge would. The index keeps
+  /// the child's first position.
+  static void add_duplicate_child(overlay::DisseminationTree& tree,
+                                  overlay::PeerId parent,
+                                  overlay::PeerId child) {
+    const auto up = tree.position(parent);
+    const auto first = tree.position(child);
+    SEL_EXPECTS(up != overlay::DisseminationTree::kNoPos &&
+                first != overlay::DisseminationTree::kNoPos);
+    tree.attach(up, child);
+  }
+
+  /// Seeds a parent-chain cycle between two non-root nodes.
+  static void make_cycle(overlay::DisseminationTree& tree, overlay::PeerId a,
+                         overlay::PeerId b) {
+    const auto pa = tree.position(a);
+    const auto pb = tree.position(b);
+    tree.links_[pa].parent = pb;
+    tree.links_[pb].parent = pa;
+  }
+
+  /// Moves `node` under `new_parent`, keeping parent and children tables
+  /// mutually consistent — the corruption a naive tree-repair pass would
+  /// produce. Reparenting a node onto one of its own descendants yields a
+  /// cycle that only the bounded root-walk can see.
+  static void reparent(overlay::DisseminationTree& tree, overlay::PeerId node,
+                       overlay::PeerId new_parent) {
+    using Pos = overlay::DisseminationTree::Pos;
+    constexpr Pos kNoPos = overlay::DisseminationTree::kNoPos;
+    auto& links = tree.links_;
+    const Pos pos = tree.position(node);
+    const Pos up = tree.position(new_parent);
+    // Unlink from the old parent's sibling chain.
+    auto& old = links[links[pos].parent];
+    Pos prev = kNoPos;
+    for (Pos c = old.first_child; c != pos; c = links[c].next_sibling) {
+      prev = c;
+    }
+    (prev == kNoPos ? old.first_child : links[prev].next_sibling) =
+        links[pos].next_sibling;
+    if (old.last_child == pos) old.last_child = prev;
+    --old.child_count;
+    // Append to the new parent's chain.
+    links[pos].parent = up;
+    links[pos].next_sibling = kNoPos;
+    auto& fresh = links[up];
+    (fresh.first_child == kNoPos ? fresh.first_child
+                                 : links[fresh.last_child].next_sibling) = pos;
+    fresh.last_child = pos;
+    ++fresh.child_count;
+  }
+};
+
+}  // namespace sel::check::testing
 
 namespace sel::check {
 namespace {

@@ -71,23 +71,9 @@ TEST(DynamicBitset, IntersectionAndUnionCounts) {
   b.set(3);
   b.set(4);
   EXPECT_EQ(a.intersection_count(b), 1u);
-  EXPECT_EQ(a.union_count(b), 4u);
-}
-
-TEST(DynamicBitset, JaccardSimilarity) {
-  DynamicBitset a(8);
-  DynamicBitset b(8);
-  a.set(0);
-  a.set(1);
-  b.set(1);
-  b.set(2);
-  EXPECT_DOUBLE_EQ(a.jaccard(b), 1.0 / 3.0);
-}
-
-TEST(DynamicBitset, JaccardOfEmptySetsIsOne) {
-  DynamicBitset a(8);
-  DynamicBitset b(8);
-  EXPECT_DOUBLE_EQ(a.jaccard(b), 1.0);
+  auto u = a;
+  u |= b;
+  EXPECT_EQ(u.count(), 4u);
 }
 
 TEST(DynamicBitset, BitwiseOps) {
@@ -100,15 +86,9 @@ TEST(DynamicBitset, BitwiseOps) {
   auto c = a;
   c |= b;
   EXPECT_EQ(c.count(), 3u);
-  auto d = a;
-  d &= b;
-  EXPECT_EQ(d.count(), 1u);
-  EXPECT_TRUE(d.test(1));
-  auto e = a;
-  e ^= b;
-  EXPECT_EQ(e.count(), 2u);
-  EXPECT_TRUE(e.test(0));
-  EXPECT_TRUE(e.test(2));
+  EXPECT_TRUE(c.test(0));
+  EXPECT_TRUE(c.test(1));
+  EXPECT_TRUE(c.test(2));
 }
 
 TEST(DynamicBitset, EqualityComparesContent) {
@@ -142,18 +122,10 @@ TEST(DynamicBitset, ResizeShrinkTrimsTrailingBits) {
   EXPECT_FALSE(b.test(100));  // does not resurrect
 }
 
-TEST(DynamicBitset, ToStringRendering) {
-  DynamicBitset b(5);
-  b.set(0);
-  b.set(4);
-  EXPECT_EQ(b.to_string(), "10001");
-}
-
 TEST(DynamicBitset, EmptyBitset) {
   DynamicBitset b;
   EXPECT_TRUE(b.empty());
   EXPECT_EQ(b.count(), 0u);
-  EXPECT_EQ(b.to_string(), "");
 }
 
 // Property sweep over sizes including word boundaries.

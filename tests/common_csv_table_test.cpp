@@ -75,14 +75,6 @@ TEST(TablePrinter, RendersAlignedColumns) {
   EXPECT_NE(out.find("---"), std::string::npos);
 }
 
-TEST(TablePrinter, NumericRowFormatsPrecision) {
-  TablePrinter t({"label", "a", "b"});
-  t.add_row_numeric("x", {1.23456, 2.0}, 2);
-  const std::string out = t.render();
-  EXPECT_NE(out.find("1.23"), std::string::npos);
-  EXPECT_NE(out.find("2.00"), std::string::npos);
-}
-
 TEST(Fmt, FormatsWithPrecision) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt(2.0, 0), "2");

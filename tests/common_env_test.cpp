@@ -22,7 +22,7 @@ bool flagged_unknown(const std::string& name) {
 
 TEST(EnvKnobs, RegistryCoversTheRuntimeSurface) {
   for (const char* name :
-       {"SEL_OBS", "SEL_CHECK", "SEL_TRACE_SAMPLE", "SEL_FAULT", "SEL_MAILBOX",
+       {"SEL_OBS", "SEL_CHECK", "SEL_TRACE_SAMPLE", "SEL_FAULT",
         "SEL_MEM_BUDGET", "SELECT_BENCH_SCALE", "SELECT_TRIALS"}) {
     EXPECT_TRUE(knob_registered(name)) << name << " missing from env_knobs()";
   }
@@ -36,12 +36,14 @@ TEST(EnvKnobs, RegistryCoversTheRuntimeSurface) {
 
 TEST(EnvKnobs, UnknownSelVariableIsReported) {
   // The classic typo, plus retired knobs: the runtime ones (one
-  // event-driven in-process runtime is left) and the retry, memory-profile
-  // and stability-threshold ones that nothing set. A stale script setting
-  // them gets the unknown-knob warning instead of silence.
+  // event-driven in-process runtime is left), the retry, memory-profile
+  // and stability-threshold ones that nothing set, and the mailbox switch
+  // (bench_chaos --adversarial prints the mailbox-off row itself). A stale
+  // script setting them gets the unknown-knob warning instead of silence.
   for (const char* name :
        {"SEL_FUALT", "SEL_RUNTIME", "SEL_TRANSPORT", "SEL_RUNTIME_ROUND_S",
-        "SEL_SHARDS", "SEL_RETRY_MAX", "SEL_MEM_PROFILE", "SEL_STABLE_EPS"}) {
+        "SEL_SHARDS", "SEL_RETRY_MAX", "SEL_MEM_PROFILE", "SEL_STABLE_EPS",
+        "SEL_MAILBOX"}) {
     ASSERT_EQ(setenv(name, "1", 1), 0);
     EXPECT_TRUE(flagged_unknown(name)) << name;
     ASSERT_EQ(unsetenv(name), 0);

@@ -39,29 +39,6 @@ TEST(Histogram, BinGeometry) {
   EXPECT_DOUBLE_EQ(h.bin_width(), 2.0);
   EXPECT_DOUBLE_EQ(h.bin_lo(0), 2.0);
   EXPECT_DOUBLE_EQ(h.bin_lo(4), 10.0);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 3.0);
-}
-
-TEST(Histogram, FractionNormalizes) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.1);
-  h.add(0.2);
-  h.add(0.7);
-  EXPECT_NEAR(h.fraction(0), 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(h.fraction(1), 1.0 / 3.0, 1e-12);
-}
-
-TEST(Histogram, FractionOfEmptyIsZero) {
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.0);
-}
-
-TEST(Histogram, ModeBin) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(0.6);
-  h.add(0.6);
-  h.add(0.1);
-  EXPECT_EQ(h.mode_bin(), 2u);
 }
 
 TEST(Histogram, ClumpinessZeroForUniform) {

@@ -35,36 +35,6 @@ TEST(RunningStats, SingleValue) {
   EXPECT_DOUBLE_EQ(s.max(), 3.5);
 }
 
-TEST(RunningStats, MergeEqualsSequential) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i) * 10.0;
-    (i % 2 == 0 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(3.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
 TEST(RunningStats, Ci95ShrinksWithSamples) {
   RunningStats small;
   RunningStats large;
@@ -78,68 +48,6 @@ TEST(RunningStats, Ci95NormalApproxForLargeN) {
   for (int i = 0; i < 100; ++i) s.add(i % 2);  // stddev ~0.5
   const double expected = 1.96 * s.stddev() / std::sqrt(100.0);
   EXPECT_NEAR(s.ci95_halfwidth(), expected, 1e-12);
-}
-
-TEST(SampleSet, EmptyDefaults) {
-  SampleSet s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 0.0);
-  EXPECT_DOUBLE_EQ(s.max(), 0.0);
-}
-
-TEST(SampleSet, MeanAndStddev) {
-  SampleSet s;
-  for (const double x : {1.0, 2.0, 3.0, 4.0, 5.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(2.5), 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-}
-
-TEST(SampleSet, QuantilesExact) {
-  SampleSet s;
-  for (int i = 0; i <= 100; ++i) s.add(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(s.quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.5), 50.0);
-  EXPECT_DOUBLE_EQ(s.quantile(1.0), 100.0);
-  EXPECT_DOUBLE_EQ(s.median(), 50.0);
-}
-
-TEST(SampleSet, QuantileInterpolates) {
-  SampleSet s;
-  s.add(0.0);
-  s.add(10.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.25), 2.5);
-  EXPECT_DOUBLE_EQ(s.quantile(0.75), 7.5);
-}
-
-TEST(SampleSet, QuantileAfterMoreInserts) {
-  SampleSet s;
-  s.add(5.0);
-  EXPECT_DOUBLE_EQ(s.median(), 5.0);  // triggers sort
-  s.add(1.0);
-  s.add(9.0);
-  EXPECT_DOUBLE_EQ(s.median(), 5.0);  // re-sorts lazily
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-}
-
-TEST(SampleSet, MergeCombinesSamples) {
-  SampleSet a;
-  SampleSet b;
-  a.add(1.0);
-  b.add(3.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-}
-
-TEST(SampleSet, ClearResets) {
-  SampleSet s;
-  s.add(1.0);
-  s.clear();
-  EXPECT_TRUE(s.empty());
 }
 
 }  // namespace

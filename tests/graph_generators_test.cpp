@@ -8,68 +8,11 @@
 namespace sel::graph {
 namespace {
 
-TEST(ErdosRenyi, EdgeCountMatchesExpectation) {
-  const std::size_t n = 2000;
-  const double p = 0.01;
-  const SocialGraph g = erdos_renyi(n, p, 1);
-  const double expected = p * n * (n - 1) / 2.0;
-  EXPECT_NEAR(static_cast<double>(g.num_edges()), expected, expected * 0.1);
-}
-
-TEST(ErdosRenyi, ZeroProbabilityGivesNoEdges) {
-  EXPECT_EQ(erdos_renyi(100, 0.0, 1).num_edges(), 0u);
-}
-
-TEST(ErdosRenyi, FullProbabilityGivesCompleteGraph) {
-  const SocialGraph g = erdos_renyi(20, 1.0, 1);
-  EXPECT_EQ(g.num_edges(), 20u * 19 / 2);
-}
-
-TEST(ErdosRenyi, Deterministic) {
-  const SocialGraph a = erdos_renyi(500, 0.02, 7);
-  const SocialGraph b = erdos_renyi(500, 0.02, 7);
-  EXPECT_EQ(a.num_edges(), b.num_edges());
-  for (NodeId u = 0; u < 500; ++u) EXPECT_EQ(a.degree(u), b.degree(u));
-}
-
-TEST(ErdosRenyi, DifferentSeedsDiffer) {
-  const SocialGraph a = erdos_renyi(500, 0.02, 1);
-  const SocialGraph b = erdos_renyi(500, 0.02, 2);
-  bool any_diff = false;
-  for (NodeId u = 0; u < 500 && !any_diff; ++u) {
-    any_diff = a.degree(u) != b.degree(u);
-  }
-  EXPECT_TRUE(any_diff);
-}
-
-TEST(WattsStrogatz, ZeroBetaIsRingLattice) {
-  const SocialGraph g = watts_strogatz(100, 4, 0.0, 1);
-  for (NodeId u = 0; u < 100; ++u) EXPECT_EQ(g.degree(u), 4u);
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_TRUE(g.has_edge(0, 2));
-  EXPECT_TRUE(g.has_edge(0, 99));
-  EXPECT_TRUE(g.has_edge(0, 98));
-  EXPECT_FALSE(g.has_edge(0, 50));
-}
-
-TEST(WattsStrogatz, RewiringPreservesEdgeCount) {
-  const SocialGraph g = watts_strogatz(200, 6, 0.3, 5);
-  EXPECT_EQ(g.num_edges(), 200u * 3);
-}
-
-TEST(WattsStrogatz, HighBetaLowersClustering) {
-  const double c_low = clustering_coefficient(watts_strogatz(500, 8, 0.0, 3),
-                                              500, 1);
-  const double c_high = clustering_coefficient(watts_strogatz(500, 8, 0.9, 3),
-                                               500, 1);
-  EXPECT_GT(c_low, 0.5);
-  EXPECT_LT(c_high, c_low / 2.0);
-}
-
+// Plain Barabási–Albert attachment is Holme–Kim with triad_p = 0.
 TEST(BarabasiAlbert, NodeAndEdgeCounts) {
   const std::size_t n = 1000;
   const std::size_t m = 3;
-  const SocialGraph g = barabasi_albert(n, m, 11);
+  const SocialGraph g = holme_kim(n, m, 0.0, 11);
   EXPECT_EQ(g.num_nodes(), n);
   // Seed clique of m+1 nodes plus m edges per remaining node.
   const std::size_t expected = m * (m + 1) / 2 + (n - m - 1) * m;
@@ -77,17 +20,17 @@ TEST(BarabasiAlbert, NodeAndEdgeCounts) {
 }
 
 TEST(BarabasiAlbert, MinimumDegreeIsM) {
-  const SocialGraph g = barabasi_albert(500, 4, 13);
+  const SocialGraph g = holme_kim(500, 4, 0.0, 13);
   for (NodeId u = 0; u < g.num_nodes(); ++u) EXPECT_GE(g.degree(u), 4u);
 }
 
 TEST(BarabasiAlbert, ProducesHubs) {
-  const SocialGraph g = barabasi_albert(2000, 3, 17);
+  const SocialGraph g = holme_kim(2000, 3, 0.0, 17);
   EXPECT_GT(g.max_degree(), 50u);  // heavy tail
 }
 
 TEST(BarabasiAlbert, IsConnected) {
-  const SocialGraph g = barabasi_albert(1000, 2, 19);
+  const SocialGraph g = holme_kim(1000, 2, 0.0, 19);
   EXPECT_EQ(connected_components(g), 1u);
 }
 

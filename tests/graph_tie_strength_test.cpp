@@ -20,8 +20,6 @@ void expect_full_equivalence(const SocialGraph& g) {
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
         ASSERT_EQ(tie.common_neighbors(u, v), g.common_neighbors(u, v))
             << "pass=" << pass << " u=" << u << " v=" << v;
-        ASSERT_DOUBLE_EQ(tie.social_strength(u, v), g.social_strength(u, v))
-            << "pass=" << pass << " u=" << u << " v=" << v;
       }
     }
   }
@@ -86,51 +84,6 @@ TEST(TieStrengthIndex, EdgePairsHitOnRepeatNonEdgesDoNot) {
   EXPECT_EQ(tie.stats().uncacheable, 2u);  // non-edges merge every time
   EXPECT_EQ(tie.stats().merges(), 3u);
   EXPECT_EQ(tie.stats().queries(), 5u);
-}
-
-TEST(TieStrengthIndex, InvalidateDropsEverySlot) {
-  const auto g = holme_kim(40, 3, 0.3, 9);
-  TieStrengthIndex tie(g);
-  const NodeId u = 1;
-  const NodeId v = g.neighbors(u)[0];
-  (void)tie.common_neighbors(u, v);
-  tie.invalidate();
-  (void)tie.common_neighbors(u, v);
-  EXPECT_EQ(tie.stats().misses, 2u);  // re-merged after the epoch bump
-  EXPECT_EQ(tie.stats().hits, 0u);
-  EXPECT_EQ(tie.common_neighbors(u, v), g.common_neighbors(u, v));
-  EXPECT_EQ(tie.stats().hits, 1u);
-}
-
-TEST(TieStrengthIndex, InvalidateNodeDropsItsPairsButNotOthers) {
-  const auto g = holme_kim(60, 3, 0.3, 13);
-  TieStrengthIndex tie(g);
-  const NodeId u = 0;
-  const NodeId v = g.neighbors(u)[0];
-  // A far pair that shares no row with u: neither endpoint is u or one of
-  // u's neighbours (invalidate_node clears exactly those rows).
-  NodeId a = kInvalidNode;
-  NodeId b = kInvalidNode;
-  for (NodeId x = 0; x < g.num_nodes() && a == kInvalidNode; ++x) {
-    if (x == u || g.has_edge(u, x)) continue;
-    for (const NodeId y : g.neighbors(x)) {
-      if (y > x && y != u && !g.has_edge(u, y)) {
-        a = x;
-        b = y;
-        break;
-      }
-    }
-  }
-  ASSERT_NE(a, kInvalidNode);
-
-  (void)tie.common_neighbors(u, v);
-  (void)tie.common_neighbors(a, b);
-  EXPECT_EQ(tie.stats().misses, 2u);
-  tie.invalidate_node(u);
-  (void)tie.common_neighbors(u, v);  // dropped: re-merges
-  (void)tie.common_neighbors(a, b);  // untouched: still warm
-  EXPECT_EQ(tie.stats().misses, 3u);
-  EXPECT_EQ(tie.stats().hits, 1u);
 }
 
 }  // namespace

