@@ -53,8 +53,11 @@ inline Result validate_lsh_bucket_bound(const lsh::LshIndex& index,
 
 /// Full LSH index validation: bucket bound, entry count consistency, no
 /// peer indexed twice, and every entry stored in the bucket its bitmap
-/// hashes to.
-inline Result validate_lsh_index(const lsh::LshIndex& index, std::size_t k) {
+/// hashes to. `bitmap_of(position)` returns the owner's bitmap for the
+/// friend at that position of its friend list.
+template <class BitmapOf>
+Result validate_lsh_index(const lsh::LshIndex& index, std::size_t k,
+                          BitmapOf&& bitmap_of) {
   if (auto v = validate_lsh_bucket_bound(index, k)) return v;
   std::size_t total = 0;
   std::unordered_set<std::uint32_t> seen;
@@ -66,12 +69,13 @@ inline Result validate_lsh_index(const lsh::LshIndex& index, std::size_t k) {
                          "peer " + std::to_string(entry.peer) +
                              " indexed in more than one bucket"};
       }
-      if (index.bucket_of(entry.bitmap) != b) {
+      const std::size_t hashed = index.bucket_of(bitmap_of(entry.position));
+      if (hashed != b) {
         return Violation{"select.lsh.misplaced",
                          "peer " + std::to_string(entry.peer) +
                              " stored in bucket " + std::to_string(b) +
                              " but hashes to bucket " +
-                             std::to_string(index.bucket_of(entry.bitmap))};
+                             std::to_string(hashed)};
       }
     }
   }

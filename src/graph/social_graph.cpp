@@ -76,6 +76,13 @@ SocialGraph GraphBuilder::build() const {
               g.adjacency_.begin() +
                   static_cast<std::ptrdiff_t>(g.offsets_[u + 1]));
   }
+  // Reverse-edge offsets in one pass: walking u ascending visits each
+  // friend v's sorted list in order, so u's slot there is v's next free one.
+  g.mirror_.resize(g.adjacency_.size());
+  std::fill(cursor.begin(), cursor.end(), 0);
+  for (std::size_t e = 0; e < g.adjacency_.size(); ++e) {
+    g.mirror_[e] = static_cast<std::uint32_t>(cursor[g.adjacency_[e]]++);
+  }
   return g;
 }
 

@@ -46,6 +46,13 @@ class SocialGraph {
                                    offsets_[u + 1] - offsets_[u]);
   }
 
+  /// Position of u in the list of its i-th friend v = neighbors(u)[i], so
+  /// that neighbors(v)[mirror(u, i)] == u. O(1): the reverse-edge offset.
+  [[nodiscard]] std::size_t mirror(NodeId u, std::size_t i) const {
+    SEL_EXPECTS(u < num_nodes() && i < degree(u));
+    return mirror_[offsets_[u] + i];
+  }
+
   /// O(log degree) membership test on the sorted adjacency list.
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
 
@@ -76,6 +83,8 @@ class SocialGraph {
       offsets_;  // size num_nodes + 1
   obs::AccountedVector<NodeId, obs::Subsystem::kGraph>
       adjacency_;  // concatenated sorted neighbour lists
+  obs::AccountedVector<std::uint32_t, obs::Subsystem::kGraph>
+      mirror_;  // aligned with adjacency_: see mirror()
 };
 
 /// Accumulates undirected edges, deduplicates, drops self-loops, and

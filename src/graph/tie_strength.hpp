@@ -6,9 +6,10 @@
 // graph every query is a fresh linear merge of two adjacency lists — cheap
 // once, wasteful a hundred times. This index caches the merge result per
 // *edge*: one slot per (node, friend-index) pair, stored on the lower
-// endpoint so both query directions share it. Non-edges fall through to a
-// direct merge each call — they carry no slot, and the protocol never
-// repeats them the way it repeats friend pairs.
+// endpoint so both query directions share it. A query names the edge by
+// (endpoint, slot), the friend's position in the endpoint's sorted list,
+// and the graph's reverse-edge offsets (SocialGraph::mirror) find the lower
+// endpoint's slot without a search.
 //
 // Rows are allocated lazily (first query touching a node). The graph is
 // immutable, so a filled slot never goes stale and nothing invalidates it.
@@ -26,27 +27,22 @@ namespace sel::graph {
 class TieStrengthIndex {
  public:
   /// Deterministic query accounting (independent of SEL_OBS): a query is a
-  /// hit, or a miss (cold slot, merge + fill), or uncacheable (non-edge /
-  /// self pair). `merges` counts actual adjacency-list merges executed —
-  /// the work the cache exists to avoid; misses + uncacheable == merges.
+  /// hit, or a miss (cold slot, merge + fill). `merges()` counts the
+  /// adjacency-list merges executed — the work the cache exists to avoid.
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t uncacheable = 0;
     [[nodiscard]] std::uint64_t queries() const noexcept {
-      return hits + misses + uncacheable;
+      return hits + misses;
     }
-    [[nodiscard]] std::uint64_t merges() const noexcept {
-      return misses + uncacheable;
-    }
+    [[nodiscard]] std::uint64_t merges() const noexcept { return misses; }
   };
 
   /// The graph must outlive the index.
   explicit TieStrengthIndex(const SocialGraph& g);
 
-  /// |N(u) ∩ N(v)|, memoized when {u, v} is an edge. u == v returns
-  /// degree(u) without a merge (N(u) ∩ N(u) = N(u)).
-  [[nodiscard]] std::size_t common_neighbors(NodeId u, NodeId v);
+  /// |N(u) ∩ N(v)| for u's friend v = neighbors(u)[slot], memoized.
+  [[nodiscard]] std::size_t common_neighbors(NodeId u, std::size_t slot);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 

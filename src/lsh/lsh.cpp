@@ -47,26 +47,10 @@ std::size_t LshIndex::bucket_of_peer(std::uint32_t peer) const {
   return static_cast<std::size_t>(-1);
 }
 
-void LshIndex::insert(std::uint32_t peer, const DynamicBitset& bitmap) {
-  erase(peer);
-  append(peer, bitmap);
-}
-
-void LshIndex::append(std::uint32_t peer, const DynamicBitset& bitmap) {
-  buckets_[bucket_of(bitmap)].push_back(Entry{peer, bitmap});
+void LshIndex::append(std::uint32_t peer, std::uint32_t position,
+                      const DynamicBitset& bitmap) {
+  buckets_[bucket_of(bitmap)].push_back(Entry{peer, position});
   ++count_;
-}
-
-void LshIndex::erase(std::uint32_t peer) {
-  for (auto& bucket : buckets_) {
-    const auto it = std::find_if(bucket.begin(), bucket.end(),
-                                 [peer](const Entry& e) { return e.peer == peer; });
-    if (it != bucket.end()) {
-      bucket.erase(it);
-      --count_;
-      return;
-    }
-  }
 }
 
 const std::vector<LshIndex::Entry>& LshIndex::bucket(std::size_t b) const {

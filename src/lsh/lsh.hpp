@@ -41,27 +41,25 @@ class BitSamplingHasher {
   std::vector<std::uint32_t> positions_;
 };
 
-/// K-bucket LSH index over (peer id, bitmap) entries; |H| = K per the paper.
+/// K-bucket LSH index over a peer's friends; |H| = K per the paper. An
+/// entry names the friend and its position in the owner's friend list, so
+/// the owner reads the bitmap from its own state instead of the index
+/// holding a copy.
 class LshIndex {
  public:
   struct Entry {
     std::uint32_t peer;
-    DynamicBitset bitmap;
+    std::uint32_t position;  ///< index into the owner's friend list
   };
 
   /// `dim` is the bitmap width (|C_p|); `buckets` is K.
   LshIndex(std::size_t dim, std::size_t buckets, std::size_t bits_per_hash,
            std::uint64_t seed);
 
-  /// Indexes a peer's bitmap (replaces a previous entry for the same peer).
-  void insert(std::uint32_t peer, const DynamicBitset& bitmap);
-
-  /// Indexes a peer that is not in the index, without insert()'s scan of
-  /// every bucket: the way to rebuild after clear().
-  void append(std::uint32_t peer, const DynamicBitset& bitmap);
-
-  /// Removes a peer from the index; no-op when absent.
-  void erase(std::uint32_t peer);
+  /// Indexes a friend that is not in the index under the bucket its bitmap
+  /// hashes to. Rebuild with clear() and one append() per friend.
+  void append(std::uint32_t peer, std::uint32_t position,
+              const DynamicBitset& bitmap);
 
   [[nodiscard]] std::size_t bucket_of(const DynamicBitset& bitmap) const;
 

@@ -68,7 +68,8 @@ SelectSystem::SelectSystem(const graph::SocialGraph& g, SelectParams params,
       state_(g.num_nodes()),
       cma_(g.num_nodes()),
       tie_index_(g),
-      lookahead_(overlay_) {
+      lookahead_(overlay_),
+      positions_(g.num_nodes()) {
   // SELECT routes with gossip-maintained L_p snapshots, not live global
   // knowledge, and uses the deeper lookahead its friends' friendship
   // bitmaps afford (Sec. III-E).
@@ -205,15 +206,15 @@ bool SelectSystem::run_round() {
 
     // Active thread (Alg. 3): exchanges with random joined friends.
     for (std::size_t x = 0; x < params_.exchanges_per_round; ++x) {
-      PeerId partner = overlay::kInvalidPeer;
+      std::size_t partner = nbrs.size();  // friend position; none yet
       for (int attempts = 0; attempts < 8; ++attempts) {
-        const PeerId candidate = nbrs[st.rng.below(nbrs.size())];
-        if (overlay_.joined(candidate) && overlay_.online(candidate)) {
-          partner = candidate;
+        const std::size_t at = st.rng.below(nbrs.size());
+        if (overlay_.joined(nbrs[at]) && overlay_.online(nbrs[at])) {
+          partner = at;
           break;
         }
       }
-      if (partner != overlay::kInvalidPeer) {
+      if (partner != nbrs.size()) {
         exchange(p, partner);
         ++exchanges;
       }
@@ -277,53 +278,58 @@ bool SelectSystem::run_round() {
   return quiet;
 }
 
-void SelectSystem::exchange(PeerId p, PeerId u) {
+void SelectSystem::exchange(PeerId p, std::size_t u_at_p) {
   gossip_exchanges_counter().add(1);
+  const auto np = graph_->neighbors(p);
+  const PeerId u = np[u_at_p];
+  const auto nu = graph_->neighbors(u);
+  const std::size_t p_at_u = graph_->mirror(p, u_at_p);
   // Both sides learn the mutual-friend count (Alg. 4 line 3) and each
   // other's routing table (friendship bitmaps, Alg. 4 lines 5-8). The count
   // is symmetric and friend pairs repeat across rounds, so it comes from
   // the tie-strength cache rather than a fresh adjacency merge.
   const auto common =
-      static_cast<double>(tie_index_.common_neighbors(p, u));
-  const std::size_t u_at_p = friend_index(p, u);
-  const std::size_t p_at_u = friend_index(u, p);
-  auto& fp = state_[p].friends[u_at_p];
-  fp.strength = graph_->degree(p) == 0
-                    ? 0.0
-                    : common / static_cast<double>(graph_->degree(p));
-  auto& fu = state_[u].friends[p_at_u];
-  fu.strength = graph_->degree(u) == 0
-                    ? 0.0
-                    : common / static_cast<double>(graph_->degree(u));
-  refresh_bitmap(p, u_at_p);
-  refresh_bitmap(u, p_at_u);
+      static_cast<double>(tie_index_.common_neighbors(p, u_at_p));
+  state_[p].friends[u_at_p].strength =
+      common / static_cast<double>(np.size());
+  state_[u].friends[p_at_u].strength =
+      common / static_cast<double>(nu.size());
   // Alg. 4 lines 5-8: the exchanged routing tables also refresh what each
   // side knows about the overlay connections of *mutual* friends (u is
-  // socially connected to them and relays their link state). The merge walk
-  // yields w's position in both friend lists.
-  const auto np = graph_->neighbors(p);
-  const auto nu2 = graph_->neighbors(u);
+  // socially connected to them and relays their link state), and the L_w
+  // snapshots. The merge walk yields w's position in both friend lists.
+  mutual_.clear();
   std::size_t i = 0;
   std::size_t j = 0;
-  while (i < np.size() && j < nu2.size()) {
-    if (np[i] < nu2[j]) {
-      ++i;
-    } else if (np[i] > nu2[j]) {
-      ++j;
-    } else {
-      const PeerId w = np[i];
-      if (overlay_.joined(w)) {
-        refresh_bitmap(p, i);
-        refresh_bitmap(u, j);
-        lookahead_.refresh(w);
-      }
-      ++i;
-      ++j;
+  while (i < np.size() && j < nu.size()) {
+    const PeerId a = np[i];
+    const PeerId b = nu[j];
+    if (a == b && overlay_.joined(a)) {
+      mutual_.emplace_back(i, j);
+      lookahead_.refresh(a);
     }
+    i += a <= b;
+    j += b <= a;
   }
+  // A bitmap refresh reads only the overlay and writes only its own peer's
+  // state, so p's refreshes run first and u's second: one position-map
+  // fill each when they recompute.
+  refresh_bitmap(p, u_at_p);
+  for (const auto& at : mutual_) refresh_bitmap(p, at.first);
+  refresh_bitmap(u, p_at_u);
+  for (const auto& at : mutual_) refresh_bitmap(u, at.second);
   // The exchanged routing tables refresh the lookahead snapshots L_p too.
   lookahead_.refresh(p);
   lookahead_.refresh(u);
+}
+
+void SelectSystem::load_positions(PeerId p) {
+  if (positions_owner_ == p) return;
+  const auto nbrs = graph_->neighbors(p);
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    positions_[nbrs[i]] = {p, static_cast<std::uint32_t>(i)};
+  }
+  positions_owner_ = p;
 }
 
 void SelectSystem::refresh_bitmap(PeerId p, std::size_t u_idx) {
@@ -334,16 +340,14 @@ void SelectSystem::refresh_bitmap(PeerId p, std::size_t u_idx) {
   const std::uint64_t version = overlay_.link_version(u);
   const bool current = info.links_seen == version;
   if (current && !check::enabled(check::Level::kFull)) return;
+  load_positions(p);
   auto& fresh = bitmap_scratch_;
   fresh.resize(nbrs.size());
   fresh.clear_all();
   fresh.set(u_idx);  // self-coverage (see constructor comment)
   // bitmap(u, v) = 1 iff (u, v) ∈ R_u, for v ∈ C_p (paper Sec. III-D).
   auto mark = [&](PeerId v) {
-    const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
-    if (it != nbrs.end() && *it == v) {
-      fresh.set(static_cast<std::size_t>(it - nbrs.begin()));
-    }
+    if (positions_[v].owner == p) fresh.set(positions_[v].at);
   };
   for (const PeerId v : overlay_.out_links(u)) mark(v);
   for (const PeerId v : overlay_.in_links(u)) mark(v);
@@ -414,17 +418,6 @@ double SelectSystem::evaluate_position(PeerId p) {
   return std::fabs(step);
 }
 
-double SelectSystem::picker_score(const lsh::LshIndex::Entry& e) const {
-  // Alg. 6 base score: social coverage (bitmap popcount). The Kourtellis
-  // variant additionally weights candidates by degree centrality, steering
-  // long links toward hub peers that shortcut many dissemination paths.
-  double s = static_cast<double>(e.bitmap.count());
-  if (params_.centrality_weight > 0.0) {
-    s += params_.centrality_weight * static_cast<double>(graph_->degree(e.peer));
-  }
-  return s;
-}
-
 bool SelectSystem::try_connect(PeerId p, PeerId u) {
   if (p == u || overlay_.linked(p, u)) return false;
   if (!overlay_.joined(p) || !overlay_.joined(u)) return false;
@@ -482,7 +475,10 @@ std::size_t SelectSystem::create_links(PeerId p) {
     // link-budget check run only at full level.
     check::enforce(check::validate_lsh_bucket_bound(*st.index, k_));
     if (check::enabled(check::Level::kFull)) {
-      check::enforce(check::validate_lsh_index(*st.index, k_));
+      check::enforce(check::validate_lsh_index(
+          *st.index, k_, [&st](std::uint32_t at) -> const DynamicBitset& {
+            return st.friends[at].bitmap;
+          }));
       check::enforce(check::validate_link_budget(overlay_, p, k_));
     }
   }
@@ -499,6 +495,15 @@ bool SelectSystem::links_current(PeerId p) const {
   return !moved(p) && std::none_of(nbrs.begin(), nbrs.end(), moved);
 }
 
+namespace {
+
+// relink()'s per-position marks.
+constexpr std::uint8_t kOut = 1;       ///< p links to the friend at entry
+constexpr std::uint8_t kFinal = 2;     ///< in the final link set
+constexpr std::uint8_t kRejected = 4;  ///< refused by its in-link cap
+
+}  // namespace
+
 std::size_t SelectSystem::relink(PeerId p) {
   auto& st = state_[p];
   const auto nbrs = graph_->neighbors(p);
@@ -506,12 +511,23 @@ std::size_t SelectSystem::relink(PeerId p) {
   st.relinked_at = overlay_.version_clock();
   st.bitmaps_changed = false;
 
-  // Alg. 5 lines 2-4: index the neighbourhood bitmaps into |H| = K buckets.
+  // Alg. 5 lines 2-4: index the neighbourhood bitmaps into |H| = K buckets,
+  // reading each joined friend's coverage (bitmap popcount) once.
   st.index->clear();
-  for (std::size_t i = 0; i < st.friends.size(); ++i) {
-    const PeerId f = nbrs[i];
-    if (!overlay_.joined(f)) continue;
-    st.index->append(f, st.friends[i].bitmap);
+  coverage_.resize(nbrs.size());
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    if (!overlay_.joined(nbrs[i])) continue;
+    const auto& bitmap = st.friends[i].bitmap;
+    coverage_[i] = static_cast<std::uint32_t>(bitmap.count());
+    st.index->append(nbrs[i], static_cast<std::uint32_t>(i), bitmap);
+  }
+  // p's out-links, marked by friend position. relink only adds out-links
+  // until the final sweep, so this one copy serves every step.
+  outs_.assign(overlay_.out_links(p).begin(), overlay_.out_links(p).end());
+  marks_.assign(nbrs.size(), 0);
+  load_positions(p);
+  for (const PeerId v : outs_) {
+    if (positions_[v].owner == p) marks_[positions_[v].at] |= kOut;
   }
 
   // Alg. 5 lines 5-18: the primary pick is one peer per non-empty bucket
@@ -519,43 +535,34 @@ std::size_t SelectSystem::relink(PeerId p) {
   // Because the peer maintains K long-range links (Sec. III-D), remaining
   // budget is topped up with the runner-ups of each bucket, round-robin, in
   // picker order — so the desired set is deterministic given the index.
-  std::vector<std::vector<PeerId>> ranked;  // per bucket, picker order
+  ranked_.clear();
+  ranked_end_.clear();
   for (std::size_t h = 0; h < st.index->num_buckets(); ++h) {
     const auto& bucket = st.index->bucket(h);
     if (bucket.empty()) continue;
-    ranked.push_back(rank_bucket(bucket));
-  }
-  const std::vector<PeerId> outs_snapshot(overlay_.out_links(p).begin(),
-                                          overlay_.out_links(p).end());
-  auto is_linked_out = [&outs_snapshot](PeerId q) {
-    return std::find(outs_snapshot.begin(), outs_snapshot.end(), q) !=
-           outs_snapshot.end();
-  };
-  // Sticky primaries: a bucket whose zone is already covered by one of our
-  // existing links keeps that link as its representative; only uncovered
-  // buckets take their picker-ranked best. Re-picking every bucket every
-  // round would thrash — friendship bitmaps keep evolving on high-degree
-  // neighbourhoods, so bucket contents never freeze.
-  for (auto& bucket : ranked) {
-    const auto linked_it =
-        std::find_if(bucket.begin(), bucket.end(), is_linked_out);
-    if (linked_it != bucket.end() && linked_it != bucket.begin()) {
-      std::iter_swap(bucket.begin(), linked_it);
-    }
-  }
-  std::vector<PeerId> priority;
-  priority.reserve(st.friends.size());
-  std::size_t primaries = 0;
-  for (std::size_t depth = 0;; ++depth) {
-    bool any = false;
-    for (const auto& bucket : ranked) {
-      if (depth < bucket.size()) {
-        any = true;
-        priority.push_back(bucket[depth]);
-        if (depth == 0) ++primaries;
+    const std::size_t begin = ranked_.size();
+    rank_bucket(p, bucket);
+    ranked_end_.push_back(ranked_.size());
+    // Sticky primaries: a bucket whose zone is already covered by one of
+    // our existing links keeps that link as its representative; only
+    // uncovered buckets take their picker-ranked best. Re-picking every
+    // bucket every round would thrash — friendship bitmaps keep evolving on
+    // high-degree neighbourhoods, so bucket contents never freeze.
+    for (std::size_t r = begin; r < ranked_.size(); ++r) {
+      if ((marks_[ranked_[r]] & kOut) != 0) {
+        std::swap(ranked_[begin], ranked_[r]);
+        break;
       }
     }
-    if (!any) break;
+  }
+  const std::size_t primaries = ranked_end_.size();
+  priority_.clear();
+  for (std::size_t depth = 0; priority_.size() < ranked_.size(); ++depth) {
+    std::size_t begin = 0;
+    for (const std::size_t end : ranked_end_) {
+      if (begin + depth < end) priority_.push_back(ranked_[begin + depth]);
+      begin = end;
+    }
   }
 
   // The Alg. 5 invariant: the primary pick of every non-empty bucket is
@@ -566,35 +573,27 @@ std::size_t SelectSystem::relink(PeerId p) {
   // peers gossip about, which re-ranks their buckets and changes their
   // links in turn. Links outside the final set are dropped (Alg. 5 lines
   // 12-16, generalized to budget enforcement).
-  const std::vector<PeerId> outs(overlay_.out_links(p).begin(),
-                                 overlay_.out_links(p).end());
-  std::vector<PeerId> final_set;
-  final_set.reserve(k_);
-  auto in_final = [&final_set](PeerId q) {
-    return std::find(final_set.begin(), final_set.end(), q) !=
-           final_set.end();
+  std::size_t final_size = 0;
+  auto keep = [&](std::uint32_t at) {
+    marks_[at] |= kFinal;
+    ++final_size;
   };
   // 1. Primaries (first `primaries` entries of the priority list).
-  for (std::size_t i = 0; i < primaries && final_set.size() < k_; ++i) {
-    const PeerId cand = priority[i];
-    if (in_final(cand)) continue;
-    const bool existing =
-        std::find(outs.begin(), outs.end(), cand) != outs.end();
-    if (existing) {
-      final_set.push_back(cand);
-    } else if (try_connect(p, cand)) {
-      final_set.push_back(cand);
+  for (std::size_t r = 0; r < primaries && final_size < k_; ++r) {
+    const std::uint32_t at = priority_[r];
+    if ((marks_[at] & kFinal) != 0) continue;
+    if ((marks_[at] & kOut) != 0) {
+      keep(at);
+    } else if (try_connect(p, nbrs[at])) {
+      keep(at);
       ++changes;
     }
   }
   // 2. Hysteresis: keep existing links that are still candidates, best
   //    first.
-  for (const PeerId cand : priority) {
-    if (final_set.size() >= k_) break;
-    if (in_final(cand)) continue;
-    if (std::find(outs.begin(), outs.end(), cand) != outs.end()) {
-      final_set.push_back(cand);
-    }
+  for (const std::uint32_t at : priority_) {
+    if (final_size >= k_) break;
+    if ((marks_[at] & (kFinal | kOut)) == kOut) keep(at);
   }
   // 3. Top up the remaining budget greedily by *marginal coverage*: pick
   //    the unlinked friend whose bitmap covers the most friends not yet
@@ -602,80 +601,80 @@ std::size_t SelectSystem::relink(PeerId p) {
   //    the maximum number of the social neighbourhood", Sec. III-A). This
   //    is what makes high-degree neighbourhoods reachable in 2 hops with
   //    only K links.
-  if (final_set.size() < k_) {
-    // Friend positions of the candidates, looked up once rather than on
-    // every pass of the greedy loop.
-    std::vector<std::size_t> at;
-    at.reserve(priority.size());
-    for (const PeerId cand : priority) at.push_back(friend_index(p, cand));
-    DynamicBitset covered(st.friends.size());
-    auto mark_covered = [&](std::size_t idx) {
-      covered |= st.friends[idx].bitmap;
-      covered.set(idx);
+  if (final_size < k_) {
+    covered_.resize(nbrs.size());
+    covered_.clear_all();
+    auto mark_covered = [&](std::size_t at) {
+      covered_ |= st.friends[at].bitmap;
+      covered_.set(at);
     };
-    for (const PeerId q : final_set) mark_covered(friend_index(p, q));
-    std::vector<PeerId> excluded;  // rejected by their incoming cap
-    auto skip = [&excluded](PeerId q) {
-      return std::find(excluded.begin(), excluded.end(), q) !=
-             excluded.end();
-    };
-    while (final_set.size() < k_) {
-      std::size_t best = priority.size();
+    for (const std::uint32_t at : priority_) {
+      if ((marks_[at] & kFinal) != 0) mark_covered(at);
+    }
+    while (final_size < k_) {
+      std::size_t best = priority_.size();
       std::size_t best_gain = 0;
-      for (std::size_t r = 0; r < priority.size(); ++r) {
-        if (in_final(priority[r]) || skip(priority[r])) continue;
+      for (std::size_t r = 0; r < priority_.size(); ++r) {
+        const std::uint32_t at = priority_[r];
+        if ((marks_[at] & (kFinal | kRejected)) != 0) continue;
         // |bitmap \ covered| = |bitmap| - |bitmap ∩ covered|.
-        const auto& bm = st.friends[at[r]].bitmap;
-        const std::size_t gain = bm.count() -
-                                 bm.intersection_count(covered) +
-                                 (covered.test(at[r]) ? 0 : 1);
+        const std::size_t gain =
+            coverage_[at] - st.friends[at].bitmap.intersection_count(covered_) +
+            (covered_.test(at) ? 0 : 1);
         if (gain > best_gain) {
           best_gain = gain;
           best = r;
         }
       }
-      if (best == priority.size()) break;
-      const PeerId best_cand = priority[best];
-      if (try_connect(p, best_cand)) {
-        final_set.push_back(best_cand);
-        mark_covered(at[best]);
+      if (best == priority_.size()) break;
+      const std::uint32_t at = priority_[best];
+      if (try_connect(p, nbrs[at])) {
+        keep(at);
+        mark_covered(at);
         ++changes;
       } else {
-        excluded.push_back(best_cand);
+        marks_[at] |= kRejected;
       }
     }
   }
-  for (const PeerId v : outs) {
-    if (!in_final(v)) {
-      if (overlay_.remove_long_link(p, v)) ++changes;
-    }
+  for (const PeerId v : outs_) {
+    const bool kept =
+        positions_[v].owner == p && (marks_[positions_[v].at] & kFinal) != 0;
+    if (!kept && overlay_.remove_long_link(p, v)) ++changes;
   }
   return changes;
 }
 
-std::vector<PeerId> SelectSystem::rank_bucket(
-    const std::vector<lsh::LshIndex::Entry>& bucket) const {
-  // Alg. 6 ordering: social coverage (bitmap popcount) descending, peer id
-  // as deterministic tiebreak; the bandwidth rule swaps the top two when
-  // the runner-up has a strictly faster uplink.
-  std::vector<PeerId> order;
-  order.reserve(bucket.size());
-  std::vector<const lsh::LshIndex::Entry*> sorted;
-  sorted.reserve(bucket.size());
-  for (const auto& e : bucket) sorted.push_back(&e);
-  std::sort(sorted.begin(), sorted.end(),
-            [this](const auto* a, const auto* b) {
-              const double ca = picker_score(*a);
-              const double cb = picker_score(*b);
-              if (ca != cb) return ca > cb;
-              return a->peer < b->peer;
-            });
-  if (sorted.size() > 1 &&
-      net_->uplink_bps(sorted[0]->peer) < net_->uplink_bps(sorted[1]->peer)) {
-    std::swap(sorted[0], sorted[1]);
+void SelectSystem::rank_bucket(
+    PeerId p, const std::vector<lsh::LshIndex::Entry>& bucket) {
+  // Alg. 6 ordering: social coverage (bitmap popcount) descending, friend
+  // position as deterministic tiebreak (the friend list is sorted, so that
+  // is peer id order); the bandwidth rule swaps the top two when the
+  // runner-up has a strictly faster uplink. The Kourtellis variant adds a
+  // degree-centrality bias to the coverage, steering long links toward hub
+  // peers that shortcut many dissemination paths.
+  const auto nbrs = graph_->neighbors(p);
+  const double centrality = params_.centrality_weight;
+  auto score = [&](std::uint32_t at) {
+    double s = static_cast<double>(coverage_[at]);
+    if (centrality > 0.0) {
+      s += centrality * static_cast<double>(graph_->degree(nbrs[at]));
+    }
+    return s;
+  };
+  const auto first = static_cast<std::ptrdiff_t>(ranked_.size());
+  for (const auto& e : bucket) ranked_.push_back(e.position);
+  const auto begin = ranked_.begin() + first;
+  std::sort(begin, ranked_.end(), [&score](std::uint32_t a, std::uint32_t b) {
+    const double sa = score(a);
+    const double sb = score(b);
+    if (sa != sb) return sa > sb;
+    return a < b;
+  });
+  if (bucket.size() > 1 &&
+      net_->uplink_bps(nbrs[begin[0]]) < net_->uplink_bps(nbrs[begin[1]])) {
+    std::swap(begin[0], begin[1]);
   }
-  for (const auto* e : sorted) order.push_back(e->peer);
-  return order;
 }
 
 void SelectSystem::set_peer_online(PeerId p, bool online) {

@@ -22,7 +22,9 @@
 // subscriber_first_tree capability selects SELECT's dissemination style.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/bitset.hpp"
@@ -155,9 +157,10 @@ class SelectSystem final : public overlay::RingOverlay {
   [[nodiscard]] std::size_t friend_index(overlay::PeerId p,
                                          overlay::PeerId friend_peer) const;
 
-  /// Gossip exchange between p and its friend u (Algs. 3-4): both sides
-  /// learn strength + bitmap of the other.
-  void exchange(overlay::PeerId p, overlay::PeerId u);
+  /// Gossip exchange between p and its friend u at position `u_at_p` of p's
+  /// friend list (Algs. 3-4): both sides learn strength + bitmap of the
+  /// other.
+  void exchange(overlay::PeerId p, std::size_t u_at_p);
 
   /// Alg. 2 (damped): returns the ring distance moved.
   double evaluate_position(overlay::PeerId p);
@@ -169,13 +172,10 @@ class SelectSystem final : public overlay::RingOverlay {
   /// The LSH path of create_links, always recomputed.
   std::size_t relink(overlay::PeerId p);
 
-  /// Alg. 6 candidate score: social coverage, plus degree-centrality bias
-  /// when params.centrality_weight > 0 (Kourtellis variant).
-  [[nodiscard]] double picker_score(const lsh::LshIndex::Entry& e) const;
-
-  /// Full picker ordering of a bucket (best first, Alg. 6 semantics).
-  [[nodiscard]] std::vector<overlay::PeerId> rank_bucket(
-      const std::vector<lsh::LshIndex::Entry>& bucket) const;
+  /// Appends the friend positions of one of p's buckets to ranked_ in
+  /// picker order (best first, Alg. 6 semantics). Reads coverage_.
+  void rank_bucket(overlay::PeerId p,
+                   const std::vector<lsh::LshIndex::Entry>& bucket);
 
   /// Connects p -> u honoring u's K incoming cap with bandwidth admission.
   /// Returns true when the link was established.
@@ -184,6 +184,9 @@ class SelectSystem final : public overlay::RingOverlay {
   /// Refreshes p's stored bitmap for its friend at position `u_idx` from
   /// that friend's current links, unless its link_version is unchanged.
   void refresh_bitmap(overlay::PeerId p, std::size_t u_idx);
+
+  /// Fills positions_ with p's friend positions unless p owns it already.
+  void load_positions(overlay::PeerId p);
 
   SelectParams params_;
   std::uint64_t seed_;
@@ -199,6 +202,28 @@ class SelectSystem final : public overlay::RingOverlay {
   overlay::LookaheadCache lookahead_;
   std::vector<sim::JoinEvent> schedule_;
   DynamicBitset bitmap_scratch_;  ///< refresh_bitmap's recompute target
+
+  /// Position map, one slot per peer: slot v holds v's position in the
+  /// friend list of `owner`, and is valid only for that owner. The map
+  /// serves one owner at a time (positions_owner_), so a peer's friends
+  /// are looked up in O(1) after one O(deg) fill.
+  struct FriendPosition {
+    overlay::PeerId owner = overlay::kInvalidPeer;
+    std::uint32_t at = 0;
+  };
+  std::vector<FriendPosition> positions_;
+  overlay::PeerId positions_owner_ = overlay::kInvalidPeer;
+  /// exchange(): mutual friends as (position at p, position at u).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> mutual_;
+
+  // relink() scratch, reused across calls; indexed by friend position.
+  std::vector<std::uint32_t> coverage_;    ///< bitmap popcount
+  std::vector<std::uint32_t> ranked_;      ///< buckets back to back
+  std::vector<std::size_t> ranked_end_;    ///< end of each bucket in ranked_
+  std::vector<std::uint32_t> priority_;    ///< round-robin over buckets
+  std::vector<std::uint8_t> marks_;        ///< kOut | kFinal | kRejected
+  std::vector<overlay::PeerId> outs_;      ///< p's out-links at entry
+  DynamicBitset covered_;                  ///< greedy top-up coverage
 
   std::size_t rounds_run_ = 0;
   std::size_t quiet_streak_ = 0;

@@ -213,17 +213,48 @@ TEST(CheckIdStep, DetectsOvershoot) {
   EXPECT_EQ(v->invariant, "select.reassign.overshoot");
 }
 
-TEST(CheckLsh, HealthyIndexPasses) {
-  lsh::LshIndex index(/*dim=*/16, /*buckets=*/4, /*bits_per_hash=*/3,
-                      /*seed=*/11);
+/// Ten friends at positions 0..9, each indexed under its own bitmap.
+std::vector<DynamicBitset> index_ten_friends(lsh::LshIndex& index) {
+  std::vector<DynamicBitset> bitmaps;
   for (std::uint32_t p = 0; p < 10; ++p) {
     DynamicBitset bm(16);
     bm.set(p % 16);
     bm.set((3 * p + 1) % 16);
-    index.insert(p, bm);
+    index.append(100 + p, p, bm);
+    bitmaps.push_back(std::move(bm));
   }
+  return bitmaps;
+}
+
+TEST(CheckLsh, HealthyIndexPasses) {
+  lsh::LshIndex index(/*dim=*/16, /*buckets=*/4, /*bits_per_hash=*/3,
+                      /*seed=*/11);
+  const auto bitmaps = index_ten_friends(index);
   EXPECT_FALSE(validate_lsh_bucket_bound(index, 4).has_value());
-  EXPECT_FALSE(validate_lsh_index(index, 4).has_value());
+  EXPECT_FALSE(validate_lsh_index(index, 4, [&](std::uint32_t at) -> const
+                                  DynamicBitset& { return bitmaps[at]; })
+                   .has_value());
+}
+
+TEST(CheckLsh, DetectsMisplacedEntry) {
+  // The owner's bitmap for one friend moves after indexing (a relink that
+  // should have rebuilt the index did not): the entry no longer hashes to
+  // the bucket that holds it.
+  lsh::LshIndex index(16, 4, 3, 11);
+  auto bitmaps = index_ten_friends(index);
+  const std::size_t home = index.bucket_of(bitmaps[0]);
+  DynamicBitset moved(16);
+  for (std::size_t bit = 0; bit < 16 && index.bucket_of(moved) == home;
+       ++bit) {
+    moved.set(bit);
+  }
+  ASSERT_NE(index.bucket_of(moved), home);
+  bitmaps[0] = moved;
+  const auto v = validate_lsh_index(
+      index, 4,
+      [&](std::uint32_t at) -> const DynamicBitset& { return bitmaps[at]; });
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->invariant, "select.lsh.misplaced");
 }
 
 TEST(CheckLsh, DetectsBucketCountMismatch) {

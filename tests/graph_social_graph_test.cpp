@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+
+#include "graph/generators.hpp"
+#include "graph/profiles.hpp"
+#include "graph/snap_loader.hpp"
 
 namespace sel::graph {
 namespace {
@@ -132,6 +137,50 @@ TEST(GraphBuilder, LargeStarGraph) {
     EXPECT_EQ(g.degree(u), 1u);
     EXPECT_TRUE(g.has_edge(u, 0));
   }
+}
+
+/// Every adjacency entry (u, i) must point back: u sits at position
+/// mirror(u, i) of its i-th friend's list.
+void expect_mirror_points_back(const SocialGraph& g) {
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const auto nbrs = g.neighbors(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const auto back = g.neighbors(nbrs[i]);
+      const std::size_t at = g.mirror(u, i);
+      ASSERT_LT(at, back.size()) << "u=" << u << " i=" << i;
+      ASSERT_EQ(back[at], u) << "u=" << u << " i=" << i;
+    }
+  }
+}
+
+TEST(SocialGraph, MirrorPointsBackOnGeneratedProfiles) {
+  for (const char* profile : {"facebook", "gplus", "twitter"}) {
+    SCOPED_TRACE(profile);
+    expect_mirror_points_back(
+        make_dataset_graph(profile_by_name(profile), 300, 7));
+  }
+}
+
+TEST(SocialGraph, MirrorPointsBackOnSnapEdgeList) {
+  // Comments, duplicates, reversed duplicates and a self-loop, as real
+  // dumps have; GraphBuilder drops the last three before the mirror pass.
+  const std::string text =
+      "# SNAP-style fixture\n"
+      "0\t1\n0\t2\n0\t3\n1\t2\n2\t3\n3\t4\n4\t5\n"
+      "1\t0\n2\t0\n3\t3\n"
+      "5\t6\n4\t6\n0\t4\n";
+  const auto loaded = parse_snap_edge_list(text);
+  ASSERT_TRUE(loaded.has_value());
+  expect_mirror_points_back(loaded->graph);
+}
+
+TEST(SocialGraph, MirrorOnTriangleWithTail) {
+  const SocialGraph g = triangle_plus_tail();
+  // N(2) = {0, 1, 3}; 2 sits at position 1 of N(0) = {1, 2}, position 1 of
+  // N(1) = {0, 2} and position 0 of N(3) = {2}.
+  EXPECT_EQ(g.mirror(2, 0), 1u);
+  EXPECT_EQ(g.mirror(2, 1), 1u);
+  EXPECT_EQ(g.mirror(2, 2), 0u);
 }
 
 }  // namespace

@@ -60,47 +60,30 @@ TEST(BitSamplingHasher, ShorterBitmapReadsAsZeros) {
 TEST(LshIndex, InsertAndBucketLookup) {
   LshIndex index(32, 4, 8, 1);
   const auto b = make_bitmap(32, {1, 2});
-  index.insert(7, b);
+  index.append(7, 3, b);
   EXPECT_EQ(index.size(), 1u);
   const std::size_t bucket = index.bucket_of(b);
   ASSERT_LT(bucket, index.num_buckets());
   ASSERT_EQ(index.bucket(bucket).size(), 1u);
   EXPECT_EQ(index.bucket(bucket)[0].peer, 7u);
+  EXPECT_EQ(index.bucket(bucket)[0].position, 3u);
   EXPECT_EQ(index.bucket_of_peer(7), bucket);
-}
-
-TEST(LshIndex, ReinsertReplacesPrevious) {
-  LshIndex index(32, 4, 8, 2);
-  index.insert(3, make_bitmap(32, {1}));
-  index.insert(3, make_bitmap(32, {1, 2, 3, 4, 5}));
-  EXPECT_EQ(index.size(), 1u);
-}
-
-TEST(LshIndex, EraseRemovesPeer) {
-  LshIndex index(32, 4, 8, 3);
-  index.insert(1, make_bitmap(32, {1}));
-  index.insert(2, make_bitmap(32, {2}));
-  index.erase(1);
-  EXPECT_EQ(index.size(), 1u);
-  EXPECT_EQ(index.bucket_of_peer(1), static_cast<std::size_t>(-1));
-  index.erase(99);  // no-op
-  EXPECT_EQ(index.size(), 1u);
 }
 
 TEST(LshIndex, IdenticalBitmapsShareBucket) {
   LshIndex index(64, 8, 10, 4);
   const auto b = make_bitmap(64, {5, 15, 25});
-  index.insert(1, b);
-  index.insert(2, b);
+  index.append(1, 0, b);
+  index.append(2, 1, b);
   EXPECT_EQ(index.bucket_of_peer(1), index.bucket_of_peer(2));
 }
 
 TEST(LshIndex, SameBucketPeersExcludesSelf) {
   LshIndex index(64, 8, 10, 5);
   const auto b = make_bitmap(64, {5, 15, 25});
-  index.insert(1, b);
-  index.insert(2, b);
-  index.insert(3, b);
+  index.append(1, 0, b);
+  index.append(2, 1, b);
+  index.append(3, 2, b);
   const auto peers = index.same_bucket_peers(2);
   EXPECT_EQ(peers.size(), 2u);
   for (const auto p : peers) EXPECT_NE(p, 2u);
@@ -113,8 +96,8 @@ TEST(LshIndex, SameBucketPeersOfUnknownIsEmpty) {
 
 TEST(LshIndex, ClearEmptiesEverything) {
   LshIndex index(32, 4, 8, 7);
-  index.insert(1, make_bitmap(32, {1}));
-  index.insert(2, make_bitmap(32, {2}));
+  index.append(1, 0, make_bitmap(32, {1}));
+  index.append(2, 1, make_bitmap(32, {2}));
   index.clear();
   EXPECT_EQ(index.size(), 0u);
   for (std::size_t b = 0; b < index.num_buckets(); ++b) {
@@ -129,7 +112,7 @@ TEST(LshIndex, SpreadsDistinctBitmapsAcrossBuckets) {
     for (std::size_t i = 0; i < 128; ++i) {
       if (splitmix64(p * 131 + i) & 1) b.set(i);
     }
-    index.insert(p, b);
+    index.append(p, p, b);
   }
   std::size_t nonempty = 0;
   for (std::size_t b = 0; b < index.num_buckets(); ++b) {

@@ -399,6 +399,7 @@ void churn_script(SelectSystem& sys, std::uint64_t seed) {
 }
 
 struct PinnedFingerprint {
+  const char* profile;
   std::size_t n;
   std::uint64_t seed;
   std::uint64_t after_build;
@@ -406,14 +407,15 @@ struct PinnedFingerprint {
 };
 
 void PrintTo(const PinnedFingerprint& pin, std::ostream* os) {
-  *os << "facebook n=" << pin.n << " seed=" << pin.seed;
+  *os << pin.profile << " n=" << pin.n << " seed=" << pin.seed;
 }
 
 class SelectFingerprint : public ::testing::TestWithParam<PinnedFingerprint> {};
 
 TEST_P(SelectFingerprint, BuildAndChurnMatchPinnedValues) {
   const auto& pin = GetParam();
-  const auto g = fb_graph(pin.n, pin.seed);
+  const auto g = graph::make_dataset_graph(graph::profile_by_name(pin.profile),
+                                           pin.n, pin.seed);
   SelectSystem sys(g, SelectParams{}, pin.seed);
   sys.build();
   EXPECT_EQ(overlay_fingerprint(sys), pin.after_build)
@@ -423,23 +425,41 @@ TEST_P(SelectFingerprint, BuildAndChurnMatchPinnedValues) {
       << "after churn: 0x" << std::hex << overlay_fingerprint(sys);
 }
 
-constexpr PinnedFingerprint kPinned[] = {
-    {500, 1, 0x5398b3b61e551fa6ULL, 0x85fe1b676111e95eULL},
-    {500, 2, 0x69a253a5d46c4ca8ULL, 0xdb38f6882af05dafULL},
-    {500, 3, 0x291a4dcedf5d312aULL, 0xdeed9b56d4acb5feULL},
-    {2000, 1, 0x11fd287c08758b49ULL, 0x47a2f172c953e52cULL},
-    {2000, 2, 0xcdf9b2faef061efaULL, 0x3d977581effdbeceULL},
-    {2000, 3, 0x0485ad4e9d993ae6ULL, 0xe53de7081f2f4da9ULL},
+std::string pin_name(const ::testing::TestParamInfo<PinnedFingerprint>& info) {
+  char name[48];
+  std::snprintf(name, sizeof name, "n%zu_seed%llu", info.param.n,
+                static_cast<unsigned long long>(info.param.seed));
+  return std::string(name);
+}
+
+constexpr PinnedFingerprint kFacebook[] = {
+    {"facebook", 500, 1, 0x5398b3b61e551fa6ULL, 0x85fe1b676111e95eULL},
+    {"facebook", 500, 2, 0x69a253a5d46c4ca8ULL, 0xdb38f6882af05dafULL},
+    {"facebook", 500, 3, 0x291a4dcedf5d312aULL, 0xdeed9b56d4acb5feULL},
+    {"facebook", 2000, 1, 0x11fd287c08758b49ULL, 0x47a2f172c953e52cULL},
+    {"facebook", 2000, 2, 0xcdf9b2faef061efaULL, 0x3d977581effdbeceULL},
+    {"facebook", 2000, 3, 0x0485ad4e9d993ae6ULL, 0xe53de7081f2f4da9ULL},
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Facebook, SelectFingerprint, ::testing::ValuesIn(kPinned),
-    [](const ::testing::TestParamInfo<PinnedFingerprint>& info) {
-      char name[48];
-      std::snprintf(name, sizeof name, "n%zu_seed%llu", info.param.n,
-                    static_cast<unsigned long long>(info.param.seed));
-      return std::string(name);
-    });
+// Dense profiles put most peers where facebook puts only its hubs: bitmaps
+// wider than one word (degree > 64), many bitmap recomputes per exchange and
+// multi-pass greedy top-ups. Each case runs to the max_rounds cap (128).
+constexpr PinnedFingerprint kGplus[] = {
+    {"gplus", 100, 1, 0x6911716277abe65bULL, 0xbdd8a3b6513d24e9ULL},
+    {"gplus", 100, 2, 0x2d6c286e835b1ebcULL, 0x37273fad371e041eULL},
+};
+
+constexpr PinnedFingerprint kTwitter[] = {
+    {"twitter", 100, 1, 0x3765e8c8b2766cf3ULL, 0xf766d87af069132fULL},
+    {"twitter", 100, 2, 0xab689f7b2ccaddbaULL, 0x99f60e8c29491896ULL},
+};
+
+INSTANTIATE_TEST_SUITE_P(Facebook, SelectFingerprint,
+                         ::testing::ValuesIn(kFacebook), pin_name);
+INSTANTIATE_TEST_SUITE_P(Gplus, SelectFingerprint, ::testing::ValuesIn(kGplus),
+                         pin_name);
+INSTANTIATE_TEST_SUITE_P(Twitter, SelectFingerprint,
+                         ::testing::ValuesIn(kTwitter), pin_name);
 
 }  // namespace
 }  // namespace sel::core
